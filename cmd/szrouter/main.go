@@ -67,7 +67,6 @@ type options struct {
 	antiEntropy    time.Duration
 	bufferLimit    int
 	cacheBytes     int64
-	cacheEntry     int64
 	slowMS         int64
 	traceRing      int
 
@@ -87,8 +86,7 @@ func main() {
 	flag.DurationVar(&o.drainGrace, "drain-grace", 0, "how long a removed backend lingers as a drain/repair source (0 = 10s)")
 	flag.DurationVar(&o.antiEntropy, "anti-entropy", 0, "periodic anti-entropy sweep cadence (0 = sweep only on membership changes, < 0 disables)")
 	flag.IntVar(&o.bufferLimit, "buffer-limit", 0, "replayable-body cap in bytes (0 = 4 MiB)")
-	flag.Int64Var(&o.cacheBytes, "cache-bytes", 0, "response-cache budget for decode endpoints (0 = 64 MiB, -1 disables cache and coalescing)")
-	flag.Int64Var(&o.cacheEntry, "cache-entry-bytes", 0, "largest cacheable single response (0 = 16 MiB)")
+	flag.Int64Var(&o.cacheBytes, "cache-bytes", 0, "response-cache budget for decode endpoints; one response is cached up to a quarter of it (0 = 64 MiB)")
 	flag.Int64Var(&o.slowMS, "slow-ms", 0, "log requests slower than this many milliseconds with their stage breakdown (0 = disabled)")
 	flag.IntVar(&o.traceRing, "trace-ring", 0, "finished traces retained for /debug/traces (0 = 256)")
 	flag.StringVar(&o.tlsCert, "tls-cert", "", "serve TLS with this PEM certificate (requires -tls-key)")
@@ -191,7 +189,6 @@ func run(o options) error {
 		PollInterval:        o.poll,
 		HTTPClient:          hc,
 		CacheBytes:          o.cacheBytes,
-		CacheEntryBytes:     o.cacheEntry,
 		SlowThreshold:       time.Duration(o.slowMS) * time.Millisecond,
 		TraceRingSize:       o.traceRing,
 	})

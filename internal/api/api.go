@@ -148,3 +148,21 @@ func TenantFromKey(key string) (string, error) {
 	}
 	return tenant, nil
 }
+
+// IfNoneMatchHas reports whether the If-None-Match field value inm
+// covers etag: "*", the tag itself, or its weak form W/"...", anywhere
+// in a comma-separated list. Content-addressed responses are immutable,
+// so every tier answers a match with 304 — the client already holds
+// these exact bytes.
+func IfNoneMatchHas(inm, etag string) bool {
+	if inm == "" {
+		return false
+	}
+	for _, part := range strings.Split(inm, ",") {
+		part = strings.TrimSpace(part)
+		if part == "*" || part == etag || strings.TrimPrefix(part, "W/") == etag {
+			return true
+		}
+	}
+	return false
+}

@@ -53,6 +53,31 @@ func TestParsePriority(t *testing.T) {
 	}
 }
 
+func TestIfNoneMatchHas(t *testing.T) {
+	const etag = `"ab12"`
+	cases := []struct {
+		inm  string
+		want bool
+	}{
+		{"", false},
+		{"*", true},
+		{`"ab12"`, true},
+		{`W/"ab12"`, true},
+		{`"ff00", "ab12"`, true},
+		{`"ff00",W/"ab12"`, true},
+		{` * `, true},
+		{`"ff00"`, false},
+		{`"ff00", W/"ff01"`, false},
+		{`ab12`, false},
+		{`"AB12"`, false},
+	}
+	for _, c := range cases {
+		if got := IfNoneMatchHas(c.inm, etag); got != c.want {
+			t.Errorf("IfNoneMatchHas(%q, %q) = %v, want %v", c.inm, etag, got, c.want)
+		}
+	}
+}
+
 // TestErrorRoundTrip writes an envelope and reads it back through the
 // client-side decoder, checking both JSON fields and the standard
 // Retry-After header.

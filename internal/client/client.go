@@ -76,21 +76,10 @@ type RetryPolicy struct {
 	IgnoreRetryAfter bool
 }
 
-// WithRetryPolicy replaces the whole retry policy.
+// WithRetryPolicy replaces the whole retry policy. The default is 4
+// attempts with a 100 ms first backoff, uncapped, honoring Retry-After.
 func WithRetryPolicy(p RetryPolicy) Option {
 	return func(c *Client) { c.retry = p }
-}
-
-// WithRetry sets the attempt budget and initial backoff for replayable
-// requests shed with 429/503 (defaults: 4 attempts, 100 ms doubling).
-//
-// Deprecated: use WithRetryPolicy, which also controls the backoff cap
-// and Retry-After handling.
-func WithRetry(attempts int, backoff time.Duration) Option {
-	return func(c *Client) {
-		c.retry.MaxAttempts = attempts
-		c.retry.Backoff = backoff
-	}
 }
 
 // WithTenant attaches an API key to every request. The daemon resolves

@@ -220,7 +220,7 @@ func TestRetryOn429(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	cl, err := New(ts.URL, WithRetry(4, 5*time.Millisecond))
+	cl, err := New(ts.URL, WithRetryPolicy(RetryPolicy{MaxAttempts: 4, Backoff: 5 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestRetryExhausted(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	cl, err := New(ts.URL, WithRetry(3, time.Millisecond))
+	cl, err := New(ts.URL, WithRetryPolicy(RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,33 +1,26 @@
 package fleet
 
-// Per-node response caching and in-flight request coalescing.
+// Per-node response caching.
 //
 // The router hashes replayable bodies and pins each digest to one ring
 // node, so identical requests always land here with identical answers:
 // decompress, slab, slabs, and inspect responses are pure functions of
-// (input bytes, endpoint, parameters). That makes the router itself the
-// natural cache seat — a hit answers without touching any backend, and
-// the consistent-hash affinity means each router-fronted node set only
-// ever caches its own key range.
-//
-// Coalescing closes the remaining gap: when N identical requests are in
-// flight at once (a fan-out of analysis ranks asking for the same slab),
-// only the first reaches a backend; the rest wait for its buffered
-// response and share it. Both layers serve complete buffered responses,
-// so they apply only to cacheable endpoints with replayable bodies and
-// responses within the per-entry size cap.
+// (input bytes, endpoint, parameters, Accept). That makes the router
+// itself the natural cache seat — a hit answers without touching any
+// backend, and the consistent-hash affinity means each router-fronted
+// node set only ever caches its own key range. The cache holds complete
+// buffered 200s only, each at most a quarter of the byte budget.
 
 import (
 	"container/list"
 	"net/http"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/api"
 )
 
-// cacheEntry is a complete buffered response: everything needed to
-// replay it to another client.
+// cacheEntry is a complete buffered backend response: a cached 200, or
+// a rejection kept for relaying when every candidate fails.
 type cacheEntry struct {
 	status  int
 	header  http.Header
@@ -37,19 +30,16 @@ type cacheEntry struct {
 
 func (e *cacheEntry) size() int64 { return int64(len(e.body)) + 256 /* headers, bookkeeping */ }
 
-// writeTo replays the entry. mode tags X-Sz-Cache so clients and tests
-// can tell a served-from-cache response ("hit") from a shared in-flight
-// one ("coalesced").
-func (e *cacheEntry) writeTo(w http.ResponseWriter, mode string) {
+// writeTo replays the entry, tagged with the backend that produced it.
+func (e *cacheEntry) writeTo(w http.ResponseWriter) {
 	copyHeaders(w.Header(), e.header)
 	w.Header().Set(api.HeaderBackend, e.backend)
-	w.Header().Set(api.HeaderCache, mode)
 	w.WriteHeader(e.status)
 	w.Write(e.body)
 }
 
 // respCache is a bounded LRU over cacheEntry keyed by the request
-// identity (endpoint, path, parameters, body digest).
+// identity (endpoint, path, parameters, Accept, body digest).
 type respCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -117,47 +107,4 @@ func (c *respCache) stats() (bytes, entries, hits, misses, evictions int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes, int64(c.ll.Len()), c.hits, c.misses, c.evictions
-}
-
-// flightGroup deduplicates concurrent identical requests: the first
-// caller for a key becomes the leader and talks to a backend; followers
-// block until the leader finishes and share its buffered response.
-type flightGroup struct {
-	mu    sync.Mutex
-	calls map[string]*flightCall
-}
-
-type flightCall struct {
-	done    chan struct{}
-	entry   *cacheEntry  // nil when the leader's response was not shareable
-	waiters atomic.Int64 // followers blocked on done (observability/tests)
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: map[string]*flightCall{}}
-}
-
-// join registers interest in key. The first caller gets leader=true and
-// MUST call leave when its attempt is finished (success or not);
-// followers get the existing call to wait on.
-func (g *flightGroup) join(key string) (c *flightCall, leader bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.calls[key]; ok {
-		c.waiters.Add(1)
-		return c, false
-	}
-	c = &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
-	return c, true
-}
-
-// leave publishes the leader's outcome (entry may be nil) and releases
-// the followers.
-func (g *flightGroup) leave(key string, c *flightCall, entry *cacheEntry) {
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	c.entry = entry
-	close(c.done)
 }

@@ -6,10 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 )
@@ -166,104 +164,9 @@ func TestRouterCompressNotCached(t *testing.T) {
 	}
 }
 
-// TestRouterCacheDisabled: CacheBytes < 0 switches the cache and
-// coalescing off; every request forwards.
-func TestRouterCacheDisabled(t *testing.T) {
-	var hits atomic.Int64
-	b := countingBackend(t, &hits, nil)
-	_, ts := newRouter(t, Config{Backends: []string{b}, CacheBytes: -1})
-	for i := 1; i <= 3; i++ {
-		resp, err := http.Post(ts.URL+"/v1/decompress", "application/octet-stream", strings.NewReader("container"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if hits.Load() != int64(i) {
-			t.Fatalf("request %d: %d forwards", i, hits.Load())
-		}
-	}
-}
-
-// TestRouterCoalescesConcurrentIdentical: N identical in-flight
-// requests must produce exactly one backend forward; the followers
-// share the leader's response.
-func TestRouterCoalescesConcurrentIdentical(t *testing.T) {
-	const followers = 7
-	var hits atomic.Int64
-	block := make(chan struct{})
-	b := countingBackend(t, &hits, block)
-	rt, ts := newRouter(t, Config{Backends: []string{b}})
-
-	var wg sync.WaitGroup
-	bodies := make([]string, followers+1)
-	cacheTags := make([]string, followers+1)
-	for i := 0; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/decompress", "application/octet-stream", strings.NewReader("shared-container"))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			bodies[i] = string(body)
-			cacheTags[i] = resp.Header.Get(api.HeaderCache)
-		}(i)
-	}
-
-	// Hold the backend until the leader is inside it and every follower
-	// is parked on the in-flight call, so nobody can miss the window.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		waiting := int64(0)
-		rt.flights.mu.Lock()
-		for _, c := range rt.flights.calls {
-			waiting = c.waiters.Load()
-		}
-		rt.flights.mu.Unlock()
-		if hits.Load() == 1 && waiting == followers {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("coalescing never converged: %d backend hits, %d waiters", hits.Load(), waiting)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(block)
-	wg.Wait()
-
-	if hits.Load() != 1 {
-		t.Fatalf("%d backend forwards for %d identical requests, want 1", hits.Load(), followers+1)
-	}
-	// Any of the 8 goroutines may have won the leader slot; the other 7
-	// must all have been coalesced onto it.
-	coalesced := 0
-	for i := 0; i <= followers; i++ {
-		if bodies[i] != bodies[0] {
-			t.Fatalf("response %d differs: %q vs %q", i, bodies[i], bodies[0])
-		}
-		if cacheTags[i] == "coalesced" {
-			coalesced++
-		}
-	}
-	if coalesced != followers {
-		t.Fatalf("%d responses tagged coalesced, want %d", coalesced, followers)
-	}
-	// And the shared response seeded the cache for later arrivals.
-	resp, err := http.Post(ts.URL+"/v1/decompress", "application/octet-stream", strings.NewReader("shared-container"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if hits.Load() != 1 || resp.Header.Get(api.HeaderCache) != "hit" {
-		t.Fatalf("post-coalesce request: %d forwards, tag %q", hits.Load(), resp.Header.Get(api.HeaderCache))
-	}
-}
-
 // TestRouterOversizedResponseNotCached: responses beyond the entry cap
-// stream through uncached, and repeats forward again.
+// (a quarter of the cache budget) stream through uncached, and repeats
+// forward again.
 func TestRouterOversizedResponseNotCached(t *testing.T) {
 	var hits atomic.Int64
 	ts0 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -277,7 +180,7 @@ func TestRouterOversizedResponseNotCached(t *testing.T) {
 	}))
 	t.Cleanup(ts0.Close)
 	b := strings.TrimPrefix(ts0.URL, "http://")
-	_, ts := newRouter(t, Config{Backends: []string{b}, CacheEntryBytes: 1024})
+	_, ts := newRouter(t, Config{Backends: []string{b}, CacheBytes: 4096})
 
 	for i := 1; i <= 2; i++ {
 		resp, err := http.Post(ts.URL+"/v1/decompress", "application/octet-stream", strings.NewReader("c"))
@@ -295,5 +198,13 @@ func TestRouterOversizedResponseNotCached(t *testing.T) {
 		if hits.Load() != int64(i) {
 			t.Fatalf("request %d: %d forwards", i, hits.Load())
 		}
+	}
+}
+
+// TestRouterRejectsNegativeCacheBytes: the response cache cannot be
+// switched off; a negative budget is a configuration error.
+func TestRouterRejectsNegativeCacheBytes(t *testing.T) {
+	if _, err := New(Config{Backends: []string{"127.0.0.1:1"}, CacheBytes: -1}); err == nil {
+		t.Fatal("New accepted a negative CacheBytes")
 	}
 }

@@ -109,17 +109,11 @@ type Signals struct {
 	InflightBytes int64
 	// ShedDelta counts budget/share rejections since the last tick.
 	ShedDelta int64
-	// BusyWorkers and PoolSize describe the worker token pool.
-	BusyWorkers int
-	PoolSize    int
 	// FastLatency and SlowLatency are the two EWMA reads over request
 	// latency, in seconds. Fast well above slow means latency is
 	// climbing now; both near zero means no traffic.
 	FastLatency float64
 	SlowLatency float64
-	// QueueDepth is optional queued/coalesced work behind admission
-	// (the router's in-flight coalesce depth, zero on szd).
-	QueueDepth int
 }
 
 // State is the controller's current output, also what /debug/qos and
@@ -178,10 +172,9 @@ func (c *Controller) State() State { return c.state }
 // against slow catches a climb in progress before the baseline test
 // trips. Either one only counts while the budget is at least half
 // used — an idle daemon whose workload got inherently slower must not
-// cut. A saturated worker pool with queue behind it reads as pressure
-// regardless. Shedding alone does not: sheds mean the budget is
-// binding, and if latency is still healthy the right move is to grow,
-// not to cut (cutting on sheds is the downward spiral).
+// cut. Shedding alone does not count: sheds mean the budget is binding,
+// and if latency is still healthy the right move is to grow, not to
+// cut (cutting on sheds is the downward spiral).
 func (c *Controller) congested(s Signals) bool {
 	if s.FastLatency > 0 && (c.baseline == 0 || s.FastLatency < c.baseline) {
 		c.baseline = s.FastLatency
@@ -193,8 +186,7 @@ func (c *Controller) congested(s Signals) bool {
 	}
 	overBaseline := c.baseline > 0 && s.FastLatency > c.cfg.LatencyRatio*c.baseline
 	latencyClimbing := s.SlowLatency > 0 && s.FastLatency > c.cfg.LatencyRatio*s.SlowLatency
-	workersSaturated := s.PoolSize > 0 && s.BusyWorkers >= s.PoolSize && s.QueueDepth > 0
-	return ((overBaseline || latencyClimbing) && util > 0.5) || workersSaturated
+	return (overBaseline || latencyClimbing) && util > 0.5
 }
 
 // Tick folds one measurement snapshot and returns the new State.

@@ -203,8 +203,6 @@ func (s *Server) TickQoS() qos.State {
 	st := s.qosc.Tick(qos.Signals{
 		InflightBytes: s.gov.inflight.Load(),
 		ShedDelta:     sheds - s.prevSheds,
-		BusyWorkers:   s.gov.busyWorkers(),
-		PoolSize:      s.gov.poolSize,
 		FastLatency:   s.met.fastLat.Value(),
 		SlowLatency:   s.met.slowLat.Value(),
 	})

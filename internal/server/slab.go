@@ -78,7 +78,7 @@ func (s *Server) handleSlabs(w http.ResponseWriter, r *http.Request) {
 	// still holds the index answers in a header round-trip, before any
 	// footer walk happens.
 	etag := etagFor(bodyDigest(stream))
-	if ifNoneMatchHas(r, etag) {
+	if api.IfNoneMatchHas(r.Header.Get("If-None-Match"), etag) {
 		s.notModified(w, "slabs", "blocked", etag, start)
 		return
 	}
@@ -134,7 +134,7 @@ func (s *Server) handleSlab(w http.ResponseWriter, r *http.Request) {
 	// Conditional check before any decode: the body just traveled, but
 	// the decode work (the expensive part) is still skippable.
 	etag := etagFor(bodyDigest(stream))
-	if ifNoneMatchHas(r, etag) {
+	if api.IfNoneMatchHas(r.Header.Get("If-None-Match"), etag) {
 		s.notModified(w, "slab", "blocked", etag, start)
 		return
 	}

@@ -72,23 +72,6 @@ func requestDigest(r *http.Request) (string, error) {
 // etagFor renders a container digest as a strong ETag.
 func etagFor(digest string) string { return `"` + digest + `"` }
 
-// ifNoneMatchHas reports whether the request's If-None-Match field
-// matches etag. Content-addressed responses are immutable, so a match
-// always means 304 — the client already holds these exact bytes.
-func ifNoneMatchHas(r *http.Request, etag string) bool {
-	inm := r.Header.Get("If-None-Match")
-	if inm == "" {
-		return false
-	}
-	for _, part := range strings.Split(inm, ",") {
-		part = strings.TrimSpace(part)
-		if part == "*" || part == etag || strings.TrimPrefix(part, "W/") == etag {
-			return true
-		}
-	}
-	return false
-}
-
 // notModified answers a conditional request whose ETag matched.
 func (s *Server) notModified(w http.ResponseWriter, endpoint, codecName, etag string, start time.Time) {
 	w.Header().Set("Etag", etag)
@@ -180,7 +163,7 @@ func (s *Server) openStoreEntry(w http.ResponseWriter, r *http.Request, endpoint
 		return nil, false // body-carrying request
 	}
 	etag := etagFor(digest)
-	if ifNoneMatchHas(r, etag) {
+	if api.IfNoneMatchHas(r.Header.Get("If-None-Match"), etag) {
 		s.notModified(w, endpoint, "", etag, start)
 		return nil, true
 	}
@@ -463,7 +446,7 @@ func (s *Server) handleContainer(w http.ResponseWriter, r *http.Request) {
 		s.met.record("container", "", http.StatusNoContent, 0, 0, time.Since(start))
 	case http.MethodGet:
 		etag := etagFor(digest)
-		if ifNoneMatchHas(r, etag) {
+		if api.IfNoneMatchHas(r.Header.Get("If-None-Match"), etag) {
 			s.notModified(w, "container", "", etag, start)
 			return
 		}
