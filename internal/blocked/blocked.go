@@ -513,59 +513,8 @@ func Decompress(stream []byte, p Params) (*grid.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := p.Workers
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	out := grid.New(ix.Dims...)
-	b := body(stream, ix)
-	cb, err := sharedCodebook(stream, ix)
-	if err != nil {
-		return nil, err
-	}
-	if cb != nil {
-		defer cb.Release()
-	}
-	nSlabs := ix.NumSlabs()
-	errs := make([]error, nSlabs)
-	dtypes := make([]grid.DType, nSlabs)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nSlabs {
-					return
-				}
-				lo, hi := ix.SlabBounds(i)
-				dst, err := out.Slab(lo, hi)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				// Decode straight into the output's slab rows: the slabs
-				// tile out.Data disjointly, so the workers never overlap
-				// and the decode-then-copy round trip disappears.
-				dtypes[i], errs[i] = decodeSlabInto(b, ix, i, dst.Data, cb)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("blocked: slab %d: %w", i, err)
-		}
-	}
-	for i := 1; i < nSlabs; i++ {
-		if dtypes[i] != dtypes[0] {
-			return nil, fmt.Errorf("%w: slab %d element type %v, container uses %v",
-				ErrCorrupt, i, dtypes[i], dtypes[0])
-		}
-	}
-	return out, nil
+	out, _, err := decodeRange(stream, ix, 0, ix.NumSlabs()-1, p.Workers)
+	return out, err
 }
 
 // DecompressSlab decompresses only slab i (random access).
@@ -592,6 +541,16 @@ func DecompressSlabRange(stream []byte, lo, hi int) (*grid.Array, grid.DType, er
 // whose integrity is vouched for elsewhere (a digest-verified store
 // entry). It never re-walks the container.
 func DecompressSlabRangeIndexed(stream []byte, ix *Index, lo, hi int) (*grid.Array, grid.DType, error) {
+	return decodeRange(stream, ix, lo, hi, 0)
+}
+
+// decodeRange is the one parallel slab decoder: it decodes slabs lo..hi
+// (inclusive) into one contiguous array covering their row span across
+// workers goroutines (< 1 = NumCPU) and returns the container's element
+// type. Each slab decodes straight into the output rows it covers: the
+// slabs tile out.Data disjointly, so the workers never overlap and the
+// decode-then-copy round trip disappears.
+func decodeRange(stream []byte, ix *Index, lo, hi, workers int) (*grid.Array, grid.DType, error) {
 	if lo < 0 || hi >= ix.NumSlabs() || lo > hi {
 		return nil, 0, fmt.Errorf("blocked: %w: %d-%d of [0,%d)", ErrSlabRange, lo, hi, ix.NumSlabs())
 	}
@@ -611,32 +570,21 @@ func DecompressSlabRangeIndexed(stream []byte, ix *Index, lo, hi int) (*grid.Arr
 	n := hi - lo + 1
 	errs := make([]error, n)
 	dtypes := make([]grid.DType, n)
-	workers := runtime.NumCPU()
+	if workers < 1 {
+		workers = runtime.NumCPU()
+	}
 	if workers > n {
 		workers = n
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				slo, shi := ix.SlabBounds(lo + k)
-				dst, err := out.Slab(slo-rowLo, shi-rowLo)
-				if err != nil {
-					errs[k] = err
-					continue
-				}
-				dtypes[k], errs[k] = decodeSlabInto(b, ix, lo+k, dst.Data, cb)
-			}
-		}()
-	}
-	wg.Wait()
+	parallelSlabs(workers, n, func(k int) {
+		slo, shi := ix.SlabBounds(lo + k)
+		dst, err := out.Slab(slo-rowLo, shi-rowLo)
+		if err != nil {
+			errs[k] = err
+			return
+		}
+		dtypes[k], errs[k] = decodeSlabInto(b, ix, lo+k, dst.Data, cb)
+	})
 	for k, err := range errs {
 		if err != nil {
 			return nil, 0, fmt.Errorf("blocked: slab %d: %w", lo+k, err)

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -303,21 +304,13 @@ func (rt *Router) serveCached(w http.ResponseWriter, r *http.Request, endpoint, 
 }
 
 // proxyBodyless handles GET endpoints with no body (the codec listing):
-// any routable backend can answer, with failover through the rest.
+// any backend can answer, so each request is keyed by a rotating
+// counter, which spreads them across the ring, and fails over through
+// the same health tiers as every other read.
 func (rt *Router) proxyBodyless(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		backends := rt.Backends()
-		start := int(rt.rr.Add(1))
-		rotated := make([]string, len(backends))
-		routable := make(map[string]bool, len(backends))
-		for i, b := range backends {
-			rotated[i] = backends[(start+i)%len(backends)]
-			routable[b] = rt.poller.Routable(b)
-		}
-		sort.SliceStable(rotated, func(i, j int) bool {
-			return routable[rotated[i]] && !routable[rotated[j]]
-		})
-		rt.forward(w, r, endpoint, rotated, "", "", nil)
+		key := strconv.FormatUint(rt.rr.Add(1), 10)
+		rt.forward(w, r, endpoint, rt.candidates(key), "", "", nil)
 	}
 }
 

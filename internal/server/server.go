@@ -12,8 +12,18 @@
 //	GET|POST /v1/inspect                            stream in, container metadata out (JSON)
 //	GET|POST /v1/slabs                              blocked container in, footer index out (JSON)
 //	GET|POST /v1/slab/{i | lo-hi}                   blocked container in, raw samples of that slab range out
+//	GET|HEAD|PUT /v1/container/{digest}             stored container bytes (peer fill, replication)
+//	GET  /v1/containers                             the store's digest inventory (JSON)
+//	GET  /v1/limits                                 live admission state (JSON)
 //	GET  /healthz                                   200 ok / 503 draining
 //	GET  /metrics                                   text exposition (szd_* series)
+//	GET  /debug/traces                              recent finished traces (JSON)
+//	GET  /debug/qos                                 the admission controller's full state (JSON)
+//
+// The container reads — decompress, slabs and slab — also take a
+// ?digest= (or X-Sz-Digest) naming a stored container in place of the
+// body (GET, no upload; see store.go). Any other method gets 405 with
+// an Allow header.
 //
 // Codec parameters travel as query values (keys match the sz CLI flags)
 // with X-Sz-<key> headers as a fallback. Bodies are chunked-streamed in
@@ -24,6 +34,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -33,7 +44,9 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,12 +98,6 @@ type Config struct {
 	// Under contention each tenant is held to budget x w/sum(active w);
 	// below the contention watermark admission is work-conserving.
 	TenantWeights map[string]float64
-	// QoS tunes the adaptive admission controller; zero-valued fields
-	// derive from MaxInflightBytes and Workers. The controller only
-	// acts when its loop runs — StartQoS (cmd/szd wires -qos-interval)
-	// or explicit TickQoS calls; otherwise the budget and worker pool
-	// stay at their configured values.
-	QoS qos.Config
 }
 
 const (
@@ -140,22 +147,18 @@ type Server struct {
 	retryAfterMS atomic.Int64
 }
 
-// New builds a Server from cfg (zero value = defaults).
+// New builds a Server from cfg (zero value = defaults). The adaptive
+// admission controller's bounds derive from MaxInflightBytes and
+// Workers; it only acts when its loop runs — StartQoS (cmd/szd wires
+// -qos-interval) or explicit TickQoS calls — otherwise the budget and
+// worker pool stay at their configured values.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	gov := newGovernor(cfg.MaxInflightBytes, cfg.Workers, cfg.TenantWeights)
-	qcfg := cfg.QoS
-	if qcfg.MaxBudget <= 0 && cfg.MaxInflightBytes > 0 {
+	qcfg := qos.Config{MaxWorkers: cfg.Workers, MinWorkers: cfg.Workers / 4}
+	if cfg.MaxInflightBytes > 0 {
 		qcfg.MaxBudget = cfg.MaxInflightBytes
-	}
-	if qcfg.InitialBudget <= 0 && cfg.MaxInflightBytes > 0 {
 		qcfg.InitialBudget = cfg.MaxInflightBytes
-	}
-	if qcfg.MaxWorkers <= 0 {
-		qcfg.MaxWorkers = cfg.Workers
-	}
-	if qcfg.MinWorkers <= 0 {
-		qcfg.MinWorkers = cfg.Workers / 4
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -171,11 +174,11 @@ func New(cfg Config) *Server {
 	// (the timings do not exist when the response header flushes);
 	// buffered ones carry it as a plain header.
 	s.mux.HandleFunc(api.PathCompress, s.method(http.MethodPost, s.withObs("compress", true, s.handleCompress)))
-	s.mux.HandleFunc(api.PathDecompress, s.withObs("decompress", true, s.handleDecompress)) // POST; GET for digest-referenced reads
+	s.mux.HandleFunc(api.PathDecompress, s.method(getPost, s.withObs("decompress", true, s.handleDecompress)))
 	s.mux.HandleFunc(api.PathCodecs, s.method(http.MethodGet, s.withObs("codecs", false, s.handleCodecs)))
-	s.mux.HandleFunc(api.PathInspect, s.withObs("inspect", false, s.handleInspect)) // GET-with-body or POST
-	s.mux.HandleFunc(api.PathSlabs, s.withObs("slabs", false, s.handleSlabs))       // GET-with-body or POST
-	s.mux.HandleFunc(api.PathSlabPrefix, s.withObs("slab", true, s.handleSlab))     // GET-with-body or POST
+	s.mux.HandleFunc(api.PathInspect, s.method(getPost, s.withObs("inspect", false, s.handleInspect)))
+	s.mux.HandleFunc(api.PathSlabs, s.method(getPost, s.withObs("slabs", false, s.handleSlabs)))
+	s.mux.HandleFunc(api.PathSlabPrefix, s.method(getPost, s.withObs("slab", true, s.handleSlab)))
 	s.mux.HandleFunc(api.PathContainerPrefix, s.withObs("container", false, s.handleContainer))
 	s.mux.HandleFunc(api.PathContainers, s.method(http.MethodGet, s.withObs("containers", false, s.handleContainers)))
 	s.mux.HandleFunc(api.PathLimits, s.method(http.MethodGet, s.handleLimits))
@@ -369,11 +372,19 @@ func (s *Server) StartDrain() { s.gov.draining.Store(true) }
 // Draining reports whether StartDrain was called.
 func (s *Server) Draining() bool { return s.gov.draining.Load() }
 
-func (s *Server) method(want string, h http.HandlerFunc) http.HandlerFunc {
+// getPost is the Allow list of the container read endpoints: a body
+// travels with POST (or GET-with-body), a ?digest= reference with GET.
+const getPost = "GET, POST"
+
+// method answers 405 with the Allow list for any method outside allow
+// (one method, or a ", "-separated list).
+func (s *Server) method(allow string, h http.HandlerFunc) http.HandlerFunc {
+	methods := strings.Split(allow, ", ")
+	use := "use " + strings.Join(methods, " or ")
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != want {
-			w.Header().Set("Allow", want)
-			s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use %s", want))
+		if !slices.Contains(methods, r.Method) {
+			w.Header().Set("Allow", allow)
+			s.writeError(w, http.StatusMethodNotAllowed, errors.New(use))
 			return
 		}
 		h(w, r)
@@ -714,6 +725,12 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	s.finishStream(w, out, "compress", name, body.n, err, start)
 }
 
+// handleDecompress decodes one container from either source: the
+// request body, metered against the upload cap and teed into the store
+// (its digest travels back as an ETag trailer), or with ?digest= a
+// reader over the mmap'd store entry (X-Sz-Store and Etag as headers,
+// no bytes in). Codec detection, the charge, admission and the decode
+// are the same for both.
 func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	tr := obs.FromContext(r.Context())
@@ -723,28 +740,27 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, "decompress", "", http.StatusBadRequest, err, start)
 		return
 	}
-	// A digest-referenced read carries no body: the container comes off
-	// the store's mmap. Plain decompress stays POST-only.
-	if ent, done := s.openStoreEntry(w, r, "decompress", start); done {
-		if ent != nil {
-			s.serveDecompressFromStore(w, r, tr, ent, p, vals.Get("codec"), start)
-		}
+	ent, done := s.openStoreEntry(w, r, "decompress", start)
+	if done && ent == nil {
 		return
 	}
-	if r.Method != http.MethodPost {
+	var src io.Reader = r.Body
+	declared := declaredLength(r)
+	if ent != nil {
+		defer ent.Release()
+		src, declared = bytes.NewReader(ent.Bytes()), ent.Size()
+	} else if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST (or GET with ?digest=)"))
 		return
-	}
-	declared := declaredLength(r)
-	if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
+	} else if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
 		s.reject(w, "decompress", "", http.StatusRequestEntityTooLarge, errTooLarge, start)
 		return
 	}
 
 	// Resolve the codec: forced via ?codec=, else detected from the
 	// stream magic (peeking consumes nothing).
-	br := newPeekReader(r.Body)
+	br := newPeekReader(src)
 	var c codec.Codec
 	if name := vals.Get("codec"); name != "" {
 		if c, err = codec.Lookup(name); err != nil {
@@ -779,26 +795,30 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	}
 	defer gr.release()
 
-	// See handleCompress: required so chunked request bodies survive
-	// the first response flush on HTTP/1.
-	http.NewResponseController(w).EnableFullDuplex()
-	body := newMeteredReader(br, gr, declared, charge, s.cfg.MaxRequestBytes, 5, streaming)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(api.HeaderCodec, name)
-	// Tee the container into the store as the decode consumes it: the
-	// body's digest becomes the response's ETag trailer, and the next
-	// read of this container can reference it with no upload at all.
-	var src io.Reader = body
+	var in io.Reader = br
+	var body *meteredReader
 	var tee *bestEffortPut
-	if s.cfg.Store != nil {
-		if put, perr := s.cfg.Store.NewPut(); perr == nil {
-			tee = &bestEffortPut{p: put, t: tr}
-			src = io.TeeReader(body, tee)
-			w.Header().Add("Trailer", "Etag")
+	if ent == nil {
+		// See handleCompress: required so chunked request bodies survive
+		// the first response flush on HTTP/1.
+		http.NewResponseController(w).EnableFullDuplex()
+		body = newMeteredReader(br, gr, declared, charge, s.cfg.MaxRequestBytes, 5, streaming)
+		in = body
+		// Tee the container into the store as the decode consumes it:
+		// the body's digest becomes the response's ETag trailer, and the
+		// next read of this container can reference it with no upload.
+		if s.cfg.Store != nil {
+			if put, perr := s.cfg.Store.NewPut(); perr == nil {
+				tee = &bestEffortPut{p: put, t: tr}
+				in = io.TeeReader(body, tee)
+				w.Header().Add("Trailer", "Etag")
+			}
 		}
 	}
 	out := &respWriter{ResponseWriter: w}
-	zr, err := c.NewReader(src, p)
+	zr, err := c.NewReader(in, p)
 	if err != nil {
 		// Buffered codecs consume the whole body inside NewReader, so
 		// governance errors (413/429) can surface here — keep their
@@ -823,7 +843,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 			// stream is self-delimiting, trailing footer bytes may be
 			// unread) so the stored digest matches the full body — the
 			// same bytes the router hashed for ring placement.
-			if _, derr := io.CopyBuffer(io.Discard, src, cbuf); derr == nil {
+			if _, derr := io.CopyBuffer(io.Discard, in, cbuf); derr == nil {
 				if digest := tee.commit(); digest != "" {
 					w.Header().Set("Etag", etagFor(digest))
 				}
@@ -834,7 +854,11 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 			tee.abort()
 		}
 	}
-	s.finishStream(w, out, "decompress", name, body.n, err, start)
+	var bytesIn int64
+	if body != nil {
+		bytesIn = body.n
+	}
+	s.finishStream(w, out, "decompress", name, bytesIn, err, start)
 }
 
 // reject records and reports a request that failed before its response
@@ -875,11 +899,6 @@ func (s *Server) handleCodecs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		w.Header().Set("Allow", "GET, POST")
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET or POST"))
-		return
-	}
 	declared := declaredLength(r)
 	if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
 		s.reject(w, "inspect", "", http.StatusRequestEntityTooLarge, errTooLarge, start)

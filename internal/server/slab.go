@@ -1,17 +1,19 @@
 package server
 
 // Slab range serving: the paper's random-access decompression pattern
-// over HTTP. A blocked v2 container carries a seekable footer index, so
-// a client holding the compressed stream can ask the daemon for any
-// contiguous slab range without paying for a full decode:
+// over HTTP. A blocked container carries a seekable footer index, so a
+// client can ask the daemon for any contiguous slab range without
+// paying for a full decode:
 //
-//	GET|POST /v1/slabs       container in, footer index out (JSON)
-//	GET|POST /v1/slab/{i}    container in, slab i's raw samples out
+//	GET|POST /v1/slabs         container in, footer index out (JSON)
+//	GET|POST /v1/slab/{i}      container in, slab i's raw samples out
 //	GET|POST /v1/slab/{lo-hi}  inclusive slab range, concatenated
 //
-// The container body still travels with the request (szd stores
-// nothing); what the endpoint saves is decode work and response bytes —
-// only the requested rows are reconstructed and returned.
+// The container travels as the request body, or stays on the daemon's
+// disk and is named by ?digest= (see store.go); either way the same
+// handler serves it. What the endpoints save is decode work and
+// response bytes — only the requested rows are reconstructed and
+// returned, or, with Accept: application/x-sz-slab, none at all.
 
 import (
 	"encoding/json"
@@ -24,24 +26,25 @@ import (
 	"repro/internal/api"
 	"repro/internal/blocked"
 	"repro/internal/codec"
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/scratch"
+	"repro/internal/store"
 )
 
-// slabCharge estimates the memory a slab-range request pins: the whole
-// container (buffered for footer access) plus the decoded range — one
-// float64 working copy and the raw output per cell, with headroom for
-// the per-worker slab reconstructions (24 B/cell total). The range
-// geometry comes from the peeked, attacker-supplied header, so every
+// slabCharge estimates the memory a container read pins: base (the
+// buffered upload, or mmapReadCharge for a store entry, which pins page
+// cache rather than heap) plus the decoded slabs lo..hi — one float64
+// working copy and the raw output per cell, with headroom for the
+// per-worker slab reconstructions (24 B/cell total). An empty range
+// (hi < lo) or a compressed-extent read decodes nothing, unless the
+// container shares one codebook and so has no self-contained extent.
+// The geometry comes from the attacker-supplied header, so every
 // product saturates.
-func (s *Server) slabCharge(declared int64, header []byte, lo, hi int) int64 {
-	base := declared
-	if base < 0 {
-		base = s.unknownCharge()
-	}
+func slabCharge(base int64, header []byte, lo, hi int, extent bool) int64 {
 	ci, err := blocked.ParseContainerHeader(header)
-	if err != nil {
-		return satMul(base, 2)
+	if err != nil || hi < lo || (extent && ci.CodebookLen == 0) {
+		return base
 	}
 	rowCells := int64(1)
 	for _, d := range ci.Dims[1:] {
@@ -54,45 +57,127 @@ func (s *Server) slabCharge(declared int64, header []byte, lo, hi int) int64 {
 	return base + satMul(satMul(rows, rowCells), 24)
 }
 
+// container is a resolved container read: the bytes — a buffered,
+// CRC-verified upload or an mmap'd store entry — their footer index,
+// and the admission grant the read holds until release.
+type container struct {
+	stream  []byte
+	ix      *blocked.Index
+	bytesIn int64 // upload size; 0 for a store entry
+	gr      *grant
+	ent     *store.Entry // nil for an upload
+}
+
+func (c *container) release() {
+	c.gr.release()
+	if c.ent != nil {
+		c.ent.Release()
+	} else {
+		scratch.PutBytes(c.stream)
+	}
+}
+
+// openContainer does everything a slab read needs before serving: it
+// resolves the source (a ?digest= store entry, else the request body),
+// admits the request at slabCharge, answers If-None-Match, and parses
+// the footer index — Inspect for an upload, InspectNoVerify for an
+// entry, whose digest vouched for its bytes when it was written. An
+// upload whose index verifies is persisted, so the next read can name
+// it by digest. lo..hi and extent size the charge (see slabCharge). On
+// !ok the response has been written.
+func (s *Server) openContainer(w http.ResponseWriter, r *http.Request, endpoint string, lo, hi int, extent bool, start time.Time) (*container, bool) {
+	tr := obs.FromContext(r.Context())
+	ent, done := s.openStoreEntry(w, r, endpoint, start)
+	if done && ent == nil {
+		return nil, false
+	}
+	c := &container{ent: ent}
+	if ent != nil {
+		c.stream = ent.Bytes()
+		gr, status, err := s.admit(r.Context(), tr, slabCharge(mmapReadCharge, c.stream, lo, hi, extent), 1)
+		if err != nil {
+			ent.Release()
+			s.reject(w, endpoint, "", status, err, start)
+			return nil, false
+		}
+		c.gr = gr
+	} else {
+		declared := declaredLength(r)
+		if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
+			s.reject(w, endpoint, "", http.StatusRequestEntityTooLarge, errTooLarge, start)
+			return nil, false
+		}
+		base := declared
+		if base < 0 {
+			base = s.unknownCharge()
+		}
+		br := newPeekReader(r.Body)
+		header, _ := br.Peek(blocked.MaxHeaderLen)
+		charge := slabCharge(base, header, lo, hi, extent)
+		gr, status, err := s.admit(r.Context(), tr, charge, 1)
+		if err != nil {
+			s.reject(w, endpoint, "", status, err, start)
+			return nil, false
+		}
+		body := newMeteredReader(br, gr, declared, charge, s.cfg.MaxRequestBytes, 1, false)
+		stream, err := readAllScratch(body, declared)
+		c.stream, c.gr, c.bytesIn = stream, gr, int64(len(stream))
+		if err != nil {
+			c.release()
+			s.reject(w, endpoint, "", streamErrStatus(err), err, start)
+			return nil, false
+		}
+		// The body's digest is the response's ETag: a repeat reader
+		// that still holds the answer gets a 304 before any footer walk
+		// or decode (an error response drops the header again).
+		etag := etagFor(bodyDigest(stream))
+		if api.IfNoneMatchHas(r.Header.Get("If-None-Match"), etag) {
+			c.release()
+			s.notModified(w, endpoint, "blocked", etag, start)
+			return nil, false
+		}
+		w.Header().Set("Etag", etag)
+	}
+	ix, err := containerIndex(c.stream, ent == nil)
+	if err != nil {
+		c.release()
+		s.reject(w, endpoint, "", http.StatusBadRequest, err, start)
+		return nil, false
+	}
+	c.ix = ix
+	if ent == nil && s.cfg.Store != nil {
+		// Best effort: a full store or failing disk must never fail the
+		// read being served.
+		_, _ = s.cfg.Store.Put(c.stream)
+	}
+	return c, true
+}
+
+// containerIndex parses a blocked container's footer index, naming the
+// codec of any other stream as codec.SlabIndexOf does. verify selects
+// the whole-container CRC walk.
+func containerIndex(stream []byte, verify bool) (*blocked.Index, error) {
+	c, err := codec.Detect(stream)
+	if err != nil {
+		return nil, err
+	}
+	if c.Name() != "blocked" {
+		return nil, fmt.Errorf("codec %s has no slab index (random access needs a blocked container)", c.Name())
+	}
+	if verify {
+		return blocked.Inspect(stream)
+	}
+	return blocked.InspectNoVerify(stream)
+}
+
 func (s *Server) handleSlabs(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		w.Header().Set("Allow", "GET, POST")
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET or POST"))
-		return
-	}
-	// Digest-referenced: serve the index off the store's mmap'd entry.
-	if ent, done := s.openStoreEntry(w, r, "slabs", start); done {
-		if ent != nil {
-			s.serveSlabsFromStore(w, r, ent, start)
-		}
-		return
-	}
-	stream, gr, ok := s.readContainer(w, r, "slabs", nil, start)
+	c, ok := s.openContainer(w, r, "slabs", 0, -1, false, start)
 	if !ok {
 		return
 	}
-	defer gr.release()
-	defer scratch.PutBytes(stream)
-	// The body's digest is this response's ETag: a repeat reader that
-	// still holds the index answers in a header round-trip, before any
-	// footer walk happens.
-	etag := etagFor(bodyDigest(stream))
-	if api.IfNoneMatchHas(r.Header.Get("If-None-Match"), etag) {
-		s.notModified(w, "slabs", "blocked", etag, start)
-		return
-	}
-	si, err := codec.SlabIndexOf(stream)
-	if err != nil {
-		s.reject(w, "slabs", "", http.StatusBadRequest, err, start)
-		return
-	}
-	// A validated container is worth keeping: persist it so the next
-	// read can reference the digest instead of re-uploading (tier-2
-	// fill through the body path).
-	s.storePut(stream)
-	w.Header().Set("Etag", etag)
-	resp, err := json.Marshal(si)
+	defer c.release()
+	resp, err := json.Marshal(codec.SlabIndexFrom(c.stream, c.ix))
 	if err != nil {
 		s.reject(w, "slabs", "blocked", http.StatusInternalServerError, err, start)
 		return
@@ -100,116 +185,108 @@ func (s *Server) handleSlabs(w http.ResponseWriter, r *http.Request) {
 	resp = append(resp, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(resp)
-	s.met.record("slabs", "blocked", http.StatusOK, int64(len(stream)), int64(len(resp)), time.Since(start))
+	s.met.record("slabs", "blocked", http.StatusOK, c.bytesIn, int64(len(resp)), time.Since(start))
 }
 
 func (s *Server) handleSlab(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		w.Header().Set("Allow", "GET, POST")
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET or POST"))
-		return
-	}
-	spec := strings.TrimPrefix(r.URL.Path, api.PathSlabPrefix)
-	lo, hi, err := codec.ParseSlabSpec(spec)
+	lo, hi, err := codec.ParseSlabSpec(strings.TrimPrefix(r.URL.Path, api.PathSlabPrefix))
 	if err != nil {
 		s.reject(w, "slab", "", http.StatusBadRequest, err, start)
 		return
 	}
-	// Digest-referenced: mmap'd entry, no upload, no CRC walk, and the
-	// compressed extent zero-copy when the client accepts it.
-	if ent, done := s.openStoreEntry(w, r, "slab", start); done {
-		if ent != nil {
-			s.serveSlabFromStore(w, r, ent, lo, hi, start)
-		}
-		return
-	}
-	rng := [2]int{lo, hi}
-	stream, gr, ok := s.readContainer(w, r, "slab", &rng, start)
+	extent := wantsCompressedSlab(r)
+	c, ok := s.openContainer(w, r, "slab", lo, hi, extent, start)
 	if !ok {
 		return
 	}
-	defer gr.release()
-	defer scratch.PutBytes(stream)
-	// Conditional check before any decode: the body just traveled, but
-	// the decode work (the expensive part) is still skippable.
-	etag := etagFor(bodyDigest(stream))
-	if api.IfNoneMatchHas(r.Header.Get("If-None-Match"), etag) {
-		s.notModified(w, "slab", "blocked", etag, start)
+	defer c.release()
+	tr := obs.FromContext(r.Context())
+	// Shared-codebook containers have no self-contained extent; they
+	// answer with decoded samples instead.
+	if extent && !c.ix.SharedCodebook() {
+		s.serveSlabExtent(w, tr, c, lo, hi, start)
 		return
 	}
-	if wantsCompressedSlab(r) {
-		// One pass: Inspect parses and CRC-verifies the container (the
-		// bytes are untrusted on the body path), then the extent is a
-		// pure slice.
-		ix, err := blocked.Inspect(stream)
-		if err != nil {
-			s.reject(w, "slab", "blocked", http.StatusBadRequest, err, start)
-			return
-		}
-		if !ix.SharedCodebook() {
-			s.storePut(stream)
-			w.Header().Set("Etag", etag)
-			s.serveSlabExtent(w, obs.FromContext(r.Context()), stream, ix, lo, hi, int64(len(stream)), start)
-			return
-		}
-		// Shared-codebook containers have no self-contained extent;
-		// fall through to decoded samples.
-	}
-	// One pass: DecompressSlabRange parses and CRC-verifies the
-	// container itself, so no separate index parse runs first (on large
-	// containers the footer walk and checksum dominate non-decode cost).
-	sp := obs.FromContext(r.Context()).StartSpan("decode")
-	arr, dt, err := blocked.DecompressSlabRange(stream, lo, hi)
+	sp := tr.StartSpan("decode")
+	arr, dt, err := blocked.DecompressSlabRangeIndexed(c.stream, c.ix, lo, hi)
 	sp.End()
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, blocked.ErrSlabRange) {
-			// A well-formed spec beyond the container's extent is the
-			// range version of a seek past EOF, not a malformed request.
-			status = http.StatusRequestedRangeNotSatisfiable
-		}
-		s.reject(w, "slab", "blocked", status, err, start)
+		s.rejectSlabErr(w, err, start)
 		return
 	}
-	s.storePut(stream)
-	w.Header().Set("Etag", etag)
-	s.writeSlabRaw(w, arr, dt, lo, hi, int64(len(stream)), start)
+	s.writeSlabRaw(w, arr, dt, lo, hi, c.bytesIn, start)
 }
 
-// readContainer admits and buffers the request body for the slab
-// endpoints. rng, when set, lets the admission charge cover the decode
-// footprint of that slab range (peeked from the container header); nil
-// charges the buffered body alone. On ok the caller owns the returned
-// grant (release it when the decode is done); on !ok the response has
-// already been written.
-func (s *Server) readContainer(w http.ResponseWriter, r *http.Request, endpoint string, rng *[2]int, start time.Time) ([]byte, *grant, bool) {
-	declared := declaredLength(r)
-	if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
-		s.reject(w, endpoint, "", http.StatusRequestEntityTooLarge, errTooLarge, start)
-		return nil, nil, false
+// wantsCompressedSlab reports whether the client asked for the raw
+// compressed extent rather than decoded samples.
+func wantsCompressedSlab(r *http.Request) bool {
+	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
+		if mt, _, _ := strings.Cut(strings.TrimSpace(part), ";"); mt == SlabContentType {
+			return true
+		}
 	}
-	br := newPeekReader(r.Body)
-	charge := declared
-	if charge < 0 {
-		charge = s.unknownCharge()
-	}
-	if rng != nil {
-		header, _ := br.Peek(blocked.MaxHeaderLen)
-		charge = s.slabCharge(declared, header, rng[0], rng[1])
-	}
-	gr, status, err := s.admit(r.Context(), obs.FromContext(r.Context()), charge, 1)
+	return false
+}
+
+// serveSlabExtent writes the compressed byte extent of slabs lo..hi —
+// a pure slice of the container, the zero-copy fast path.
+func (s *Server) serveSlabExtent(w http.ResponseWriter, tr *obs.Trace, c *container, lo, hi int, start time.Time) {
+	off, end, err := c.ix.SlabExtent(lo, hi)
 	if err != nil {
-		s.reject(w, endpoint, "", status, err, start)
-		return nil, nil, false
+		s.rejectSlabErr(w, err, start)
+		return
 	}
-	body := newMeteredReader(br, gr, declared, charge, s.cfg.MaxRequestBytes, 1, false)
-	stream, err := readAllScratch(body, declared)
-	if err != nil {
-		scratch.PutBytes(stream)
-		gr.release()
-		s.reject(w, endpoint, "", streamErrStatus(err), err, start)
-		return nil, nil, false
+	rowLo, _ := c.ix.SlabBounds(lo)
+	_, rowHi := c.ix.SlabBounds(hi)
+	dims := append([]int(nil), c.ix.Dims...)
+	dims[0] = rowHi - rowLo
+	w.Header().Set("Content-Type", SlabContentType)
+	w.Header().Set(api.HeaderCodec, "blocked")
+	w.Header().Set(api.HeaderDims, codec.FormatDims(dims))
+	w.Header().Set(api.HeaderSlabs, codec.FormatSlabSpec(lo, hi))
+	w.Header().Set(api.HeaderSlabLengths, formatSlabLengths(c.ix, lo, hi))
+	out := &respWriter{ResponseWriter: w}
+	sp := tr.StartSpan("mmap_serve")
+	_, err = out.Write(c.stream[off:end])
+	sp.End()
+	s.finishStream(w, out, "slab", "blocked", c.bytesIn, err, start)
+}
+
+// formatSlabLengths renders the per-slab stream lengths of lo..hi as a
+// comma list so an extent's receiver can split it without re-fetching
+// the index.
+func formatSlabLengths(ix *blocked.Index, lo, hi int) string {
+	var b strings.Builder
+	for i := lo; i <= hi; i++ {
+		if i > lo {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d", ix.Offsets[i+1]-ix.Offsets[i])
 	}
-	return stream, gr, true
+	return b.String()
+}
+
+// rejectSlabErr maps slab decode errors to their status (416 for a
+// well-formed range beyond the container, 400 otherwise).
+func (s *Server) rejectSlabErr(w http.ResponseWriter, err error, start time.Time) {
+	status := http.StatusBadRequest
+	if errors.Is(err, blocked.ErrSlabRange) {
+		// A well-formed spec beyond the container's extent is the
+		// range version of a seek past EOF, not a malformed request.
+		status = http.StatusRequestedRangeNotSatisfiable
+	}
+	s.reject(w, "slab", "blocked", status, err, start)
+}
+
+// writeSlabRaw streams a decoded slab range as raw samples.
+func (s *Server) writeSlabRaw(w http.ResponseWriter, arr *grid.Array, dt grid.DType, lo, hi int, bytesIn int64, start time.Time) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set(api.HeaderCodec, "blocked")
+	w.Header().Set(api.HeaderDtype, dt.String())
+	w.Header().Set(api.HeaderDims, codec.FormatDims(arr.Dims))
+	w.Header().Set(api.HeaderSlabs, codec.FormatSlabSpec(lo, hi))
+	out := &respWriter{ResponseWriter: w}
+	err := arr.WriteRaw(out, dt)
+	s.finishStream(w, out, "slab", "blocked", bytesIn, err, start)
 }

@@ -18,7 +18,6 @@ package server
 // not.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -30,9 +29,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/blocked"
-	"repro/internal/codec"
-	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/scratch"
 	"repro/internal/store"
@@ -77,20 +73,6 @@ func (s *Server) notModified(w http.ResponseWriter, endpoint, codecName, etag st
 	w.Header().Set("Etag", etag)
 	w.WriteHeader(http.StatusNotModified)
 	s.met.record(endpoint, codecName, http.StatusNotModified, 0, 0, time.Since(start))
-}
-
-// storePut persists payload best-effort (a full store or failing disk
-// must never fail the request being served) and returns the digest
-// ("" when the store is absent or the write failed).
-func (s *Server) storePut(payload []byte) string {
-	if s.cfg.Store == nil {
-		return ""
-	}
-	d, err := s.cfg.Store.Put(payload)
-	if err != nil {
-		return ""
-	}
-	return d
 }
 
 // bestEffortPut tees a response stream into a store putter without ever
@@ -187,224 +169,6 @@ func (s *Server) openStoreEntry(w http.ResponseWriter, r *http.Request, endpoint
 	w.Header().Set(api.HeaderStore, "hit")
 	w.Header().Set("Etag", etag)
 	return ent, true
-}
-
-// serveDecompressFromStore answers a digest-referenced decompress off
-// the mmap'd entry: no upload, no buffered container copy for the
-// streaming codecs — the charge is the decode window alone.
-func (s *Server) serveDecompressFromStore(w http.ResponseWriter, r *http.Request, tr *obs.Trace, ent *store.Entry, p codec.Params, forced string, start time.Time) {
-	defer ent.Release()
-	stream := ent.Bytes()
-	var c codec.Codec
-	var err error
-	if forced != "" {
-		c, err = codec.Lookup(forced)
-	} else {
-		c, err = codec.Detect(stream)
-	}
-	if err != nil {
-		s.reject(w, "decompress", forced, http.StatusBadRequest, err, start)
-		return
-	}
-	name := c.Name()
-	// The header parsers read a bounded prefix; handing them the whole
-	// mapped stream skips the peek-reader dance of the body path.
-	charge, _ := s.decompressCharge(name, int64(len(stream)), stream)
-	gr, status, err := s.admit(r.Context(), tr, charge, 1)
-	if err != nil {
-		s.reject(w, "decompress", name, status, err, start)
-		return
-	}
-	defer gr.release()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(api.HeaderCodec, name)
-	out := &respWriter{ResponseWriter: w}
-	zr, err := c.NewReader(bytes.NewReader(stream), p)
-	if err != nil {
-		s.reject(w, "decompress", name, streamErrStatus(err), err, start)
-		return
-	}
-	cbuf := scratch.Bytes(streamCopyBuffer)
-	defer scratch.PutBytes(cbuf)
-	sp := tr.StartSpan("decode")
-	_, err = io.CopyBuffer(out, zr, cbuf)
-	if cerr := zr.Close(); err == nil {
-		err = cerr
-	}
-	sp.End()
-	s.finishStream(w, out, "decompress", name, 0, err, start)
-}
-
-// serveSlabsFromStore answers /v1/slabs for a digest-referenced
-// container: footer-index JSON from the mmap'd entry, no CRC walk.
-func (s *Server) serveSlabsFromStore(w http.ResponseWriter, r *http.Request, ent *store.Entry, start time.Time) {
-	defer ent.Release()
-	gr, status, err := s.admit(r.Context(), obs.FromContext(r.Context()), mmapReadCharge, 1)
-	if err != nil {
-		s.reject(w, "slabs", "", status, err, start)
-		return
-	}
-	defer gr.release()
-	ix, err := s.storedIndex(ent)
-	if err != nil {
-		s.reject(w, "slabs", "", http.StatusBadRequest, err, start)
-		return
-	}
-	resp, err := json.Marshal(codec.SlabIndexFrom(ent.Bytes(), ix))
-	if err != nil {
-		s.reject(w, "slabs", "blocked", http.StatusInternalServerError, err, start)
-		return
-	}
-	resp = append(resp, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(resp)
-	s.met.record("slabs", "blocked", http.StatusOK, 0, int64(len(resp)), time.Since(start))
-}
-
-// storedIndex parses a store entry's container index. The entry's
-// integrity was digest-verified when it was written, so the
-// O(container) CRC pass is skipped — this is most of the non-decode
-// saving on the warm path.
-func (s *Server) storedIndex(ent *store.Entry) (*blocked.Index, error) {
-	if _, err := codec.Detect(ent.Bytes()); err != nil {
-		return nil, err
-	}
-	ix, err := blocked.InspectNoVerify(ent.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// wantsCompressedSlab reports whether the client asked for the raw
-// compressed extent rather than decoded samples.
-func wantsCompressedSlab(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		if mt, _, _ := strings.Cut(strings.TrimSpace(part), ";"); mt == SlabContentType {
-			return true
-		}
-	}
-	return false
-}
-
-// serveSlabFromStore answers /v1/slab/{spec} for a digest-referenced
-// container off the mmap'd entry: the compressed extent zero-copy when
-// the client accepts it, decoded samples otherwise.
-func (s *Server) serveSlabFromStore(w http.ResponseWriter, r *http.Request, ent *store.Entry, lo, hi int, start time.Time) {
-	defer ent.Release()
-	ix, err := s.storedIndex(ent)
-	if err != nil {
-		s.reject(w, "slab", "", http.StatusBadRequest, err, start)
-		return
-	}
-	tr := obs.FromContext(r.Context())
-	if wantsCompressedSlab(r) && !ix.SharedCodebook() {
-		gr, status, err := s.admit(r.Context(), tr, mmapReadCharge, 1)
-		if err != nil {
-			s.reject(w, "slab", "blocked", status, err, start)
-			return
-		}
-		defer gr.release()
-		s.serveSlabExtent(w, tr, ent.Bytes(), ix, lo, hi, 0, start)
-		return
-	}
-	// Raw samples: charge the decode footprint only — the container
-	// itself is mmap'd, so unlike the body path no buffered copy pins
-	// the budget.
-	gr, status, err := s.admit(r.Context(), tr, s.slabDecodeCharge(ix, lo, hi), 1)
-	if err != nil {
-		s.reject(w, "slab", "blocked", status, err, start)
-		return
-	}
-	defer gr.release()
-	sp := tr.StartSpan("decode")
-	arr, dt, err := blocked.DecompressSlabRangeIndexed(ent.Bytes(), ix, lo, hi)
-	sp.End()
-	if err != nil {
-		s.rejectSlabErr(w, err, start)
-		return
-	}
-	s.writeSlabRaw(w, arr, dt, lo, hi, 0, start)
-}
-
-// serveSlabExtent writes the compressed byte extent of slabs lo..hi —
-// a pure slice of the container, the zero-copy fast path. The caller
-// holds the admission grant.
-func (s *Server) serveSlabExtent(w http.ResponseWriter, tr *obs.Trace, stream []byte, ix *blocked.Index, lo, hi int, bytesIn int64, start time.Time) {
-	off, end, err := ix.SlabExtent(lo, hi)
-	if err != nil {
-		s.rejectSlabErr(w, err, start)
-		return
-	}
-	rowLo, _ := ix.SlabBounds(lo)
-	_, rowHi := ix.SlabBounds(hi)
-	dims := append([]int(nil), ix.Dims...)
-	dims[0] = rowHi - rowLo
-	w.Header().Set("Content-Type", SlabContentType)
-	w.Header().Set(api.HeaderCodec, "blocked")
-	w.Header().Set(api.HeaderDims, codec.FormatDims(dims))
-	w.Header().Set(api.HeaderSlabs, codec.FormatSlabSpec(lo, hi))
-	w.Header().Set(api.HeaderSlabLengths, formatSlabLengths(ix, lo, hi))
-	out := &respWriter{ResponseWriter: w}
-	sp := tr.StartSpan("mmap_serve")
-	_, err = out.Write(stream[off:end])
-	sp.End()
-	s.finishStream(w, out, "slab", "blocked", bytesIn, err, start)
-}
-
-// formatSlabLengths renders the per-slab stream lengths of lo..hi as a
-// comma list so an extent's receiver can split it without re-fetching
-// the index.
-func formatSlabLengths(ix *blocked.Index, lo, hi int) string {
-	var b strings.Builder
-	for i := lo; i <= hi; i++ {
-		if i > lo {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", ix.Offsets[i+1]-ix.Offsets[i])
-	}
-	return b.String()
-}
-
-// slabDecodeCharge is the decode-only admission charge for a slab range
-// (the calibrated 24 B/cell of slabCharge without the buffered-body
-// base).
-func (s *Server) slabDecodeCharge(ix *blocked.Index, lo, hi int) int64 {
-	rowCells := int64(1)
-	for _, d := range ix.Dims[1:] {
-		rowCells = satMul(rowCells, int64(d))
-	}
-	rows := satMul(int64(hi-lo+1), int64(ix.SlabRows))
-	if rows > int64(ix.Dims[0]) {
-		rows = int64(ix.Dims[0])
-	}
-	c := satMul(satMul(rows, rowCells), 24)
-	if c < mmapReadCharge {
-		c = mmapReadCharge
-	}
-	return c
-}
-
-// rejectSlabErr maps slab decode errors to their status (416 for a
-// well-formed range beyond the container, 400 otherwise).
-func (s *Server) rejectSlabErr(w http.ResponseWriter, err error, start time.Time) {
-	status := http.StatusBadRequest
-	if errors.Is(err, blocked.ErrSlabRange) {
-		status = http.StatusRequestedRangeNotSatisfiable
-	}
-	s.reject(w, "slab", "blocked", status, err, start)
-}
-
-// writeSlabRaw streams a decoded slab range as raw samples.
-func (s *Server) writeSlabRaw(w http.ResponseWriter, arr *grid.Array, dt grid.DType, lo, hi int, bytesIn int64, start time.Time) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(api.HeaderCodec, "blocked")
-	w.Header().Set(api.HeaderDtype, dt.String())
-	w.Header().Set(api.HeaderDims, codec.FormatDims(arr.Dims))
-	w.Header().Set(api.HeaderSlabs, codec.FormatSlabSpec(lo, hi))
-	out := &respWriter{ResponseWriter: w}
-	err := arr.WriteRaw(out, dt)
-	s.finishStream(w, out, "slab", "blocked", bytesIn, err, start)
 }
 
 // handleContainer is the peer-fill/admin surface of the store:

@@ -517,3 +517,121 @@ func TestStoreDisabledPaths(t *testing.T) {
 		t.Fatalf("digest read without store: status %d, want 404", r2.StatusCode)
 	}
 }
+
+// TestBodyAndDigestReadsAgree: a container read answers the same
+// whether the container travels as the request body or is named by
+// digest — status, content headers, ETag (header or trailer), and then
+// the same bytes on success or the same error code and message on
+// failure — for a blocked v2, a shared-codebook v3 and an sz14 stream.
+func TestBodyAndDigestReadsAgree(t *testing.T) {
+	_, base, st := newStoreDaemon(t, 0)
+	dims := []int{16, 20, 12}
+	raw, _ := makeRaw(t, grid.Float32, dims...)
+	containers := []struct {
+		name   string
+		stream []byte
+	}{
+		{"v2", localStream(t, "blocked", raw, codec.Params{AbsBound: 1e-3, DType: grid.Float32, Dims: dims, SlabRows: 4})},
+		{"v3-sharedcb", localStream(t, "blocked", raw, codec.Params{AbsBound: 1e-3, DType: grid.Float32, Dims: dims, SlabRows: 4, Streams: 2, SharedCodebook: true})},
+		{"sz14", localStream(t, "sz14", raw, codec.Params{AbsBound: 1e-3, DType: grid.Float32, Dims: dims})},
+	}
+	reads := []struct{ path, accept string }{
+		{"/v1/decompress", ""},
+		{"/v1/slabs", ""},
+		{"/v1/slab/1", ""},
+		{"/v1/slab/1-2", SlabContentType},
+		{"/v1/slab/9", ""},
+	}
+	do := func(method, url, accept string, body []byte) (*http.Response, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest(method, url, bytes.NewReader(body))
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, readAllClose(t, resp)
+	}
+	etag := func(resp *http.Response) string {
+		if e := resp.Header.Get("Etag"); e != "" {
+			return e
+		}
+		return resp.Trailer.Get("Etag")
+	}
+	envelope := func(b []byte) api.Error {
+		var e api.Error
+		if err := json.Unmarshal(b, &e); err != nil {
+			t.Fatalf("error body %q: %v", b, err)
+		}
+		return e
+	}
+	for _, c := range containers {
+		digest, err := st.Put(c.stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rd := range reads {
+			name := c.name + " " + rd.path
+			bresp, bbody := do(http.MethodPost, base+rd.path, rd.accept, c.stream)
+			dresp, dbody := do(http.MethodGet, base+rd.path+"?digest="+digest, rd.accept, nil)
+			if bresp.StatusCode != dresp.StatusCode {
+				t.Errorf("%s: body status %d, digest status %d (%s / %s)", name, bresp.StatusCode, dresp.StatusCode, bbody, dbody)
+				continue
+			}
+			for _, h := range []string{"Content-Type", api.HeaderCodec, api.HeaderDims, api.HeaderDtype, api.HeaderSlabs, api.HeaderSlabLengths} {
+				if b, d := bresp.Header.Get(h), dresp.Header.Get(h); b != d {
+					t.Errorf("%s: %s %q by body, %q by digest", name, h, b, d)
+				}
+			}
+			if b, d := etag(bresp), etag(dresp); b != d {
+				t.Errorf("%s: ETag %q by body, %q by digest", name, b, d)
+			}
+			if bresp.StatusCode == http.StatusOK {
+				if !bytes.Equal(bbody, dbody) {
+					t.Errorf("%s: body read %d bytes, digest read %d bytes differ", name, len(bbody), len(dbody))
+				}
+				continue
+			}
+			if b, d := envelope(bbody), envelope(dbody); b.Code != d.Code || b.Message != d.Message {
+				t.Errorf("%s: body error %s %q, digest error %s %q", name, b.Code, b.Message, d.Code, d.Message)
+			}
+		}
+	}
+}
+
+// TestReadEndpointsAllowGetPost: every container read endpoint answers
+// a method other than GET or POST with 405 and Allow: GET, POST — also
+// when ?digest= names a stored container the read would serve.
+func TestReadEndpointsAllowGetPost(t *testing.T) {
+	_, base, st := newStoreDaemon(t, 0)
+	raw, _ := makeRaw(t, grid.Float32, 16, 20, 12)
+	digest, err := st.Put(localStream(t, "blocked", raw, codec.Params{AbsBound: 1e-3, DType: grid.Float32, Dims: []int{16, 20, 12}, SlabRows: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/decompress", "/v1/inspect", "/v1/slabs", "/v1/slab/1"} {
+		for _, m := range []string{http.MethodDelete, http.MethodPut, http.MethodPatch} {
+			req, _ := http.NewRequest(m, base+path+"?digest="+digest, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			readAllClose(t, resp)
+			if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, POST" {
+				t.Errorf("%s %s: status %d, Allow %q, want 405 with GET, POST",
+					m, path, resp.StatusCode, resp.Header.Get("Allow"))
+			}
+		}
+	}
+	// A GET with no ?digest= has no container to decode.
+	resp, err := http.Get(base + "/v1/decompress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readAllClose(t, resp)
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+		t.Errorf("bodyless GET: status %d, Allow %q, want 405 with POST", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+}
