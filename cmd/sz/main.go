@@ -103,6 +103,9 @@ decompress flags:
   -dtype t      element type for codecs that do not record it (default f64)
   -dims d0,d1   shape for non-self-describing codecs
   -slab i|lo-hi random-access decode of just that slab range of a blocked container
+  -workers n    blocked containers: slab decodes in flight, served in order
+                (default NumCPU; each holds about 24 bytes per slab cell;
+                local only: the daemon decodes one slab ahead)
   -digest d     read a container from the daemon's store by content address
                 (remote only, no input upload; "sz c -remote" prints the digest)
 
@@ -416,7 +419,7 @@ func cmdDecompress(args []string) error {
 		codecName = fs.String("codec", "", "codec name (default: auto-detect)")
 		dimsStr   = fs.String("dims", "", "dimensions for non-self-describing codecs")
 		dtypeStr  = fs.String("dtype", "f64", "element type for codecs that do not record it")
-		workers   = fs.Int("workers", 0, "decode parallelism where supported")
+		workers   = fs.Int("workers", 0, "blocked containers: slab decodes in flight (default NumCPU; local only, the daemon decodes one slab ahead)")
 		slabSpec  = fs.String("slab", "", "random-access decode of a blocked container: slab index or lo-hi range")
 		remote    = fs.String("remote", "", "szd daemon address")
 		digest    = fs.String("digest", "", "content address of a container in the daemon's store (remote only): read by digest, no input upload")

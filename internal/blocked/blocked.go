@@ -613,13 +613,26 @@ func decodeSlabInto(b []byte, ix *Index, i int, dst []float64, cb *huffman.Codeb
 		return 0, err
 	}
 	wantLo, wantHi := ix.SlabBounds(i)
-	if slab.Dims[0] != wantHi-wantLo {
-		return 0, fmt.Errorf("%w: slab %d has %d rows, want %d", ErrCorrupt, i, slab.Dims[0], wantHi-wantLo)
-	}
-	for d := 1; d < len(ix.Dims); d++ {
-		if d >= len(slab.Dims) || slab.Dims[d] != ix.Dims[d] {
-			return 0, fmt.Errorf("%w: slab %d dims %v do not match container %v", ErrCorrupt, i, slab.Dims, ix.Dims)
-		}
+	if err := checkSlabDims(slab.Dims, i, wantHi-wantLo, ix.Dims); err != nil {
+		return 0, err
 	}
 	return h.DType, nil
+}
+
+// checkSlabDims verifies that slab i's dims (from its stream header)
+// match the container's geometry: rows rows along the slowest
+// dimension, then every trailing dimension of dims exactly.
+func checkSlabDims(got []int, i, rows int, dims []int) error {
+	if got[0] != rows {
+		return fmt.Errorf("%w: slab %d has %d rows, want %d", ErrCorrupt, i, got[0], rows)
+	}
+	if len(got) != len(dims) {
+		return fmt.Errorf("%w: slab %d dims %v do not match container %v", ErrCorrupt, i, got, dims)
+	}
+	for d := 1; d < len(dims); d++ {
+		if got[d] != dims[d] {
+			return fmt.Errorf("%w: slab %d dims %v do not match container %v", ErrCorrupt, i, got, dims)
+		}
+	}
+	return nil
 }

@@ -123,7 +123,7 @@ func TestSharedCodebookContainer(t *testing.T) {
 		t.Fatal("shared-codebook reconstruction differs from self-contained")
 	}
 
-	r, err := NewReader(bytes.NewReader(stream))
+	r, err := NewReader(bytes.NewReader(stream), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestUnsupportedVersionErrors(t *testing.T) {
 			if _, err := Inspect(stream); !errors.Is(err, tc.wantErr) {
 				t.Errorf("Inspect: %v, want %v", err, tc.wantErr)
 			}
-			if _, err := NewReader(bytes.NewReader(stream)); !errors.Is(err, tc.wantErr) {
+			if _, err := NewReader(bytes.NewReader(stream), Params{}); !errors.Is(err, tc.wantErr) {
 				t.Errorf("NewReader: %v, want %v", err, tc.wantErr)
 			}
 			// Truncated to just the magic: version errors still win over

@@ -2,6 +2,7 @@ package blocked
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -12,8 +13,9 @@ import (
 
 // FuzzBlockedDecompress feeds arbitrary bytes to both container decode
 // paths (mirroring internal/core's FuzzDecompress): neither the
-// in-memory parallel decoder nor the streaming reader may panic, and
-// when both accept a container they must agree bit-for-bit. Seeds
+// in-memory parallel decoder nor the streaming reader, at 1 or 3
+// workers, may panic, and when the one-shot decoder accepts a container
+// the streaming reader must agree with it bit-for-bit. Seeds
 // include valid containers, truncations, and flipped footers so
 // mutation explores the index machinery.
 func FuzzBlockedDecompress(f *testing.F) {
@@ -64,24 +66,38 @@ func FuzzBlockedDecompress(f *testing.F) {
 			}
 		}
 
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
+		// The streaming side runs serially and with a decode window. A
+		// failure at slab k surfaces only after slabs 0..k-1 are served,
+		// so both serve the same bytes and end with the same error.
+		var serial []byte
+		var serialErr error
+		for _, workers := range []int{1, 3} {
+			r, err := NewReader(bytes.NewReader(data), Params{Workers: workers})
+			if err != nil {
+				if derr == nil {
+					t.Fatalf("workers %d: one-shot accepted but streaming rejected header: %v", workers, err)
+				}
+				return
+			}
+			got, serr := io.ReadAll(r)
+			r.Close()
+			if workers == 1 {
+				serial, serialErr = got, serr
+			} else if !bytes.Equal(got, serial) || fmt.Sprint(serr) != fmt.Sprint(serialErr) {
+				t.Fatalf("workers %d served %d bytes then %v; workers 1 served %d bytes then %v",
+					workers, len(got), serr, len(serial), serialErr)
+			}
 			if derr == nil {
-				t.Fatalf("one-shot accepted but streaming rejected header: %v", err)
-			}
-			return
-		}
-		got, serr := io.ReadAll(r)
-		if derr == nil {
-			if serr != nil {
-				t.Fatalf("one-shot accepted but streaming failed: %v", serr)
-			}
-			var want bytes.Buffer
-			if err := out.WriteRaw(&want, r.DType()); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want.Bytes()) {
-				t.Fatal("streaming and one-shot reconstructions differ")
+				if serr != nil {
+					t.Fatalf("workers %d: one-shot accepted but streaming failed: %v", workers, serr)
+				}
+				var want bytes.Buffer
+				if err := out.WriteRaw(&want, r.DType()); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("workers %d: streaming and one-shot reconstructions differ", workers)
+				}
 			}
 		}
 	})

@@ -101,7 +101,7 @@ func TestPooledCompressConcurrentByteIdentical(t *testing.T) {
 
 				// Streaming reader: pooled compressed-slab, recon and
 				// serialization buffers, byte-compared raw output.
-				r, err := NewReader(bytes.NewReader(stream))
+				r, err := NewReader(bytes.NewReader(stream), Params{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -165,21 +165,23 @@ func TestReaderCloseRecyclesSafely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1024)
-	if _, err := r.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Read(buf); err == nil {
-		t.Fatal("Read after Close must fail")
+	for _, workers := range []int{1, 4} {
+		r, err := NewReader(bytes.NewReader(stream), Params{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 1024)
+		if _, err := r.Read(buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Read(buf); err == nil {
+			t.Fatalf("workers %d: Read after Close must fail", workers)
+		}
 	}
 }

@@ -572,41 +572,66 @@ func (w *Writer) aggregateStats() *Stats {
 // Close has returned successfully.
 func (w *Writer) Stats() *Stats { return w.stats }
 
-// Reader decompresses a blocked container from a plain io.Reader,
-// slab-at-a-time: each core stream is self-delimiting, so the reader
-// never buffers more than one compressed slab plus its reconstruction —
-// peak memory is O(slab), not O(stream). Read returns the reconstructed
-// values as raw little-endian bytes of the container's element type, in
-// row-major order. The footer lengths and container CRC are verified
-// when the last slab has been consumed.
+// Reader decompresses a blocked container from a plain io.Reader. The
+// caller's goroutine reads the compressed slabs in order (each core
+// stream is self-delimiting) and starts a decode goroutine for each,
+// keeping at most Workers decodes in flight; Read serves their
+// reconstructions in slab order as raw little-endian bytes of the
+// container's element type. Peak memory is O(workers x slab), not
+// O(stream): the decode window plus the slab being served. Read keeps
+// the window full, so on a live source (a pipe fed as a simulation
+// runs) slab k is served only once slab k+workers, or the last slab if
+// that comes sooner, has arrived. A failure reading or decoding slab k
+// surfaces only after slabs 0..k-1 have been served. The footer lengths
+// and container CRC are verified when the last slab has been consumed.
 type Reader struct {
 	br  *bufio.Reader
 	crc hash.Hash32
 
 	dims     []int
 	slabRows int
+	rowElems int
 	nSlabs   int
 	dtype    grid.DType
 	version  int
 	streams  int
 	cb       *huffman.Codebook // shared codebook (v3; nil = per-slab)
 
-	slabIdx int
-	cur     []byte // raw bytes of the current slab not yet served
+	// The decode window is slabs [served, next); slab i's decode lives
+	// in ring[i%len(ring)], so len(ring) bounds the decodes in flight.
+	ring    []slabDecode
+	next    int   // slabs read from the source so far
+	served  int   // slabs taken off the window by Read
+	readErr error // failure reading slab next; surfaces once the window drains
+
+	cur     []byte // scratch-pooled raw bytes of the slab being served
 	curOff  int
-	sbuf    []byte    // scratch-pooled compressed-slab buffer
-	recon   []float64 // scratch-pooled reconstruction buffer
-	curBuf  []byte    // scratch-pooled slab-serialization buffer
 	lengths []int
 	hashed  int // bytes consumed and folded into the CRC so far
 	err     error
 	closed  bool
 }
 
+// slabDecode is one slab's trip through the decode window: the caller's
+// goroutine fills in, a decode goroutine fills out or err and signals
+// done once. A slot is reused only after Read has taken its slab, and an
+// err ends the reader, so a failed slot is never reused.
+type slabDecode struct {
+	in   []byte // scratch-pooled compressed slab; the decoder recycles it
+	out  []byte // scratch-pooled raw output bytes
+	err  error
+	done chan struct{}
+}
+
 // NewReader parses the container header from r and prepares streaming
-// decompression. The element type is read from the first slab's header
-// without consuming it, so DType is valid immediately.
-func NewReader(r io.Reader) (*Reader, error) {
+// decompression with p.Workers slab decodes in flight (0 = NumCPU); only
+// p.Workers is consulted. Each decode holds about 24 bytes per slab cell
+// (float64 reconstruction, quantization codes, output), so a window
+// costs memory in proportion to p.Workers, and on a live source the
+// consumer trails the producer by p.Workers slabs (see Reader). The
+// element type is read from the first slab's header without consuming
+// it, so DType is valid immediately.
+func NewReader(r io.Reader, p Params) (*Reader, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok || br.Size() < core.MaxHeaderLen {
 		br = bufio.NewReaderSize(r, 1<<16)
@@ -623,6 +648,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	rd.dims = ci.Dims
 	rd.slabRows = ci.SlabRows
+	rd.rowElems = 1
+	for _, d := range rd.dims[1:] {
+		rd.rowElems *= d
+	}
 	rd.version = ci.Version
 	rd.streams = ci.Streams
 	rd.nSlabs = (rd.dims[0] + rd.slabRows - 1) / rd.slabRows
@@ -645,6 +674,18 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("%w: first slab: %w", ErrCorrupt, err)
 	}
 	rd.dtype = h.DType
+
+	workers := p.Workers
+	if workers < 1 {
+		workers = runtime.NumCPU()
+	}
+	if workers > rd.nSlabs {
+		workers = rd.nSlabs
+	}
+	rd.ring = make([]slabDecode, workers)
+	for i := range rd.ring {
+		rd.ring[i].done = make(chan struct{}, 1)
+	}
 	return rd, nil
 }
 
@@ -701,23 +742,17 @@ func (r *Reader) readUvarint() (uint64, error) {
 	return 0, errors.New("uvarint overflow")
 }
 
-// Read serves the next raw bytes of the reconstruction, decoding slabs
-// lazily as needed.
+// Read serves the next raw bytes of the reconstruction, in slab order.
 func (r *Reader) Read(p []byte) (int, error) {
 	if r.err != nil {
 		return 0, r.err
 	}
 	for r.curOff == len(r.cur) {
-		if r.slabIdx == r.nSlabs {
-			if err := r.readFooter(); err != nil {
-				r.err = err
-				return 0, err
-			}
-			r.err = io.EOF
-			return 0, io.EOF
-		}
+		scratch.PutBytes(r.cur)
+		r.cur, r.curOff = nil, 0
 		if err := r.nextSlab(); err != nil {
 			r.err = err
+			r.drain()
 			return 0, err
 		}
 	}
@@ -726,102 +761,145 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Close returns the reader's pooled working buffers to the scratch
-// pools. It never fails and does not close the underlying reader; a
-// closed reader serves no further data. Closing is optional — an
-// unclosed reader's buffers are ordinary garbage.
+// nextSlab makes the oldest slab in the window current, topping the
+// window up around the wait. At the end of the body it returns the
+// deferred read failure, or verifies the footer and returns io.EOF.
+func (r *Reader) nextSlab() error {
+	r.fill()
+	if r.served == r.next {
+		if r.readErr != nil {
+			return r.readErr
+		}
+		if err := r.readFooter(); err != nil {
+			return err
+		}
+		return io.EOF
+	}
+	d := &r.ring[r.served%len(r.ring)]
+	<-d.done
+	r.served++
+	if d.err != nil {
+		return d.err
+	}
+	r.cur, d.out = d.out, nil
+	r.fill()
+	return nil
+}
+
+// fill reads compressed slabs until the window is full or the body ends,
+// starting one decode goroutine per slab. A read failure stops the
+// window growing; nextSlab returns it once the slabs before it are
+// served.
+func (r *Reader) fill() {
+	for r.readErr == nil && r.next < r.nSlabs && r.next-r.served < len(r.ring) {
+		in, err := r.readSlab(r.next)
+		if err != nil {
+			r.readErr = err
+			return
+		}
+		d := &r.ring[r.next%len(r.ring)]
+		d.in = in
+		go r.decode(d, r.next)
+		r.next++
+	}
+}
+
+// readSlab reads slab i's compressed stream into a scratch buffer,
+// folding it into the container CRC and recording its length for the
+// footer check.
+func (r *Reader) readSlab(i int) ([]byte, error) {
+	pk, _ := r.br.Peek(core.MaxHeaderLen)
+	h, total, err := core.ParseHeaderPrefix(pk)
+	if err != nil {
+		return nil, fmt.Errorf("%w: slab %d: %w", ErrCorrupt, i, err)
+	}
+	// The decoded slab takes its element type and dims from this header,
+	// so checking them here bounds what the decode goroutine allocates.
+	rows := r.slabLen(i)
+	if h.DType != r.dtype {
+		return nil, fmt.Errorf("%w: slab %d element type %v, container uses %v", ErrCorrupt, i, h.DType, r.dtype)
+	}
+	if err := checkSlabDims(h.Dims, i, rows, r.dims); err != nil {
+		return nil, err
+	}
+	if total > maxSlabStream(rows*r.rowElems*r.dtype.Size()) {
+		return nil, fmt.Errorf("%w: slab %d claims %d bytes", ErrCorrupt, i, total)
+	}
+	in := scratch.Bytes(total)
+	if err := r.readFull(in); err != nil {
+		scratch.PutBytes(in)
+		return nil, fmt.Errorf("%w: slab %d: %w", ErrCorrupt, i, err)
+	}
+	r.lengths = append(r.lengths, total)
+	return in, nil
+}
+
+// slabLen returns the row count of slab i.
+func (r *Reader) slabLen(i int) int {
+	return min(r.slabRows, r.dims[0]-i*r.slabRows)
+}
+
+// decode runs on its own goroutine: it decompresses slab i from d.in
+// (whose header readSlab checked), serializes it into d.out and signals
+// d.done. It reads only Reader fields NewReader set, and Close releases
+// the shared codebook only after every decode has signalled.
+func (r *Reader) decode(d *slabDecode, i int) {
+	recon := scratch.Float64s(r.slabLen(i) * r.rowElems)
+	slab, _, err := core.DecompressIntoShared(d.in, recon, r.cb)
+	scratch.PutBytes(d.in)
+	d.in = nil
+	if err != nil {
+		d.err = fmt.Errorf("blocked: slab %d: %w", i, err)
+	} else {
+		// Byte-identical to grid.Array.WriteRaw (same IEEE conversions
+		// in the same order), without the intermediate bytes.Buffer.
+		out := scratch.Bytes(len(slab.Data) * r.dtype.Size())
+		if r.dtype == grid.Float32 {
+			for k, v := range slab.Data {
+				binary.LittleEndian.PutUint32(out[k*4:], math.Float32bits(float32(v)))
+			}
+		} else {
+			for k, v := range slab.Data {
+				binary.LittleEndian.PutUint64(out[k*8:], math.Float64bits(v))
+			}
+		}
+		d.out = out
+	}
+	scratch.PutFloat64s(recon)
+	d.done <- struct{}{}
+}
+
+// drain waits for every decode still in the window and recycles its
+// output, so no decode goroutine outlives it.
+func (r *Reader) drain() {
+	for ; r.served < r.next; r.served++ {
+		d := &r.ring[r.served%len(r.ring)]
+		<-d.done
+		scratch.PutBytes(d.out)
+		d.out = nil
+	}
+}
+
+// Close waits for the decodes in flight, then returns the reader's
+// pooled buffers to the scratch pools. It never fails and does not
+// close the underlying reader; a closed reader serves no further data.
+// Closing is optional: an unclosed reader's decodes finish on their own
+// and its buffers are ordinary garbage.
 func (r *Reader) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	scratch.PutBytes(r.sbuf)
-	scratch.PutFloat64s(r.recon)
-	scratch.PutBytes(r.curBuf)
+	r.drain()
+	scratch.PutBytes(r.cur)
+	r.cur, r.curOff = nil, 0
 	if r.cb != nil {
 		r.cb.Release()
 		r.cb = nil
 	}
-	r.sbuf, r.recon, r.curBuf, r.cur = nil, nil, nil, nil
 	if r.err == nil {
 		r.err = errors.New("blocked: reader closed")
 	}
-	return nil
-}
-
-func (r *Reader) nextSlab() error {
-	i := r.slabIdx
-	pk, _ := r.br.Peek(core.MaxHeaderLen)
-	_, total, err := core.ParseHeaderPrefix(pk)
-	if err != nil {
-		return fmt.Errorf("%w: slab %d: %w", ErrCorrupt, i, err)
-	}
-	wantLo := i * r.slabRows
-	wantHi := wantLo + r.slabRows
-	if wantHi > r.dims[0] {
-		wantHi = r.dims[0]
-	}
-	rowElems := 1
-	for _, d := range r.dims[1:] {
-		rowElems *= d
-	}
-	rawSlab := (wantHi - wantLo) * rowElems * r.dtype.Size()
-	if total > maxSlabStream(rawSlab) {
-		return fmt.Errorf("%w: slab %d claims %d bytes", ErrCorrupt, i, total)
-	}
-	if cap(r.sbuf) < total {
-		scratch.PutBytes(r.sbuf)
-		r.sbuf = scratch.Bytes(total)
-	}
-	r.sbuf = r.sbuf[:total]
-	if err := r.readFull(r.sbuf); err != nil {
-		return fmt.Errorf("%w: slab %d: %w", ErrCorrupt, i, err)
-	}
-	// Decode into the reader's reusable reconstruction buffer: slabs of
-	// a container share one geometry, so after the first slab this is
-	// allocation-free.
-	slabElems := (wantHi - wantLo) * rowElems
-	if cap(r.recon) < slabElems {
-		scratch.PutFloat64s(r.recon)
-		r.recon = scratch.Float64s(slabElems)
-	}
-	slab, h, err := core.DecompressIntoShared(r.sbuf, r.recon[:slabElems], r.cb)
-	if err != nil {
-		return fmt.Errorf("blocked: slab %d: %w", i, err)
-	}
-	if h.DType != r.dtype {
-		return fmt.Errorf("%w: slab %d element type %v, container uses %v", ErrCorrupt, i, h.DType, r.dtype)
-	}
-	if slab.Dims[0] != wantHi-wantLo {
-		return fmt.Errorf("%w: slab %d has %d rows, want %d", ErrCorrupt, i, slab.Dims[0], wantHi-wantLo)
-	}
-	for d := 1; d < len(r.dims); d++ {
-		if d >= len(slab.Dims) || slab.Dims[d] != r.dims[d] {
-			return fmt.Errorf("%w: slab %d dims %v do not match container %v", ErrCorrupt, i, slab.Dims, r.dims)
-		}
-	}
-	// Serialize the reconstruction into the reusable output buffer —
-	// byte-identical to grid.Array.WriteRaw (same IEEE conversions in
-	// the same order), without the intermediate bytes.Buffer.
-	need := len(slab.Data) * r.dtype.Size()
-	if cap(r.curBuf) < need {
-		scratch.PutBytes(r.curBuf)
-		r.curBuf = scratch.Bytes(need)
-	}
-	out := r.curBuf[:need]
-	if r.dtype == grid.Float32 {
-		for k, v := range slab.Data {
-			binary.LittleEndian.PutUint32(out[k*4:], math.Float32bits(float32(v)))
-		}
-	} else {
-		for k, v := range slab.Data {
-			binary.LittleEndian.PutUint64(out[k*8:], math.Float64bits(v))
-		}
-	}
-	r.cur = out
-	r.curOff = 0
-	r.lengths = append(r.lengths, total)
-	r.slabIdx++
 	return nil
 }
 

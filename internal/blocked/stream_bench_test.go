@@ -110,10 +110,23 @@ func BenchmarkBlockedOneShotV3(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockedStreamRead drains the streaming Reader — O(slab)
-// memory, raw bytes out.
+// BenchmarkBlockedStreamRead drains the streaming Reader — NumCPU slab
+// decodes in flight, O(workers x slab) memory, raw bytes out.
 func BenchmarkBlockedStreamRead(b *testing.B) {
 	a, p, raw := benchField(b)
+	benchStreamRead(b, a, p, raw)
+}
+
+// BenchmarkBlockedStreamReadV3 drains the streaming Reader over a v3
+// container with four interleaved sub-streams per slab, the layout
+// `sz c` writes by default.
+func BenchmarkBlockedStreamReadV3(b *testing.B) {
+	a, p, raw := benchField(b)
+	p.Core.Streams = 4
+	benchStreamRead(b, a, p, raw)
+}
+
+func benchStreamRead(b *testing.B, a *grid.Array, p Params, raw []byte) {
 	stream, _, err := Compress(a, p)
 	if err != nil {
 		b.Fatal(err)
@@ -121,7 +134,7 @@ func BenchmarkBlockedStreamRead(b *testing.B) {
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := NewReader(bytes.NewReader(stream))
+		r, err := NewReader(bytes.NewReader(stream), Params{})
 		if err != nil {
 			b.Fatal(err)
 		}

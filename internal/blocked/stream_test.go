@@ -3,10 +3,13 @@ package blocked
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -88,7 +91,7 @@ func TestReaderMatchesDecompress(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		r, err := NewReader(bytes.NewReader(stream))
+		r, err := NewReader(bytes.NewReader(stream), Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,6 +120,11 @@ func TestReaderMatchesDecompress(t *testing.T) {
 // footer and remaining slabs do not exist — the reader must still
 // deliver the first k slabs' reconstruction in full. A reader that
 // buffers the whole stream (or seeks the footer) cannot do this.
+//
+// It also pins how far a live source runs ahead of the consumer: on a
+// pipe holding only the header and slabs 0..k-1+workers, with the
+// writer still to come, the first k slabs must be served, since Read
+// keeps workers slabs in its window beside the one it serves.
 func TestReaderIsIncremental(t *testing.T) {
 	a := datagen.Hurricane(32, 20, 20, 5)
 	p := absParams(4, grid.Float32)
@@ -133,20 +141,11 @@ func TestReaderIsIncremental(t *testing.T) {
 
 	const k = 3
 	cut := bodyStart + ix.Offsets[k]
-	r, err := NewReader(bytes.NewReader(stream[:cut]))
-	if err != nil {
-		t.Fatal(err)
-	}
 	lo := 0
 	_, hi := ix.SlabBounds(k - 1)
 	prefix, err := a.Slab(lo, hi)
 	if err != nil {
 		t.Fatal(err)
-	}
-	want := prefix.Len() * grid.Float32.Size()
-	got := make([]byte, want)
-	if _, err := io.ReadFull(r, got); err != nil {
-		t.Fatalf("reading %d slabs from a %d-byte prefix: %v", k, cut, err)
 	}
 	// The prefix data must also be correct (bound-respecting).
 	full, err := Decompress(stream, Params{})
@@ -154,23 +153,86 @@ func TestReaderIsIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	refSlab, _ := full.Slab(lo, hi)
-	var ref bytes.Buffer
+	var ref, refAll bytes.Buffer
 	if err := refSlab.WriteRaw(&ref, grid.Float32); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, ref.Bytes()) {
-		t.Fatal("prefix reconstruction differs from full decompression")
+	if err := full.WriteRaw(&refAll, grid.Float32); err != nil {
+		t.Fatal(err)
 	}
-	// Beyond the cut there is nothing; the reader must error, not hang
-	// or fabricate data.
-	if _, err := io.ReadAll(r); err == nil {
-		t.Fatal("reading past the available prefix succeeded")
+	for _, workers := range []int{1, 4} {
+		r, err := NewReader(bytes.NewReader(stream[:cut]), Params{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, prefix.Len()*grid.Float32.Size())
+		if _, err := io.ReadFull(r, got); err != nil {
+			t.Fatalf("workers %d: reading %d slabs from a %d-byte prefix: %v", workers, k, cut, err)
+		}
+		if !bytes.Equal(got, ref.Bytes()) {
+			t.Fatalf("workers %d: prefix reconstruction differs from full decompression", workers)
+		}
+		// Beyond the cut there is nothing; the reader must error, not
+		// hang or fabricate data.
+		if _, err := io.ReadAll(r); err == nil {
+			t.Fatalf("workers %d: reading past the available prefix succeeded", workers)
+		}
+		r.Close()
+
+		live := bodyStart + ix.Offsets[min(k+workers, ix.NumSlabs())]
+		pr, pw := io.Pipe()
+		more := make(chan struct{})
+		go func() {
+			if _, err := pw.Write(stream[:live]); err != nil {
+				return
+			}
+			<-more
+			_, err := pw.Write(stream[live:])
+			pw.CloseWithError(err)
+		}()
+		served := make(chan error, 1)
+		pipeGot := make([]byte, refAll.Len())
+		r, err = NewReader(pr, Params{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			_, err := io.ReadFull(r, pipeGot[:len(got)])
+			served <- err
+		}()
+		select {
+		case err := <-served:
+			if err != nil {
+				t.Fatalf("workers %d: live source: %v", workers, err)
+			}
+		case <-time.After(10 * time.Second):
+			pw.CloseWithError(errors.New("timed out"))
+			close(more)
+			<-served
+			t.Fatalf("workers %d: slabs 0..%d not served from a source holding slabs 0..%d",
+				workers, k-1, k-1+workers)
+		}
+		close(more)
+		if _, err := io.ReadFull(r, pipeGot[len(got):]); err != nil {
+			t.Fatalf("workers %d: live source, rest of the stream: %v", workers, err)
+		}
+		if n, err := r.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			t.Fatalf("workers %d: live source ends with %d bytes, %v; want io.EOF", workers, n, err)
+		}
+		if !bytes.Equal(pipeGot, refAll.Bytes()) {
+			t.Fatalf("workers %d: live-source reconstruction differs from full decompression", workers)
+		}
+		r.Close()
 	}
 }
 
 // TestReaderMemoryBounded: streaming decompression of a container must
-// keep live heap O(slab), far below the array size, while the in-memory
-// path would hold the whole reconstruction.
+// keep live heap O(workers x slab), far below the array size, while the
+// in-memory path would hold the whole reconstruction. The window is
+// pinned at two decodes rather than left at NumCPU, so the bound holds
+// on any host: a decode in flight holds about three slabs' worth of raw
+// bytes (reconstruction, quantization codes, output), and the raw/4
+// limit is eight slabs.
 func TestReaderMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -194,7 +256,7 @@ func TestReaderMemoryBounded(t *testing.T) {
 	var base runtime.MemStats
 	runtime.ReadMemStats(&base)
 
-	r, err := NewReader(bytes.NewReader(stream))
+	r, err := NewReader(bytes.NewReader(stream), Params{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +288,60 @@ func TestReaderMemoryBounded(t *testing.T) {
 	if peak > limit {
 		t.Fatalf("streaming decompression held %d live bytes, want < %d (raw size %d)",
 			peak, limit, rawBytesTotal)
+	}
+}
+
+// TestReaderCloseJoinsDecodes: Close waits for the decodes in flight
+// before recycling their buffers and releasing a shared codebook, so
+// readers closed at any point mid-stream, from several goroutines at
+// once, leave no decode goroutine behind. Run with -race: a Close that
+// released the codebook or recycled a buffer under a running decode
+// would hand it to another reader while that decode still used it.
+func TestReaderCloseJoinsDecodes(t *testing.T) {
+	a := datagen.Hurricane(40, 24, 24, 3)
+	var streams [][]byte
+	for _, p := range []Params{
+		absParams(4, grid.Float32),
+		{Core: core.Params{Mode: core.BoundAbs, AbsBound: 1e-3, Streams: 4}, SlabRows: 5, SharedCodebook: true},
+	} {
+		stream, _, err := Compress(a, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, stream)
+	}
+	base := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, 24*24*8*7)
+			for it := 0; it < 8; it++ {
+				r, err := NewReader(bytes.NewReader(streams[(g+it)%len(streams)]), Params{Workers: 4})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Stop at one of 32 points through the first slabs,
+				// while the window still has decodes in flight.
+				if _, err := io.ReadFull(r, buf[:(g*8+it)*len(buf)/32]); err != nil {
+					t.Error(err)
+				}
+				r.Close()
+			}
+		}(g)
+	}
+	wg.Wait()
+	// A decode goroutine's last act is its done signal, which Close
+	// receives; allow the ones that already signalled to return.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines outlive the closed readers:\n%s", n-base, buf[:runtime.Stack(buf, true)])
 	}
 }
 
@@ -284,31 +400,34 @@ func TestReaderRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain := func(b []byte) error {
-		r, err := NewReader(bytes.NewReader(b))
-		if err != nil {
+	for _, workers := range []int{1, 4} {
+		drain := func(b []byte) error {
+			r, err := NewReader(bytes.NewReader(b), Params{Workers: workers})
+			if err != nil {
+				return err
+			}
+			defer r.Close()
+			_, err = io.ReadAll(r)
 			return err
 		}
-		_, err = io.ReadAll(r)
-		return err
-	}
-	if err := drain(stream); err != nil {
-		t.Fatalf("pristine container rejected: %v", err)
-	}
-	for _, tc := range []struct {
-		name   string
-		mutate func([]byte) []byte
-	}{
-		{"bit flip in body", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }},
-		{"truncated footer", func(b []byte) []byte { return b[:len(b)-5] }},
-		{"truncated body", func(b []byte) []byte { return b[:len(b)*2/3] }},
-		{"bad magic", func(b []byte) []byte { copy(b, "NOPE"); return b }},
-		{"trailing garbage", func(b []byte) []byte { return append(b, 0xAA) }},
-		{"crc flip", func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b }},
-	} {
-		b := append([]byte(nil), stream...)
-		if err := drain(tc.mutate(b)); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if err := drain(stream); err != nil {
+			t.Fatalf("workers %d: pristine container rejected: %v", workers, err)
+		}
+		for _, tc := range []struct {
+			name   string
+			mutate func([]byte) []byte
+		}{
+			{"bit flip in body", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }},
+			{"truncated footer", func(b []byte) []byte { return b[:len(b)-5] }},
+			{"truncated body", func(b []byte) []byte { return b[:len(b)*2/3] }},
+			{"bad magic", func(b []byte) []byte { copy(b, "NOPE"); return b }},
+			{"trailing garbage", func(b []byte) []byte { return append(b, 0xAA) }},
+			{"crc flip", func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b }},
+		} {
+			b := append([]byte(nil), stream...)
+			if err := drain(tc.mutate(b)); err == nil {
+				t.Errorf("workers %d: %s: accepted", workers, tc.name)
+			}
 		}
 	}
 }

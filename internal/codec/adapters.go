@@ -219,8 +219,8 @@ func (c *blockedCodec) NewWriter(w io.Writer, p Params) (io.WriteCloser, error) 
 	return &bufWriter{dst: w, p: p, enc: c.Encode, name: "blocked"}, nil
 }
 
-func (c *blockedCodec) NewReader(r io.Reader, _ Params) (io.ReadCloser, error) {
-	return blocked.NewReader(r)
+func (c *blockedCodec) NewReader(r io.Reader, p Params) (io.ReadCloser, error) {
+	return blocked.NewReader(r, p.blocked())
 }
 
 // gzipCodec is the GZIP baseline: DEFLATE over the raw little-endian

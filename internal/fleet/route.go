@@ -243,15 +243,18 @@ var identityExempt = map[string]bool{
 	api.HeaderTenant:        true,
 }
 
-// requestIdentity builds the cache key: the endpoint, path, canonicalized
-// query, the X-Sz-* parameter headers, Accept, and the body digest. Two
-// requests with equal identity are guaranteed the same response bytes
-// (the decode endpoints are pure functions of input and parameters;
-// Accept picks between a slab's compressed extent and its decoded
-// samples). identityExempt headers are skipped — they shape admission
+// requestIdentity builds the cache key: the method, endpoint, path,
+// canonicalized query, the X-Sz-* parameter headers, Accept, and the
+// body digest. Two requests with equal identity are guaranteed the same
+// response bytes (the decode endpoints are pure functions of input and
+// parameters; Accept picks between a slab's compressed extent and its
+// decoded samples; szd refuses methods other than GET and POST on them
+// with 405). identityExempt headers are skipped — they shape admission
 // and accounting, never the payload.
 func requestIdentity(endpoint string, r *http.Request, digest string) string {
 	var b strings.Builder
+	b.WriteString(r.Method)
+	b.WriteByte('|')
 	b.WriteString(endpoint)
 	b.WriteByte('|')
 	b.WriteString(r.URL.Path)

@@ -96,6 +96,47 @@ func TestRouterCacheKeyedByAccept(t *testing.T) {
 	}
 }
 
+// TestRouterCacheKeyedByMethod: szd refuses DELETE, PUT and PATCH on
+// the read endpoints with 405, so a cached GET answer for the same URL
+// must never answer them: each must reach a backend and come back 405
+// with Allow.
+func TestRouterCacheKeyedByMethod(t *testing.T) {
+	_, ts := newRouter(t, Config{Backends: []string{newSzdWithStore(t), newSzdWithStore(t)}})
+	raw := makeRaw(t, grid.Float32, 16, 8, 8)
+	_, digest := routedContainer(t, ts.URL, raw, "codec=blocked&abs=1e-3&dtype=f32&dims=16,8,8&slab=4")
+	url := ts.URL + api.PathDecompress + "?digest=" + digest
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body := readAllClose(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	if hits := metricSum(t, ts.URL, "szrouter_cache_hits_total"); hits != 1 {
+		t.Fatalf("cache hits = %v after two GETs, want 1", hits)
+	}
+	for _, method := range []string{http.MethodDelete, http.MethodPut, http.MethodPatch} {
+		req, err := http.NewRequest(method, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAllClose(t, resp)
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") == "" {
+			t.Errorf("%s after a cached GET: status %d, Allow %q, X-Sz-Cache %q (%d bytes), want 405 with Allow from a backend",
+				method, resp.StatusCode, resp.Header.Get("Allow"), resp.Header.Get(api.HeaderCache), len(body))
+		}
+	}
+	if hits := metricSum(t, ts.URL, "szrouter_cache_hits_total"); hits != 1 {
+		t.Fatalf("cache hits = %v, want 1 (only the repeated GET)", hits)
+	}
+}
+
 // TestRouterAbortsOnBrokenBackendBody: a backend that dies partway
 // through a chunked response body must reach the client as a read
 // error or an error status — never a clean 200 with a short body — on

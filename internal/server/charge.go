@@ -6,15 +6,23 @@ package server
 // profiles (TestAdmissionChargeCalibration re-measures and fails if the
 // estimates drift outside 2x of reality).
 //
-// Measured 2026-07-28 on linux/amd64 with the scratch-pooled hot path
+// Measured 2026-10-17 on linux/amd64 (2 CPUs) with the scratch-pooled
+// hot path, each op on one P
 // (`go test -run TestAdmissionChargeCalibration -v ./internal/server`),
-// Hurricane-shaped float32 fields:
+// a 32x192x192 Hurricane-shaped float32 field, 8-row slabs:
 //
 //	compress  sz14     measured 11.7x the raw body   (charged 11x = 1+40/4)
-//	compress  gzip     measured 0.81 MiB             (charged 1 MiB)
-//	compress  blocked  measured 31.7 B/cell in the pipeline (charged 36)
-//	decompress sz14    measured 28.4 B/element       (charged 24+esz)
-//	decompress gzip    measured 0.11 MiB             (charged 0.19 MiB)
+//	compress  gzip     measured 0.78 MiB             (charged 1 MiB)
+//	compress  blocked  measured 34.8 B/cell in the pipeline (charged 32)
+//	decompress sz14    measured 27.9 B/element       (charged 24+esz)
+//	decompress gzip    measured 0.10 MiB             (charged 0.19 MiB)
+//	decompress blocked 1 worker:  10.7 MB, one slab decode's working set
+//	                              (charged 28.3 MB = 2 slabs x 48 B/cell;
+//	                              what szd runs)
+//	                   2 workers: 12.9 or 21.4 MB, as the decodes happen
+//	                              to overlap on the one P (charged 42.5 MB
+//	                              = 3 slabs, against 32.2 MB for three
+//	                              10.7 MB working sets at once)
 import (
 	"runtime"
 
@@ -55,11 +63,14 @@ const (
 	bufferedDecompressFallbackMult = 5
 
 	// blockedDecompressBytesPerCell is the streaming reader's
-	// *adversarial* per-cell bound: the reader tolerates compressed
-	// slabs up to maxSlabStream = 4x raw (32 B/cell for f64) before
-	// calling a container hostile, plus the float64 working copy (8)
-	// and the raw output (<= 8). Deliberately above the well-formed
-	// peak, so it is asserted one-sided in the calibration test.
+	// *adversarial* per-cell bound for one slab in its decode window.
+	// While a slab decodes it holds its compressed stream, which the
+	// reader tolerates up to maxSlabStream = 4x raw (32 B/cell for f64)
+	// before calling a container hostile, plus the float64
+	// reconstruction (8) and the quantization codes (8); the compressed
+	// stream and codes are released before the raw output (<= 8) is
+	// written. Deliberately above the well-formed peak, so it is
+	// asserted one-sided in the calibration test.
 	blockedDecompressBytesPerCell = 48
 
 	// blockedSharedCodebookCharge covers a v3 shared codebook held for
@@ -104,10 +115,7 @@ func (s *Server) compressCharge(name string, declared int64, p codec.Params) (in
 				rowCells = satMul(rowCells, int64(d))
 			}
 			slabRows := int64(blocked.SlabRowsFor(p.Dims[0], p.SlabRows))
-			workers := int64(p.Workers)
-			if workers <= 0 {
-				workers = int64(runtime.GOMAXPROCS(0))
-			}
+			workers := int64(wantWorkers(name, p))
 			est := satMul(satMul(workers+2, satMul(slabRows, rowCells)), esz+blockedSlabOverheadPerCell)
 			if est < 1<<20 {
 				est = 1 << 20
@@ -129,15 +137,32 @@ func (s *Server) compressCharge(name string, declared int64, p codec.Params) (in
 	return satMul(declared, 1+bufferedCompressOverheadPerElem/esz), false
 }
 
+// wantWorkers is the blocked container's slab parallelism (p.Workers,
+// 0 = GOMAXPROCS) and 1 for every other codec: the worker tokens a
+// compress asks for, and the decode window a blocked decompress charge
+// covers.
+func wantWorkers(name string, p codec.Params) int {
+	if name != "blocked" {
+		return 1
+	}
+	if p.Workers > 0 {
+		return p.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // decompressCharge estimates the peak memory a decompress request pins.
-// gzip streams with O(window); the blocked reader holds one slab at a
-// time, so its charge comes from the slab geometry in the container
-// header (peeked, attacker-supplied, hence validated and saturated) —
-// a single-slab container is charged its whole footprint. An sz14
+// gzip streams with O(window). The blocked reader keeps p.Workers slab
+// decodes in flight (0 = GOMAXPROCS) plus the slab it is serving, so it
+// is charged min(workers+1, slab count) slab footprints, each from the
+// slab geometry in the container header (peeked, attacker-supplied,
+// hence validated and saturated) — a single-slab container is charged
+// its whole footprint once. handleDecompress runs the reader at one
+// worker, so a request pays at most two slabs. An sz14
 // stream's header reveals its element count, so its buffered decode is
 // charged per element regardless of compression factor; the remaining
 // buffered decoders fall back to a flat multiple of the declared size.
-func (s *Server) decompressCharge(name string, declared int64, header []byte) (int64, bool) {
+func (s *Server) decompressCharge(name string, declared int64, header []byte, p codec.Params) (int64, bool) {
 	if codec.StreamingReader(name) {
 		charge := int64(1 << 20) // gzip O(window); blocked floor
 		if name == "gzip" {
@@ -149,15 +174,20 @@ func (s *Server) decompressCharge(name string, declared int64, header []byte) (i
 				for _, d := range ci.Dims[1:] {
 					rowCells = satMul(rowCells, int64(d))
 				}
-				c := satMul(satMul(int64(ci.SlabRows), rowCells), blockedDecompressBytesPerCell)
-				// v3 footprints: the shared codebook lives for the whole
-				// decode, and each slab keeps one cursor per sub-stream
-				// (v2's single cursor is already inside the per-cell bound).
+				slab := satMul(satMul(int64(ci.SlabRows), rowCells), blockedDecompressBytesPerCell)
+				// v3: each slab keeps one cursor per sub-stream (v2's
+				// single cursor is already inside the per-cell bound).
 				if ci.Version >= 3 {
-					if ci.CodebookLen > 0 {
-						c += blockedSharedCodebookCharge
-					}
-					c += satMul(int64(ci.Streams), blockedStreamStateBytes)
+					slab += satMul(int64(ci.Streams), blockedStreamStateBytes)
+				}
+				slabs := int64(wantWorkers(name, p)) + 1
+				if n := int64((ci.Dims[0] + ci.SlabRows - 1) / ci.SlabRows); slabs > n {
+					slabs = n
+				}
+				c := satMul(slabs, slab)
+				// The shared codebook lives for the whole decode.
+				if ci.CodebookLen > 0 {
+					c += blockedSharedCodebookCharge
 				}
 				if c > charge {
 					charge = c

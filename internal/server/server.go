@@ -640,14 +640,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	charge, streaming := s.compressCharge(name, declared, p)
-	want := 1
-	if name == "blocked" {
-		want = p.Workers
-		if want <= 0 {
-			want = runtime.GOMAXPROCS(0)
-		}
-	}
-	gr, status, err := s.admit(r.Context(), tr, charge, want)
+	gr, status, err := s.admit(r.Context(), tr, charge, wantWorkers(name, p))
 	if err != nil {
 		s.reject(w, "compress", name, status, err, start)
 		return
@@ -787,7 +780,13 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	case "sz14":
 		header, _ = br.Peek(core.MaxHeaderLen)
 	}
-	charge, streaming := s.decompressCharge(name, declared, header)
+	if name == "blocked" {
+		// Every decompress holds one worker token, so the reader keeps
+		// one slab decode in flight beside the slab it serves; the
+		// request's ?workers= does not widen it.
+		p.Workers = 1
+	}
+	charge, streaming := s.decompressCharge(name, declared, header, p)
 	gr, status, err := s.admit(r.Context(), tr, charge, 1)
 	if err != nil {
 		s.reject(w, "decompress", name, status, err, start)

@@ -697,18 +697,60 @@ func TestBlockedDecompressChargeFromHeader(t *testing.T) {
 	manySlabs := localStream(t, "blocked", raw, codec.Params{
 		AbsBound: 1e-3, DType: grid.Float32, Dims: []int{64, 32, 32}, SlabRows: 4})
 
-	big, _ := s.decompressCharge("blocked", int64(len(oneSlab)), oneSlab)
-	small, _ := s.decompressCharge("blocked", int64(len(manySlabs)), manySlabs)
-	// 64x32x32 cells x 48 B/cell = 3 MiB for the single slab; the
-	// 4-row slabs stay under the 1 MiB floor.
+	two := codec.Params{Workers: 2}
+	big, _ := s.decompressCharge("blocked", int64(len(oneSlab)), oneSlab, two)
+	small, _ := s.decompressCharge("blocked", int64(len(manySlabs)), manySlabs, two)
+	// 64x32x32 cells x 48 B/cell = 3 MiB for the single slab; three
+	// 4-row slabs (two decoding, one being served) stay under the 1 MiB
+	// floor.
 	if want := int64(64 * 32 * 32 * 48); big != want {
 		t.Errorf("single-slab charge %d, want %d (slab geometry from header)", big, want)
 	}
 	if small != 1<<20 {
 		t.Errorf("small-slab charge %d, want the 1 MiB floor", small)
 	}
+	// The decode window: workers+1 of the 16 slabs are charged, never
+	// more than the container holds.
+	slab := int64(4 * 32 * 32 * 48)
+	for _, tc := range []struct{ workers, slabs int64 }{{8, 9}, {100, 16}} {
+		c, _ := s.decompressCharge("blocked", int64(len(manySlabs)), manySlabs, codec.Params{Workers: int(tc.workers)})
+		if c != tc.slabs*slab {
+			t.Errorf("workers %d: charge %d, want %d slabs x %d", tc.workers, c, tc.slabs, slab)
+		}
+	}
 	// A garbage header falls back to the floor, never panics.
-	if c, _ := s.decompressCharge("blocked", 10, []byte("SZB2\xff")); c != 1<<20 {
+	if c, _ := s.decompressCharge("blocked", 10, []byte("SZB2\xff"), two); c != 1<<20 {
 		t.Errorf("corrupt-header charge %d, want floor", c)
+	}
+}
+
+// TestDecompressWorkersDoNotWidenCharge: szd decodes a blocked container
+// one slab ahead whatever ?workers= asks, so a many-slab container whose
+// window of two slabs fits the budget is served, not refused with a 413
+// sized for a thousand decodes in flight.
+func TestDecompressWorkersDoNotWidenCharge(t *testing.T) {
+	raw, _ := makeRaw(t, grid.Float32, 64, 32, 32)
+	stream := localStream(t, "blocked", raw, codec.Params{
+		AbsBound: 1e-3, DType: grid.Float32, Dims: []int{64, 32, 32}, SlabRows: 4})
+	// 16 slabs of 192 KiB: all of them (3 MiB) exceed the 2 MiB budget,
+	// two are charged the 1 MiB floor.
+	_, ts := newTestDaemon(t, Config{MaxInflightBytes: 2 << 20})
+	resp := post(t, ts.URL+"/v1/decompress?workers=1000", stream)
+	got := readAllClose(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	c, _ := codec.Lookup("blocked")
+	zr, err := c.NewReader(bytes.NewReader(stream), codec.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer zr.Close()
+	want, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("daemon decompress differs from the local decode")
 	}
 }

@@ -209,7 +209,8 @@ type (
 	CodecParams = codec.Params
 	// BlockedWriter streams a blocked container out as rows arrive.
 	BlockedWriter = blocked.Writer
-	// BlockedReader decompresses a blocked container slab-at-a-time.
+	// BlockedReader decompresses a blocked container, decoding slabs
+	// ahead on worker goroutines and serving them in order.
 	BlockedReader = blocked.Reader
 )
 
@@ -241,7 +242,8 @@ func NewCodecWriter(name string, w io.Writer, p CodecParams) (io.WriteCloser, er
 
 // NewCodecReader opens a streaming decompressor for any registered
 // codec. Params are only consulted by codecs whose streams are not
-// self-describing (gzip needs DType; Dims only for one-shot decode).
+// self-describing (gzip needs DType; Dims only for one-shot decode) and
+// by blocked, whose slab decodes in flight are p.Workers (0 = NumCPU).
 func NewCodecReader(name string, r io.Reader, p CodecParams) (io.ReadCloser, error) {
 	c, err := codec.Lookup(name)
 	if err != nil {
@@ -257,8 +259,13 @@ func NewBlockedWriter(w io.Writer, dims []int, p BlockedParams) (*BlockedWriter,
 	return blocked.NewWriter(w, dims, p)
 }
 
-// NewBlockedReader streams a blocked container from r, decompressing
-// slab-at-a-time with peak memory O(slab), not O(stream).
+// NewBlockedReader streams a blocked container from r, decoding up to
+// NumCPU slabs ahead on their own goroutines and serving them in order,
+// with peak memory O(workers x slab), not O(stream). On a live source
+// slab k is served once slab k+NumCPU has arrived, or the last slab;
+// NewCodecReader("blocked", r, CodecParams{Workers: n}) picks another
+// window. Close the reader to wait for its decodes and recycle their
+// buffers.
 func NewBlockedReader(r io.Reader) (*BlockedReader, error) {
-	return blocked.NewReader(r)
+	return blocked.NewReader(r, blocked.Params{})
 }
