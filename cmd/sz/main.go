@@ -188,9 +188,11 @@ func (lw *lazyFileWriter) Close() error {
 }
 
 // countingWriter tracks bytes for the compression summary. discard
-// (atomic: a blocked writer's emit goroutine may be mid-Write when the
-// main goroutine aborts) swallows output once a run has failed, so
-// cleanup-time flushes reach neither file nor stdout.
+// swallows output once a run has failed, so cleanup-time flushes reach
+// neither file nor stdout. It is atomic because the remote writer copies
+// the daemon's response into it from a goroutine of its own, which may
+// be mid-Write when the main goroutine aborts; local codec writers write
+// only from the goroutine calling them.
 type countingWriter struct {
 	w       io.Writer
 	n       int64
@@ -386,8 +388,9 @@ func cmdCompress(args []string) error {
 		// The run failed: discard further output so no stray bytes land
 		// in the file, then tear the codec writer down. A remote writer
 		// gets Abort (dropping its unsent buffer instead of posting a
-		// truncated payload); local writers need Close, which reaps the
-		// blocked container's worker/emit goroutines.
+		// truncated payload); local writers get Close, which waits for
+		// the blocked container's slab encodes in flight and recycles
+		// their buffers.
 		cw.discard.Store(true)
 		if aw, ok := zw.(interface{ Abort() error }); ok {
 			aw.Abort()

@@ -1,5 +1,5 @@
 // Command szgen writes the synthetic ATM / APS / Hurricane data sets to
-// disk as raw little-endian float32 files, for use with szc.
+// disk as raw little-endian float32 files, for use with sz.
 //
 //	szgen -set ATM -scale 8 -o atm.f32
 //	szgen -set Hurricane -scale 4 -o hur.f32

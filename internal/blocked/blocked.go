@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -86,8 +85,11 @@ type Params struct {
 	// SlabRows is the slab thickness along the slowest dimension;
 	// 0 picks a thickness targeting ~NumCPU slabs (at least 4 rows).
 	SlabRows int
-	// Workers bounds compression/decompression parallelism; 0 means
-	// runtime.NumCPU().
+	// Workers bounds compression/decompression parallelism: at most
+	// Workers slab encodes or decodes run at once, each on a goroutine
+	// of its own; 0 means runtime.NumCPU(). The streaming Writer and
+	// Reader keep that many slabs in their window, so a live
+	// destination or consumer trails the data by Workers slabs.
 	Workers int
 	// Container selects the container format version: 0 = auto (v3
 	// when Core.Streams > 1 or SharedCodebook is set, else v2 —
@@ -188,9 +190,8 @@ func Compress(a *grid.Array, p Params) ([]byte, *Stats, error) {
 	// enforces the same absolute bound.
 	if p.Core.Mode != core.BoundAbs {
 		_, _, rng := a.Range()
-		eb := relToAbs(p.Core, rng)
+		p.Core.AbsBound = p.Core.EffectiveBound(rng)
 		p.Core.Mode = core.BoundAbs
-		p.Core.AbsBound = eb
 		p.Core.RelBound = 0
 	}
 	if p.SharedCodebook {
@@ -306,41 +307,17 @@ func compressShared(a *grid.Array, p Params) ([]byte, *Stats, error) {
 	cbBytes := cbw.Bytes()
 
 	out := make([]byte, 0, containerSize(len(cbBytes), slabStreams))
-	out = append(out, magicV3...)
-	out = append(out, byte(len(a.Dims)))
-	for _, d := range a.Dims {
-		out = binary.AppendUvarint(out, uint64(d))
-	}
-	out = binary.AppendUvarint(out, uint64(slabRows))
-	out = append(out, byte(streams))
-	out = binary.AppendUvarint(out, uint64(len(cbBytes)))
+	out = appendHeader(out, ContainerInfo{
+		Version: 3, Dims: a.Dims, SlabRows: slabRows, Streams: streams, CodebookLen: len(cbBytes)})
 	out = append(out, cbBytes...)
-	for _, s := range slabStreams {
+	lengths := make([]int, nSlabs)
+	for i, s := range slabStreams {
 		out = append(out, s...)
+		lengths[i] = len(s)
 	}
-	foot := binary.AppendUvarint(nil, uint64(nSlabs))
-	for _, s := range slabStreams {
-		foot = binary.AppendUvarint(foot, uint64(len(s)))
-	}
-	footLen := len(foot)
-	out = append(out, foot...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(footLen))
+	out = appendFooter(out, lengths)
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-
-	agg := &Stats{
-		N:               a.Len(),
-		Slabs:           nSlabs,
-		EffAbsBound:     p.Core.AbsBound,
-		CompressedBytes: len(out),
-	}
-	for _, st := range slabStats {
-		agg.Predictable += st.Predictable
-		agg.OriginalBytes += st.OriginalBytes
-	}
-	agg.HitRate = float64(agg.Predictable) / float64(agg.N)
-	agg.CompressionFactor = float64(agg.OriginalBytes) / float64(agg.CompressedBytes)
-	agg.BitRate = float64(agg.CompressedBytes) * 8 / float64(agg.N)
-	return out, agg, nil
+	return out, aggregate(a.Dims, p.Core.AbsBound, len(out), slabStats), nil
 }
 
 // containerSize estimates the assembled container length for
@@ -371,23 +348,6 @@ func parallelSlabs(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// relToAbs mirrors core's effective-bound resolution for relative modes.
-func relToAbs(p core.Params, valueRange float64) float64 {
-	var eb float64
-	switch p.Mode {
-	case core.BoundRel:
-		eb = p.RelBound * valueRange
-	case core.BoundAbsAndRel:
-		eb = math.Min(p.AbsBound, p.RelBound*valueRange)
-	default:
-		eb = p.AbsBound
-	}
-	if eb <= 0 || math.IsNaN(eb) {
-		eb = math.SmallestNonzeroFloat64
-	}
-	return eb
 }
 
 // Inspect parses and verifies the container index from the footer,

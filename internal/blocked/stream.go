@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/bitstream"
 	"repro/internal/core"
@@ -41,69 +40,71 @@ func maxSlabStream(rawSlabBytes int) int {
 	return 4*rawSlabBytes + 1<<20
 }
 
-type job struct {
-	slab *grid.Array
-	// pooled marks slab.Data as drawn from the scratch pool (the raw-byte
-	// Write path); the worker recycles it once the slab is compressed.
-	// Zero-copy views handed in by writeSlab must never be recycled.
-	pooled bool
-	res    chan result
-}
-
-type result struct {
-	// stream is a scratch-pooled buffer; the emitter recycles it after
-	// writing it out.
-	stream []byte
-	stats  *core.Stats
-	err    error
-}
-
 // Writer is a streaming blocked-container writer. Raw little-endian
 // values of the configured output type arrive row-major through Write;
-// every SlabRows rows the accumulated slab is handed to a worker pool
-// and the compressed slab streams are emitted to the destination in
-// order, pipelined — slab k compresses while slab k-1 is still being
-// written out. Memory is bounded by O(workers x slab), never by the
-// stream length. Close flushes the pipeline and appends the seekable
-// footer (see the package format note).
+// every SlabRows rows the caller's goroutine parses the filled slab and
+// starts its encode on a goroutine of its own, keeping at most Workers
+// encodes in flight, and writes the finished slab streams to the
+// destination in slab order. When the window is full, handing in slab
+// k+Workers first waits for slab k and writes it out, so a live
+// destination sees slab k once slab k+Workers has been handed in, or at
+// Close. Memory is bounded by O(workers x slab), never by the stream
+// length. A failed encode surfaces, in slab order, from the Write or
+// Close that reaches it. Close writes the remaining slabs and appends
+// the seekable footer (see the package format note); once it returns,
+// no encode is left running. An abandoned writer's encodes finish on
+// their own.
 type Writer struct {
-	dst   io.Writer
-	crc   hash.Hash32
-	dims  []int
-	dtype grid.DType
-	cp    core.Params
+	dst  io.Writer
+	crc  hash.Hash32
+	dims []int
+	cp   core.Params
 
 	slabRows int
 	nSlabs   int
 	rowBytes int
 	elemSize int
-	version  int // container format version (2 or 3)
-	streams  int // sub-streams per slab (v3; 1 for v2)
 
-	buf      []byte // raw-byte accumulator for the current slab
-	slabIdx  int    // slabs dispatched so far
-	rowsDone int    // rows fully dispatched
+	buf []byte // raw-byte accumulator for the current slab
 
-	jobs  chan job
-	order chan chan result
-	done  chan struct{}
-	wg    sync.WaitGroup
+	// The encode window is slabs [emitted, next); slab i's encode lives
+	// in ring[i%len(ring)], so len(ring) bounds the encodes in flight.
+	ring    []slabEncode
+	next    int // slabs handed in so far
+	emitted int // slabs taken off the window (written out or drained)
 
-	mu        sync.Mutex
-	err       error
 	lengths   []int
 	slabStats []*core.Stats
 	written   int64
+	err       error // first failure; the window is empty once it is set
 
-	closed   bool
-	closeErr error
-	stats    *Stats
+	closed bool
+	stats  *Stats
 }
 
-// NewWriter starts a streaming container writer for an array with the
-// given dimensions (slowest-varying first). p.Core.Mode must be
-// core.BoundAbs (ErrNeedsAbsBound otherwise); p.SlabRows and p.Workers
-// default as in Compress. The caller must deliver exactly
+// slabEncode is one slab's trip through the encode window: the caller's
+// goroutine fills in slab, an encode goroutine fills out, stats or err
+// and signals done once. A slot is reused only after its slab has been
+// taken off the window.
+type slabEncode struct {
+	slab *grid.Array
+	// pooled marks slab.Data as drawn from the scratch pool (the raw-byte
+	// Write path); the encode recycles it. Zero-copy views handed in by
+	// writeSlab must never be recycled.
+	pooled bool
+	out    []byte // scratch-pooled compressed slab stream
+	stats  *core.Stats
+	err    error
+	done   chan struct{}
+}
+
+// NewWriter writes the container header to w and returns a streaming
+// writer for an array with the given dimensions (slowest-varying
+// first). p.Core.Mode must be core.BoundAbs (ErrNeedsAbsBound
+// otherwise); p.SlabRows defaults as in Compress. At most p.Workers
+// slab encodes (0 = NumCPU) run at once, so a window costs memory in
+// proportion to p.Workers, and w sees slab k once slab k+p.Workers has
+// been handed in (see Writer). The caller must deliver exactly
 // product(dims) values as raw little-endian p.Core.OutputType bytes and
 // then Close.
 func NewWriter(w io.Writer, dims []int, p Params) (*Writer, error) {
@@ -138,9 +139,13 @@ func NewWriter(w io.Writer, dims []int, p Params) (*Writer, error) {
 	}
 	rows := dims[0]
 	slabRows := slabRowsFor(rows, p.SlabRows)
+	nSlabs := (rows + slabRows - 1) / slabRows
 	workers := p.Workers
 	if workers < 1 {
 		workers = runtime.NumCPU()
+	}
+	if workers > nSlabs {
+		workers = nSlabs
 	}
 	rowElems := 1
 	for _, d := range dims[1:] {
@@ -151,39 +156,23 @@ func NewWriter(w io.Writer, dims []int, p Params) (*Writer, error) {
 		dst:      w,
 		crc:      crc32.NewIEEE(),
 		dims:     append([]int(nil), dims...),
-		dtype:    dtype,
 		cp:       p.Core,
 		slabRows: slabRows,
-		nSlabs:   (rows + slabRows - 1) / slabRows,
+		nSlabs:   nSlabs,
 		rowBytes: rowElems * dtype.Size(),
 		elemSize: dtype.Size(),
-		version:  version,
-		streams:  streams,
-		jobs:     make(chan job, workers),
-		order:    make(chan chan result, 2*workers+2),
-		done:     make(chan struct{}),
+		ring:     make([]slabEncode, workers),
 	}
-	if err := w2.writeHeader(); err != nil {
+	for i := range w2.ring {
+		w2.ring[i].done = make(chan struct{}, 1)
+	}
+	// The one-pass writer always emits per-slab codebooks, so a v3
+	// header carries an empty shared-codebook section.
+	head := appendHeader(make([]byte, 0, MaxHeaderLen), ContainerInfo{
+		Version: version, Dims: dims, SlabRows: slabRows, Streams: streams})
+	if err := w2.writeHashed(head); err != nil {
 		return nil, err
 	}
-	// Seed each worker's output buffer at half the raw slab size — ample
-	// for typical compression factors, and append-growth (recycled too)
-	// covers incompressible slabs.
-	streamHint := w2.slabRows * w2.rowBytes / 2
-	for i := 0; i < workers; i++ {
-		w2.wg.Add(1)
-		go func() {
-			defer w2.wg.Done()
-			for j := range w2.jobs {
-				s, st, err := core.CompressAppend(scratch.Bytes(streamHint)[:0], j.slab, w2.cp)
-				if j.pooled {
-					scratch.PutFloat64s(j.slab.Data)
-				}
-				j.res <- result{s, st, err}
-			}
-		}()
-	}
-	go w2.emit()
 	return w2, nil
 }
 
@@ -296,6 +285,27 @@ func ParseContainerHeader(b []byte) (*ContainerInfo, error) {
 	return ci, nil
 }
 
+// appendHeader appends the fixed container header that
+// ParseContainerHeader reads back (ci.HeaderLen is not consulted); for
+// v3, a shared codebook section of ci.CodebookLen bytes must follow it.
+func appendHeader(b []byte, ci ContainerInfo) []byte {
+	if ci.Version >= 3 {
+		b = append(b, magicV3...)
+	} else {
+		b = append(b, magicV2...)
+	}
+	b = append(b, byte(len(ci.Dims)))
+	for _, d := range ci.Dims {
+		b = binary.AppendUvarint(b, uint64(d))
+	}
+	b = binary.AppendUvarint(b, uint64(ci.SlabRows))
+	if ci.Version >= 3 {
+		b = append(b, byte(ci.Streams))
+		b = binary.AppendUvarint(b, uint64(ci.CodebookLen))
+	}
+	return b
+}
+
 // maxCodebookSection bounds the shared codebook section so a hostile
 // length field cannot force an unbounded read: a full 2^16-symbol
 // codebook serializes in well under 64 KiB.
@@ -317,91 +327,20 @@ func slabRowsFor(rows, requested int) int {
 	return slabRows
 }
 
-func (w *Writer) writeHeader() error {
-	head := make([]byte, 0, 48)
-	if w.version >= 3 {
-		head = append(head, magicV3...)
-	} else {
-		head = append(head, magicV2...)
-	}
-	head = append(head, byte(len(w.dims)))
-	for _, d := range w.dims {
-		head = binary.AppendUvarint(head, uint64(d))
-	}
-	head = binary.AppendUvarint(head, uint64(w.slabRows))
-	if w.version >= 3 {
-		// Streams byte plus an empty shared-codebook section: the
-		// one-pass writer always emits per-slab codebooks.
-		head = append(head, byte(w.streams))
-		head = binary.AppendUvarint(head, 0)
-	}
-	return w.writeHashed(head)
-}
-
 // writeHashed writes to the destination while folding the bytes into the
-// running container CRC. Only NewWriter, the emitter, and Close call it,
-// never concurrently.
+// running container CRC.
 func (w *Writer) writeHashed(b []byte) error {
 	if _, err := w.dst.Write(b); err != nil {
 		return err
 	}
 	w.crc.Write(b)
-	w.mu.Lock()
 	w.written += int64(len(b))
-	w.mu.Unlock()
 	return nil
-}
-
-// emit drains the ordered result queue, writing each compressed slab as
-// soon as it and all its predecessors are done.
-func (w *Writer) emit() {
-	defer close(w.done)
-	for rc := range w.order {
-		r := <-rc
-		resChanPool.Put(rc) // drained: one send, one receive
-		if r.err != nil {
-			w.setErr(r.err)
-			continue
-		}
-		if w.getErr() != nil {
-			scratch.PutBytes(r.stream)
-			continue
-		}
-		err := w.writeHashed(r.stream)
-		n := len(r.stream)
-		scratch.PutBytes(r.stream)
-		if err != nil {
-			w.setErr(err)
-			continue
-		}
-		w.mu.Lock()
-		w.lengths = append(w.lengths, n)
-		w.slabStats = append(w.slabStats, r.stats)
-		w.mu.Unlock()
-	}
-}
-
-func (w *Writer) setErr(err error) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.mu.Unlock()
-}
-
-func (w *Writer) getErr() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
 }
 
 // curSlabRows returns the row count of the slab currently being filled.
 func (w *Writer) curSlabRows() int {
-	rows := w.dims[0] - w.slabIdx*w.slabRows
-	if rows > w.slabRows {
-		rows = w.slabRows
-	}
-	return rows
+	return min(w.slabRows, w.dims[0]-w.next*w.slabRows)
 }
 
 // Write accepts the next raw little-endian bytes of the row-major array.
@@ -409,15 +348,13 @@ func (w *Writer) Write(b []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("blocked: write after Close")
 	}
-	if err := w.getErr(); err != nil {
-		return 0, err
+	if w.err != nil {
+		return 0, w.err
 	}
 	n := len(b)
 	for len(b) > 0 {
-		if w.slabIdx >= w.nSlabs {
-			err := fmt.Errorf("blocked: more than %d rows of data written", w.dims[0])
-			w.setErr(err)
-			return n - len(b), err
+		if w.next >= w.nSlabs {
+			return n - len(b), w.fail(fmt.Errorf("blocked: more than %d rows of data written", w.dims[0]))
 		}
 		target := w.curSlabRows() * w.rowBytes
 		if cap(w.buf) == 0 {
@@ -441,13 +378,12 @@ func (w *Writer) Write(b []byte) (int, error) {
 }
 
 // dispatchBuf parses the accumulated slab bytes into an array and hands
-// it to the pipeline, recycling the byte buffer. The slab's float64
+// it to the encode window, recycling the byte buffer. The slab's float64
 // backing comes from the scratch pool (every element is assigned here);
-// the compressing worker recycles it.
+// its encode recycles it.
 func (w *Writer) dispatchBuf() error {
-	rows := w.curSlabRows()
 	dims := append([]int(nil), w.dims...)
-	dims[0] = rows
+	dims[0] = w.curSlabRows()
 	es := w.elemSize
 	data := scratch.Float64s(len(w.buf) / es)
 	if es == 4 {
@@ -463,20 +399,20 @@ func (w *Writer) dispatchBuf() error {
 	return w.dispatch(&grid.Array{Dims: dims, Data: data}, true)
 }
 
-// writeSlab feeds a whole slab directly into the pipeline, bypassing the
-// raw-byte path; Compress uses it with zero-copy slab views. Do not mix
-// with partial Write calls.
+// writeSlab feeds a whole slab directly into the encode window, bypassing
+// the raw-byte path; Compress uses it with zero-copy slab views. Do not
+// mix with partial Write calls.
 func (w *Writer) writeSlab(slab *grid.Array) error {
 	if w.closed {
 		return errors.New("blocked: write after Close")
 	}
-	if err := w.getErr(); err != nil {
-		return err
+	if w.err != nil {
+		return w.err
 	}
 	if len(w.buf) != 0 {
 		return errors.New("blocked: writeSlab after partial Write")
 	}
-	if w.slabIdx >= w.nSlabs {
+	if w.next >= w.nSlabs {
 		return fmt.Errorf("blocked: more than %d rows of data written", w.dims[0])
 	}
 	if slab.Dims[0] != w.curSlabRows() {
@@ -485,80 +421,131 @@ func (w *Writer) writeSlab(slab *grid.Array) error {
 	return w.dispatch(slab, false)
 }
 
-// resChanPool recycles the per-slab result channels (channels are
-// pointer-shaped, so pooling them allocates nothing in steady state).
-var resChanPool = sync.Pool{New: func() any { return make(chan result, 1) }}
-
+// dispatch starts slab's encode in the window, first writing out the
+// oldest slab when the window is full.
 func (w *Writer) dispatch(slab *grid.Array, pooled bool) error {
-	res := resChanPool.Get().(chan result)
-	w.order <- res
-	w.jobs <- job{slab: slab, pooled: pooled, res: res}
-	w.rowsDone += slab.Dims[0]
-	w.slabIdx++
+	if w.next-w.emitted == len(w.ring) {
+		if err := w.emit(); err != nil {
+			if pooled {
+				scratch.PutFloat64s(slab.Data)
+			}
+			return err
+		}
+	}
+	e := &w.ring[w.next%len(w.ring)]
+	e.slab, e.pooled = slab, pooled
+	go w.encode(e)
+	w.next++
 	return nil
 }
 
-// Close flushes the compression pipeline, writes the footer, and
+// encode runs on its own goroutine: it compresses e.slab into e.out,
+// recycles a pooled slab and signals e.done. It reads only Writer fields
+// NewWriter set.
+func (w *Writer) encode(e *slabEncode) {
+	// Seed the output buffer at half the raw slab size — ample for
+	// typical compression factors, and append-growth (recycled too)
+	// covers incompressible slabs.
+	e.out, e.stats, e.err = core.CompressAppend(scratch.Bytes(w.slabRows * w.rowBytes / 2)[:0], e.slab, w.cp)
+	if e.pooled {
+		scratch.PutFloat64s(e.slab.Data)
+	}
+	e.slab = nil
+	e.done <- struct{}{}
+}
+
+// emit waits for the oldest slab in the window and writes its stream to
+// the destination. On failure it fails the writer.
+func (w *Writer) emit() error {
+	e := &w.ring[w.emitted%len(w.ring)]
+	<-e.done
+	w.emitted++
+	out, err := e.out, e.err
+	e.out = nil
+	if err == nil {
+		err = w.writeHashed(out)
+	}
+	scratch.PutBytes(out)
+	if err != nil {
+		return w.fail(err)
+	}
+	w.lengths = append(w.lengths, len(out))
+	w.slabStats = append(w.slabStats, e.stats)
+	return nil
+}
+
+// fail records the writer's first error and drains the window, waiting
+// for every encode still in it and recycling its output, so a failed
+// writer has nothing left running. It returns the recorded error.
+func (w *Writer) fail(err error) error {
+	if w.err == nil {
+		w.err = err
+	}
+	for ; w.emitted < w.next; w.emitted++ {
+		e := &w.ring[w.emitted%len(w.ring)]
+		<-e.done
+		scratch.PutBytes(e.out)
+		e.out = nil
+	}
+	return w.err
+}
+
+// Close writes out the slabs still in the window, then the footer, and
 // finalizes Stats. It fails if the data delivered does not amount to
-// exactly product(dims) values.
+// exactly product(dims) values, and returns the same error when called
+// again.
 func (w *Writer) Close() error {
 	if w.closed {
-		return w.closeErr
+		return w.err
 	}
 	w.closed = true
-	if len(w.buf) != 0 && w.getErr() == nil {
-		w.setErr(fmt.Errorf("blocked: %d trailing bytes do not complete a slab", len(w.buf)))
+	for w.err == nil && w.emitted < w.next {
+		w.emit() // a failure is recorded in w.err and drains the window
 	}
-	if w.rowsDone != w.dims[0] && w.getErr() == nil {
-		w.setErr(fmt.Errorf("blocked: got %d of %d rows", w.rowsDone, w.dims[0]))
+	switch {
+	case w.err != nil:
+	case len(w.buf) != 0:
+		w.err = fmt.Errorf("blocked: %d trailing bytes do not complete a slab", len(w.buf))
+	case w.next != w.nSlabs:
+		w.err = fmt.Errorf("blocked: got %d of %d rows", w.next*w.slabRows, w.dims[0])
 	}
-	close(w.jobs)
-	w.wg.Wait()
-	close(w.order)
-	<-w.done
 	scratch.PutBytes(w.buf)
 	w.buf = nil
-	if err := w.getErr(); err != nil {
-		w.closeErr = err
+	if w.err != nil {
+		return w.err
+	}
+	err := w.writeHashed(appendFooter(nil, w.lengths))
+	if err == nil {
+		err = w.writeHashed(binary.LittleEndian.AppendUint32(nil, w.crc.Sum32()))
+	}
+	if err != nil {
+		w.err = err
 		return err
 	}
-
-	// Footer: slab count + lengths, their byte length, container CRC.
-	foot := binary.AppendUvarint(nil, uint64(w.nSlabs))
-	for _, l := range w.lengths {
-		foot = binary.AppendUvarint(foot, uint64(l))
-	}
-	footLen := len(foot)
-	foot = binary.LittleEndian.AppendUint32(foot, uint32(footLen))
-	if err := w.writeHashed(foot); err != nil {
-		w.closeErr = err
-		return err
-	}
-	tail := binary.LittleEndian.AppendUint32(nil, w.crc.Sum32())
-	if _, err := w.dst.Write(tail); err != nil {
-		w.closeErr = err
-		return err
-	}
-	w.mu.Lock()
-	w.written += int64(len(tail))
-	w.mu.Unlock()
-
-	w.stats = w.aggregateStats()
+	w.stats = aggregate(w.dims, w.cp.AbsBound, int(w.written), w.slabStats)
 	return nil
 }
 
-func (w *Writer) aggregateStats() *Stats {
-	n := 1
-	for _, d := range w.dims {
-		n *= d
+// appendFooter appends the footer of a body holding slab streams of the
+// given lengths: the slab count, the lengths, and the byte length of
+// those varints. The container CRC, over everything before it, follows.
+func appendFooter(b []byte, lengths []int) []byte {
+	start := len(b)
+	b = binary.AppendUvarint(b, uint64(len(lengths)))
+	for _, l := range lengths {
+		b = binary.AppendUvarint(b, uint64(l))
 	}
-	agg := &Stats{
-		N:               n,
-		Slabs:           w.nSlabs,
-		EffAbsBound:     w.cp.AbsBound,
-		CompressedBytes: int(w.written),
+	return binary.LittleEndian.AppendUint32(b, uint32(len(b)-start))
+}
+
+// aggregate sums the per-slab statistics of a container of the given
+// dims and compressed size.
+func aggregate(dims []int, eb float64, compressed int, slabStats []*core.Stats) *Stats {
+	agg := &Stats{N: 1, Slabs: len(slabStats), EffAbsBound: eb, CompressedBytes: compressed}
+	for _, d := range dims {
+		agg.N *= d
 	}
-	for _, st := range w.slabStats {
+	for _, st := range slabStats {
 		agg.Predictable += st.Predictable
 		agg.OriginalBytes += st.OriginalBytes
 	}

@@ -42,8 +42,20 @@ func BenchmarkBlockedOneShot(b *testing.B) {
 // BenchmarkBlockedStreamWrite pushes raw little-endian bytes through the
 // streaming Writer — the in-situ pipe scenario, including byte parsing.
 func BenchmarkBlockedStreamWrite(b *testing.B) {
-	a, p, raw := benchField(b)
-	_ = a
+	_, p, raw := benchField(b)
+	benchStreamWrite(b, p, raw)
+}
+
+// BenchmarkBlockedStreamWriteV3 is the same write into a v3 container
+// with four interleaved sub-streams per slab, the layout `sz c` and szd
+// write by default.
+func BenchmarkBlockedStreamWriteV3(b *testing.B) {
+	_, p, raw := benchField(b)
+	p.Core.Streams = 4
+	benchStreamWrite(b, p, raw)
+}
+
+func benchStreamWrite(b *testing.B, p Params, raw []byte) {
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

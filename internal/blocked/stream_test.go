@@ -345,6 +345,176 @@ func TestReaderCloseJoinsDecodes(t *testing.T) {
 	}
 }
 
+// TestWriterIsIncremental pins how far the writer's destination trails
+// the input: on a pipe, the header and slabs 0..k must be readable once
+// slabs 0..k+workers have been handed in, with Close still to come,
+// since handing in slab k+workers first writes out slab k. After Close
+// the pipe must have carried exactly Compress's container.
+func TestWriterIsIncremental(t *testing.T) {
+	a := datagen.Hurricane(32, 20, 20, 5)
+	p := absParams(4, grid.Float32)
+	want, _, err := Compress(a, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Inspect(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := rawBytes(t, a, grid.Float32)
+	slabBytes := len(raw) / a.Dims[0] * p.SlabRows
+
+	const k = 2
+	for _, workers := range []int{1, 4} {
+		p.Workers = workers
+		pr, pw := io.Pipe()
+		prefix := make(chan error, 1)
+		all := make(chan []byte, 1)
+		go func() {
+			got := make([]byte, ix.HeaderLen+ix.Offsets[k+1])
+			_, err := io.ReadFull(pr, got)
+			prefix <- err
+			rest, _ := io.ReadAll(pr)
+			all <- append(got, rest...)
+		}()
+		w, err := NewWriter(pw, a.Dims, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handed := (k + workers + 1) * slabBytes
+		if _, err := w.Write(raw[:handed]); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-prefix:
+			if err != nil {
+				t.Fatalf("workers %d: reading the header and slabs 0..%d: %v", workers, k, err)
+			}
+		case <-time.After(10 * time.Second):
+			pw.CloseWithError(errors.New("timed out"))
+			t.Fatalf("workers %d: slabs 0..%d not written once slabs 0..%d were handed in",
+				workers, k, k+workers)
+		}
+		if _, err := w.Write(raw[handed:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		pw.Close()
+		if got := <-all; !bytes.Equal(got, want) {
+			t.Fatalf("workers %d: piped container (%d bytes) differs from Compress (%d bytes)",
+				workers, len(got), len(want))
+		}
+	}
+}
+
+// TestWriterLeavesNoGoroutines: a writer's encodes run on goroutines of
+// their own that end with the encode, so writers abandoned mid-stream
+// without Close, or closed at any point mid-stream, from several
+// goroutines at once, leave nothing running. Run with -race: a Close
+// that recycled a buffer under a running encode would hand it to
+// another writer while that encode still used it.
+func TestWriterLeavesNoGoroutines(t *testing.T) {
+	a := datagen.Hurricane(40, 24, 24, 3)
+	raw := rawBytes(t, a, grid.Float32)
+	v2 := absParams(4, grid.Float32)
+	v3 := absParams(5, grid.Float32)
+	v3.Core.Streams = 4
+	for _, tc := range []struct {
+		name   string
+		closes bool
+	}{{"abandoned", false}, {"closed", true}} {
+		base := runtime.NumGoroutine()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int, closes bool) {
+				defer wg.Done()
+				for it := 0; it < 8; it++ {
+					// Stop at one of 32 points through the stream, the
+					// last one its end.
+					cut := (g*8 + it + 1) * len(raw) / 32
+					for _, p := range []Params{v2, v3} {
+						for _, workers := range []int{1, 4} {
+							p.Workers = workers
+							w, err := NewWriter(io.Discard, a.Dims, p)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							if _, err := w.Write(raw[:cut]); err != nil {
+								t.Error(err)
+							}
+							if !closes {
+								continue
+							}
+							if err := w.Close(); (err == nil) != (cut == len(raw)) {
+								t.Errorf("%d of %d bytes: Close returned %v", cut, len(raw), err)
+							}
+						}
+					}
+				}
+			}(g, tc.closes)
+		}
+		wg.Wait()
+		// An encode goroutine's last act is its done signal, into a
+		// buffered channel whether or not anything waits for it.
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines outlive the writers:\n%s", tc.name, n-base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// failAfter is a destination whose writes fail once n have succeeded.
+type failAfter struct{ n int }
+
+var errDst = errors.New("destination failed")
+
+func (f *failAfter) Write(b []byte) (int, error) {
+	if f.n == 0 {
+		return 0, errDst
+	}
+	f.n--
+	return len(b), nil
+}
+
+// TestWriterDestinationFailure: a destination failing at any write —
+// header, any slab, footer or CRC — surfaces from the NewWriter, Write
+// or Close that reaches it, and from every Close after it; a failed
+// writer has no Stats.
+func TestWriterDestinationFailure(t *testing.T) {
+	a := datagen.Hurricane(40, 24, 24, 3)
+	raw := rawBytes(t, a, grid.Float32)
+	p := absParams(4, grid.Float32) // 10 slabs: 13 writes in all
+	for _, workers := range []int{1, 4} {
+		p.Workers = workers
+		for n := 0; n < 13; n++ {
+			w, err := NewWriter(&failAfter{n: n}, a.Dims, p)
+			if n == 0 {
+				if !errors.Is(err, errDst) {
+					t.Fatalf("workers %d: header write failure: NewWriter returned %v", workers, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err = w.Write(raw); err == nil {
+				err = w.Close()
+			}
+			if !errors.Is(err, errDst) || !errors.Is(w.Close(), errDst) || w.Stats() != nil {
+				t.Fatalf("workers %d: write %d failing: got %v, stats %v", workers, n, err, w.Stats())
+			}
+		}
+	}
+}
+
 // TestWriterRejectsRelativeBound: a single pass cannot resolve a
 // value-range bound.
 func TestWriterRejectsRelativeBound(t *testing.T) {

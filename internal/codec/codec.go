@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -60,7 +59,8 @@ type Params struct {
 	Dims []int
 	// SlabRows is the blocked-container slab thickness (0 = auto).
 	SlabRows int
-	// Workers bounds blocked-container parallelism (0 = NumCPU).
+	// Workers bounds blocked-container parallelism: the slab encodes or
+	// decodes in flight at once (0 = NumCPU).
 	Workers int
 	// Rate, when positive, selects ZFP's fixed-rate mode (bits/value)
 	// instead of fixed-accuracy.
@@ -135,21 +135,12 @@ func (p Params) dtype() grid.DType {
 // understand absolute bounds (sz11, isabela, zfp fixed-accuracy),
 // mirroring how the paper's evaluation derives per-set bounds.
 func (p Params) absBound(a *grid.Array) float64 {
-	var eb float64
-	switch p.mode() {
-	case core.BoundAbs:
-		eb = p.AbsBound
-	case core.BoundRel:
-		_, _, rng := a.Range()
-		eb = p.RelBound * rng
-	case core.BoundAbsAndRel:
-		_, _, rng := a.Range()
-		eb = math.Min(p.AbsBound, p.RelBound*rng)
+	cp := p.Core()
+	var rng float64
+	if cp.Mode != core.BoundAbs {
+		_, _, rng = a.Range()
 	}
-	if eb <= 0 || math.IsNaN(eb) {
-		eb = math.SmallestNonzeroFloat64
-	}
-	return eb
+	return cp.EffectiveBound(rng)
 }
 
 // Codec is one registered compressor.

@@ -75,7 +75,7 @@ func analyze(a *grid.Array, p Params, kernels bool) (*Scan, error) {
 		return nil, err
 	}
 	_, _, valueRange := a.Range()
-	eb := p.effectiveBound(valueRange)
+	eb := p.EffectiveBound(valueRange)
 
 	q, err := quant.New(eb, p.IntervalBits)
 	if err != nil {

@@ -189,11 +189,13 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// effectiveBound resolves the absolute bound for a data set with the given
-// value range. Constant data (range 0) in relative mode degrades to the
-// smallest positive bound, which keeps the quantizer well-defined while the
-// bound stays trivially satisfied.
-func (p Params) effectiveBound(valueRange float64) float64 {
+// EffectiveBound resolves the absolute bound for a data set with the given
+// value range (consulted only in the relative modes). Constant data
+// (range 0) in relative mode degrades to the smallest positive bound,
+// which keeps the quantizer well-defined while the bound stays trivially
+// satisfied. It is the one place a bound mode becomes an absolute bound:
+// the blocked container and the absolute-only codecs resolve through it.
+func (p Params) EffectiveBound(valueRange float64) float64 {
 	var eb float64
 	switch p.Mode {
 	case BoundAbs:

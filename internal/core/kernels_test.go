@@ -218,7 +218,7 @@ func TestKernelSelection(t *testing.T) {
 	} {
 		a := grid.New(tc.dims...)
 		p := Params{Mode: BoundAbs, AbsBound: 0.01, Layers: tc.layers}.withDefaults()
-		eb := p.effectiveBound(0)
+		eb := p.EffectiveBound(0)
 		q, err := quant.New(eb, p.IntervalBits)
 		if err != nil {
 			t.Fatal(err)

@@ -31,7 +31,7 @@ func ProbeHitRates(a *grid.Array, p Params) (HitRates, error) {
 		return HitRates{}, err
 	}
 	_, _, valueRange := a.Range()
-	eb := p.effectiveBound(valueRange)
+	eb := p.EffectiveBound(valueRange)
 
 	pred, err := predictor.New(a.Dims, p.Layers)
 	if err != nil {

@@ -579,20 +579,18 @@ func newMeteredReader(src io.Reader, gr *grant, declared, charge, limit, mult in
 // respWriter counts response bytes and remembers whether the body has
 // started (after which errors can only abort the connection). discard
 // swallows writes once a request is being aborted, so cleanup-time
-// flushes from a codec writer emit nothing; it is atomic because the
-// handler goroutine sets it while a blocked writer's emit goroutine may
-// still be inside Write (n and wrote need no lock: Write is called by
-// one goroutine at a time, and the handler only reads them after
-// zw.Close joins that goroutine).
+// flushes from a codec writer emit nothing. It needs no lock: every
+// codec writer, the blocked one included, writes to its destination
+// only from the goroutine calling its Write and Close, the handler's.
 type respWriter struct {
 	http.ResponseWriter
 	n       int64
 	wrote   bool
-	discard atomic.Bool
+	discard bool
 }
 
 func (rw *respWriter) Write(b []byte) (int, error) {
-	if rw.discard.Load() {
+	if rw.discard {
 		return len(b), nil
 	}
 	rw.wrote = true
@@ -697,12 +695,12 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		err = zw.Close()
 	} else {
-		// The request is aborted, but the writer must still be closed
-		// or the blocked container's worker/emit goroutines (and their
-		// slab memory) leak for the daemon's lifetime. Discard its
+		// The request is aborted, but the writer is still closed: Close
+		// waits for the blocked container's slab encodes in flight and
+		// recycles their buffers into the scratch pools. Discard its
 		// output first so no trailer bytes reach the truncated
 		// response.
-		out.discard.Store(true)
+		out.discard = true
 		zw.Close()
 	}
 	sp.End()

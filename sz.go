@@ -207,7 +207,8 @@ func DecompressPointwiseRel(stream []byte) (*Array, float64, error) {
 type (
 	// CodecParams configures a registry codec (bounds, layout, knobs).
 	CodecParams = codec.Params
-	// BlockedWriter streams a blocked container out as rows arrive.
+	// BlockedWriter streams a blocked container out as rows arrive,
+	// encoding slabs on worker goroutines and writing them in order.
 	BlockedWriter = blocked.Writer
 	// BlockedReader decompresses a blocked container, decoding slabs
 	// ahead on worker goroutines and serving them in order.
@@ -254,7 +255,11 @@ func NewCodecReader(name string, r io.Reader, p CodecParams) (io.ReadCloser, err
 
 // NewBlockedWriter streams a blocked container to w for an array with
 // the given dimensions; see blocked.NewWriter for the contract (the
-// bound must be absolute — resolve relative bounds first).
+// bound must be absolute — resolve relative bounds first). Up to
+// p.Workers slab encodes (0 = NumCPU) run on their own goroutines, and
+// the calls to Write and Close write the finished slabs to w in slab
+// order: w sees slab k once slab k+Workers has been handed in, or at
+// Close. Nothing is left running once Close returns.
 func NewBlockedWriter(w io.Writer, dims []int, p BlockedParams) (*BlockedWriter, error) {
 	return blocked.NewWriter(w, dims, p)
 }
