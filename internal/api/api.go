@@ -10,6 +10,7 @@ package api
 
 import (
 	"fmt"
+	"net/http"
 	"strings"
 )
 
@@ -147,6 +148,33 @@ func TenantFromKey(key string) (string, error) {
 		return "", fmt.Errorf("api key has empty tenant prefix")
 	}
 	return tenant, nil
+}
+
+// Identity is a request's resolved admission identity.
+type Identity struct {
+	Tenant   string
+	Priority Priority
+}
+
+// ResolveIdentity resolves the tenant and priority a request's
+// HeaderAPIKey and HeaderPriority name. A malformed value is a 400
+// CodeBadTenant *Error, which both tiers answer before any other work,
+// so oversized or hostile keys cost nothing.
+func ResolveIdentity(h http.Header) (Identity, error) {
+	tenant, err := TenantFromKey(h.Get(HeaderAPIKey))
+	if err != nil {
+		return Identity{}, badTenant(HeaderAPIKey, err)
+	}
+	pri, err := ParsePriority(h.Get(HeaderPriority))
+	if err != nil {
+		return Identity{}, badTenant(HeaderPriority, err)
+	}
+	return Identity{Tenant: tenant, Priority: pri}, nil
+}
+
+func badTenant(header string, err error) *Error {
+	return &Error{Status: http.StatusBadRequest, Code: CodeBadTenant,
+		Message: "invalid " + header + ": " + err.Error()}
 }
 
 // IfNoneMatchHas reports whether the If-None-Match field value inm

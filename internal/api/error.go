@@ -96,11 +96,15 @@ func Wrap(status int, err error) *Error {
 
 // WriteError emits the envelope on w. It sets Retry-After (seconds,
 // ceiling) alongside retry_after_ms so plain HTTP clients and
-// proxies see the standard hint too. The envelope is best-effort: if
-// the handler already started streaming a body, the caller must not
-// call this.
+// proxies see the standard hint too, and fills a missing request_id
+// from the response's HeaderRequestID, which both tiers set on every
+// traced request. The envelope is best-effort: if the handler already
+// started streaming a body, the caller must not call this.
 func WriteError(w http.ResponseWriter, e *Error) {
 	h := w.Header()
+	if e.RequestID == "" {
+		e.RequestID = h.Get(HeaderRequestID)
+	}
 	h.Set("Content-Type", "application/json")
 	h.Del("Etag")
 	if e.RetryAfterMS > 0 {

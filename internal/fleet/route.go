@@ -200,8 +200,7 @@ func (rt *Router) proxyBody(endpoint string) http.HandlerFunc {
 		head, err := io.ReadAll(io.LimitReader(r.Body, int64(rt.bufferLimit)+1))
 		rd.End()
 		if err != nil {
-			rt.met.request(endpoint, http.StatusBadRequest)
-			rt.writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+			api.WriteError(w, api.Wrap(http.StatusBadRequest, fmt.Errorf("reading request body: %w", err)))
 			return
 		}
 		if len(head) > rt.bufferLimit {
@@ -221,7 +220,7 @@ func (rt *Router) proxyBody(endpoint string) http.HandlerFunc {
 		id := ""
 		if cacheableEndpoint[endpoint] {
 			id = requestIdentity(endpoint, r, key)
-			if rt.serveCached(w, r, endpoint, id) {
+			if rt.serveCached(w, r, id) {
 				return
 			}
 		}
@@ -285,7 +284,7 @@ func requestIdentity(endpoint string, r *http.Request, digest string) string {
 // reporting whether it did. Content-addressed responses are immutable,
 // so an If-None-Match covering the entry's ETag is answered 304 — no
 // backend, no body bytes.
-func (rt *Router) serveCached(w http.ResponseWriter, r *http.Request, endpoint, id string) bool {
+func (rt *Router) serveCached(w http.ResponseWriter, r *http.Request, id string) bool {
 	sp := obs.FromContext(r.Context()).StartSpan("cache")
 	e := rt.cache.get(id)
 	sp.End()
@@ -297,12 +296,10 @@ func (rt *Router) serveCached(w http.ResponseWriter, r *http.Request, endpoint, 
 		w.Header().Set("Etag", etag)
 		w.Header().Set(api.HeaderBackend, e.backend)
 		w.WriteHeader(http.StatusNotModified)
-		rt.met.request(endpoint, http.StatusNotModified)
 		return true
 	}
 	rt.met.cacheHitBytes(int64(len(e.body)))
 	e.writeTo(w)
-	rt.met.request(endpoint, e.status)
 	return true
 }
 
@@ -345,8 +342,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint strin
 		attempt := time.Now()
 		req, err := rt.buildRequest(r, backend, bytes.NewReader(body), int64(len(body)))
 		if err != nil {
-			rt.met.request(endpoint, http.StatusInternalServerError)
-			rt.writeError(w, http.StatusInternalServerError, err)
+			api.WriteError(w, api.Wrap(http.StatusInternalServerError, err))
 			return
 		}
 		resp, err := rt.client.Do(req)
@@ -401,7 +397,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint strin
 				rt.noteContainer(d, backend)
 			}
 		}
-		rt.relay(w, tr, resp, backend, endpoint, id)
+		rt.relay(w, tr, resp, backend, id)
 		return
 	}
 	if last != nil {
@@ -411,22 +407,19 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint strin
 			// no_replica tells the client re-uploading is the only remedy.
 			copyHeaders(w.Header(), last.header)
 			w.Header().Set(api.HeaderBackend, last.backend)
-			rt.met.request(endpoint, http.StatusNotFound)
-			rt.writeError(w, http.StatusNotFound, &api.Error{
+			api.WriteError(w, api.Wrap(http.StatusNotFound, &api.Error{
 				Code:    api.CodeNoReplica,
 				Message: fmt.Sprintf("container %s on no ring node", fillDigest),
-			})
+			}))
 			return
 		}
 		// Retry-After travels in the kept headers verbatim: the backend's
 		// own backoff hint must reach the client unchanged.
 		last.writeTo(w)
-		rt.met.request(endpoint, last.status)
 		return
 	}
-	rt.met.request(endpoint, http.StatusBadGateway)
-	rt.writeError(w, http.StatusBadGateway,
-		&api.Error{Code: api.CodeNoBackend, Message: "no reachable backend"})
+	api.WriteError(w, api.Wrap(http.StatusBadGateway,
+		&api.Error{Code: api.CodeNoBackend, Message: "no reachable backend"}))
 }
 
 // forwardStream forwards a non-replayable stream in one attempt: head
@@ -440,8 +433,7 @@ func (rt *Router) forwardStream(w http.ResponseWriter, r *http.Request, endpoint
 	http.NewResponseController(w).EnableFullDuplex()
 	req, err := rt.buildRequest(r, backend, io.MultiReader(bytes.NewReader(head), r.Body), -1)
 	if err != nil {
-		rt.met.request(endpoint, http.StatusInternalServerError)
-		rt.writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, api.Wrap(http.StatusInternalServerError, err))
 		return
 	}
 	resp, err := rt.client.Do(req)
@@ -454,12 +446,11 @@ func (rt *Router) forwardStream(w http.ResponseWriter, r *http.Request, endpoint
 			rt.poller.MarkDead(backend)
 			rt.met.failover(backend)
 		}
-		rt.met.request(endpoint, http.StatusBadGateway)
-		rt.writeError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %w", backend, err))
+		api.WriteError(w, api.Wrap(http.StatusBadGateway, fmt.Errorf("backend %s: %w", backend, err)))
 		return
 	}
 	rt.met.forward(backend, endpoint)
-	rt.relay(w, obs.FromContext(r.Context()), resp, backend, endpoint, "")
+	rt.relay(w, obs.FromContext(r.Context()), resp, backend, "")
 }
 
 // buildRequest clones the inbound request toward a backend.
@@ -480,6 +471,9 @@ func (rt *Router) buildRequest(r *http.Request, backend string, body io.Reader, 
 		req.Header.Set("Traceparent", t.Traceparent())
 		req.Header.Set(api.HeaderRequestID, t.RequestID)
 	}
+	// The resolved tenant rides along for symmetry and logs; the backend
+	// strips it and re-derives its own from the API key.
+	req.Header.Set(api.HeaderTenant, obs.IdentityFrom(r.Context()).Tenant)
 	if length >= 0 {
 		req.ContentLength = length
 	}
@@ -496,9 +490,10 @@ func (rt *Router) buildRequest(r *http.Request, backend string, body io.Reader, 
 // streams; once the copy is complete it is cached under id, with the
 // trailers stored as headers. If the backend body fails after the
 // headers are out, the client response is aborted — the client sees a
-// broken transfer, never a clean short 200 — the request counts as a
-// 502, and nothing is cached.
-func (rt *Router) relay(w http.ResponseWriter, tr *obs.Trace, resp *http.Response, backend, endpoint, id string) {
+// broken transfer, never a clean short 200 — the trace is sealed as a
+// 502 before the abort, so the request counts as one, and nothing is
+// cached.
+func (rt *Router) relay(w http.ResponseWriter, tr *obs.Trace, resp *http.Response, backend, id string) {
 	defer resp.Body.Close()
 	tr.MergeServerTiming("be-", resp.Header.Get("Server-Timing"))
 	copyHeaders(w.Header(), resp.Header)
@@ -513,8 +508,8 @@ func (rt *Router) relay(w http.ResponseWriter, tr *obs.Trace, resp *http.Respons
 	}
 	if len(tkeys) > 0 {
 		sort.Strings(tkeys)
-		// Add, not Set: the tracing middleware already declared its own
-		// Server-Timing trailer.
+		// Add, not Set: the request wrapper may declare its own
+		// Server-Timing trailer beside these.
 		w.Header().Add("Trailer", strings.Join(tkeys, ", "))
 	}
 	w.WriteHeader(resp.StatusCode)
@@ -550,7 +545,7 @@ func (rt *Router) relay(w http.ResponseWriter, tr *obs.Trace, resp *http.Respons
 	}
 	sp.End()
 	if upstreamErr != nil {
-		rt.met.request(endpoint, http.StatusBadGateway)
+		tr.Finish(http.StatusBadGateway)
 		panic(http.ErrAbortHandler)
 	}
 	// resp.Trailer is populated now that the body is drained.
@@ -573,5 +568,4 @@ func (rt *Router) relay(w http.ResponseWriter, tr *obs.Trace, resp *http.Respons
 		copyHeaders(h, resp.Trailer)
 		rt.cache.put(id, &cacheEntry{status: resp.StatusCode, header: h, body: kept, backend: backend})
 	}
-	rt.met.request(endpoint, resp.StatusCode)
 }

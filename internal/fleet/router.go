@@ -115,7 +115,6 @@ type Router struct {
 	aeInterval  time.Duration
 	rr          atomic.Uint64
 	met         *routerMetrics
-	rec         *obs.Recorder
 	mux         *http.ServeMux
 
 	// Background replication: replSeen dedups per-digest kicks, replWG
@@ -194,113 +193,30 @@ func New(cfg Config) (*Router, error) {
 		aeInterval:  cfg.AntiEntropyInterval,
 		replSeen:    map[string]time.Time{},
 		sweepKick:   make(chan struct{}, 1),
-		rec:         obs.NewRecorder(cfg.TraceRingSize, cfg.SlowThreshold, nil),
 		mux:         http.NewServeMux(),
 		cache:       newRespCache(cacheBytes),
 		entryLimit:  cacheBytes / 4,
 	}
 	rt.poller.afterPoll = rt.reconcile
 	rt.met = newRouterMetrics(rt.poller, rt.cache)
-	rt.mux.HandleFunc(api.PathCompress, rt.withObs("compress", rt.proxyBody("compress")))
-	rt.mux.HandleFunc(api.PathDecompress, rt.withObs("decompress", rt.proxyBody("decompress")))
-	rt.mux.HandleFunc(api.PathInspect, rt.withObs("inspect", rt.proxyBody("inspect")))
-	rt.mux.HandleFunc(api.PathSlabs, rt.withObs("slabs", rt.proxyBody("slabs")))
-	rt.mux.HandleFunc(api.PathSlabPrefix, rt.withObs("slab", rt.proxyBody("slab")))
-	rt.mux.HandleFunc(api.PathContainerPrefix, rt.withObs("container", rt.proxyBody("container")))
-	rt.mux.HandleFunc(api.PathCodecs, rt.withObs("codecs", rt.proxyBodyless("codecs")))
+	wrap := &obs.Wrapper{
+		Rec:    obs.NewRecorder(cfg.TraceRingSize, cfg.SlowThreshold, nil),
+		Stages: rt.met.stages,
+		Done:   rt.met.record,
+	}
+	rt.mux.HandleFunc(api.PathCompress, wrap.Wrap("compress", rt.proxyBody("compress")))
+	rt.mux.HandleFunc(api.PathDecompress, wrap.Wrap("decompress", rt.proxyBody("decompress")))
+	rt.mux.HandleFunc(api.PathInspect, wrap.Wrap("inspect", rt.proxyBody("inspect")))
+	rt.mux.HandleFunc(api.PathSlabs, wrap.Wrap("slabs", rt.proxyBody("slabs")))
+	rt.mux.HandleFunc(api.PathSlabPrefix, wrap.Wrap("slab", rt.proxyBody("slab")))
+	rt.mux.HandleFunc(api.PathContainerPrefix, wrap.Wrap("container", rt.proxyBody("container")))
+	rt.mux.HandleFunc(api.PathCodecs, wrap.Wrap("codecs", rt.proxyBodyless("codecs")))
 	rt.mux.HandleFunc(api.PathLimits, rt.handleLimits)
 	rt.mux.HandleFunc(api.PathHealthz, rt.handleHealthz)
-	rt.mux.HandleFunc(api.PathMetrics, rt.handleMetrics)
-	rt.mux.Handle(api.PathDebugTraces, rt.rec.Ring)
+	rt.mux.Handle(api.PathMetrics, rt.met.reg.Handler())
+	rt.mux.Handle(api.PathDebugTraces, wrap.Rec.Ring)
 	return rt, nil
 }
-
-// withObs is the router's tracing middleware: it continues (or opens)
-// the request's trace, echoes the request ID, renders Server-Timing —
-// the router's own spans plus the backend's merged under "be-" — as a
-// declared trailer, feeds the stage histograms, and records the trace.
-func (rt *Router) withObs(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t := obs.StartTrace(endpoint, r.Header.Get("Traceparent"), r.Header.Get(api.HeaderRequestID))
-		w.Header().Set(api.HeaderRequestID, t.RequestID)
-		w.Header().Add("Trailer", "Server-Timing")
-		// Tenant identity resolves at the edge and is never trusted from
-		// the wire: any inbound X-Sz-Tenant is stripped, and a malformed
-		// credential is answered here — before a backend burns admission
-		// work on it. The resolved name rides to the backend as
-		// X-Sz-Tenant (the backend still re-derives from the API key; the
-		// header is for symmetry and logs, not trust).
-		r.Header.Del(api.HeaderTenant)
-		tenant, terr := api.TenantFromKey(r.Header.Get(api.HeaderAPIKey))
-		if terr == nil {
-			_, terr = api.ParsePriority(r.Header.Get(api.HeaderPriority))
-		}
-		if terr != nil {
-			tenant = "invalid" // fixed label: hostile keys must not mint metric series
-		}
-		ow := &obsWriter{ResponseWriter: w, t: t}
-		defer func() {
-			status := ow.status
-			// A handler panic (relay aborting a response whose backend
-			// body failed) leaves the response incomplete: record it as
-			// the 502 it is, then let net/http drop the connection.
-			aborted := recover()
-			if aborted != nil {
-				status = http.StatusBadGateway
-			} else if status == 0 {
-				status = http.StatusOK
-			}
-			t.Finish(status)
-			w.Header().Set("Server-Timing", t.ServerTiming())
-			rt.met.tenantRequest(tenant, status)
-			rt.met.recordStages(t)
-			rt.rec.Done(t)
-			if aborted != nil {
-				panic(aborted)
-			}
-		}()
-		if terr != nil {
-			rt.met.request(endpoint, http.StatusBadRequest)
-			rt.writeError(ow, http.StatusBadRequest,
-				&api.Error{Code: api.CodeBadTenant, Message: terr.Error()})
-			return
-		}
-		r.Header.Set(api.HeaderTenant, tenant)
-		h(ow, r.WithContext(obs.NewContext(r.Context(), t)))
-	}
-}
-
-// obsWriter captures the response status for the trace. Responses that
-// carry a Content-Length (buffered relays) are not chunked, so the
-// declared Server-Timing trailer would be dropped — for those the
-// header is injected with the spans closed so far at WriteHeader time.
-type obsWriter struct {
-	http.ResponseWriter
-	t      *obs.Trace
-	status int
-}
-
-func (ow *obsWriter) WriteHeader(code int) {
-	if ow.status == 0 {
-		ow.status = code
-		if ow.Header().Get("Content-Length") != "" {
-			if v := ow.t.ServerTiming(); v != "" {
-				ow.Header().Set("Server-Timing", v)
-			}
-		}
-	}
-	ow.ResponseWriter.WriteHeader(code)
-}
-
-func (ow *obsWriter) Write(b []byte) (int, error) {
-	if ow.status == 0 {
-		ow.WriteHeader(http.StatusOK)
-	}
-	return ow.ResponseWriter.Write(b)
-}
-
-// Unwrap lets http.ResponseController reach the underlying writer.
-func (ow *obsWriter) Unwrap() http.ResponseWriter { return ow.ResponseWriter }
 
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler { return rt.mux }
@@ -448,11 +364,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "no routable backends\n")
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	io.WriteString(w, rt.met.expose())
-}
-
 // handleLimits aggregates GET /v1/limits across the fleet: every
 // routable backend's live QoS state, fetched in sequence (the fleet is
 // small and the endpoint cheap), plus the summed budget. Backends that
@@ -460,8 +371,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // one node is mid-restart.
 func (rt *Router) handleLimits(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		rt.writeError(w, http.StatusMethodNotAllowed,
-			&api.Error{Code: api.CodeBadRequest, Message: "method not allowed"})
+		api.WriteError(w, api.Wrap(http.StatusMethodNotAllowed,
+			&api.Error{Code: api.CodeBadRequest, Message: "method not allowed"}))
 		return
 	}
 	fl := api.FleetLimits{Backends: map[string]api.Limits{}}
@@ -489,22 +400,12 @@ func (rt *Router) handleLimits(w http.ResponseWriter, r *http.Request) {
 		fl.BudgetBytes += lim.BudgetBytes
 	}
 	if len(fl.Backends) == 0 {
-		rt.writeError(w, http.StatusServiceUnavailable,
-			&api.Error{Code: api.CodeNoBackend, Message: "no routable backend answered /v1/limits"})
+		api.WriteError(w, api.Wrap(http.StatusServiceUnavailable,
+			&api.Error{Code: api.CodeNoBackend, Message: "no routable backend answered /v1/limits"}))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(fl)
-}
-
-// writeError renders err as the shared JSON envelope, stamping the
-// request ID the tracing middleware already placed on the response.
-func (rt *Router) writeError(w http.ResponseWriter, status int, err error) {
-	e := api.Wrap(status, err)
-	if e.RequestID == "" {
-		e.RequestID = w.Header().Get(api.HeaderRequestID)
-	}
-	api.WriteError(w, e)
 }
 
 // routerMetrics counts the router's own traffic on the shared obs
@@ -594,10 +495,6 @@ func (m *routerMetrics) replicationRepair(backend string) { m.replRepairs.Inc(ba
 
 func (m *routerMetrics) replicationFailover(backend string) { m.replFailovers.Inc(backend) }
 
-func (m *routerMetrics) tenantRequest(tenant string, status int) {
-	m.tenants.Inc(tenant, strconv.Itoa(status))
-}
-
 func (m *routerMetrics) cacheHitBytes(n int64) { m.hitBytes.Add(float64(n)) }
 
 func (m *routerMetrics) peerFill(backend string) { m.fills.Inc(backend) }
@@ -606,19 +503,18 @@ func (m *routerMetrics) forward(backend, endpoint string) { m.forwards.Inc(backe
 
 func (m *routerMetrics) failover(backend string) { m.failovers.Inc(backend) }
 
-func (m *routerMetrics) request(endpoint string, status int) {
-	m.requests.Inc(endpoint, strconv.Itoa(status))
-}
-
-// recordStages feeds a finished trace's spans into the per-stage
-// histograms; aggregated spans observe their summed duration once.
-func (m *routerMetrics) recordStages(t *obs.Trace) {
-	if t == nil {
-		return
+// record counts one finished client request: it is the request
+// wrapper's Done hook, the only place the router writes its request
+// counters. A malformed credential counts under the fixed tenant
+// "invalid", so hostile keys cannot mint metric series.
+func (m *routerMetrics) record(o obs.Outcome) {
+	status := strconv.Itoa(o.Status)
+	tenant := o.Tenant
+	if tenant == "" {
+		tenant = "invalid"
 	}
-	for _, sp := range t.Spans() {
-		m.stages.ObserveDuration(sp.Dur, t.Endpoint, sp.Name)
-	}
+	m.requests.Inc(o.Endpoint, status)
+	m.tenants.Inc(tenant, status)
 }
 
 func (m *routerMetrics) expose() string { return m.reg.Expose() }

@@ -2,9 +2,9 @@
 // with cheap in-process spans, W3C traceparent propagation between the
 // tiers (sz client -> szrouter -> szd), Server-Timing rendering, an
 // in-memory ring of recent traces served as JSON on /debug/traces,
-// structured slow-request logging, and a shared Prometheus-text metrics
-// registry (registry.go) that replaces the per-daemon hand-rolled
-// emitters.
+// structured slow-request logging, a shared Prometheus-text metrics
+// registry (registry.go), and the request wrapper both daemons put in
+// front of their routes (http.go).
 //
 // Everything here is dependency-free and allocation-light: a span is
 // two time.Now calls and one mutex-guarded append, so tracing stays on
@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -330,6 +331,9 @@ type TimingEntry struct {
 
 // ParseServerTiming parses a Server-Timing header value into entries,
 // tolerating parameters other than dur and entries without one (Dur 0).
+// A dur that is not finite, is negative or exceeds a time.Duration
+// reads as no dur: the router merges every backend's value into its
+// own timings.
 func ParseServerTiming(h string) []TimingEntry {
 	var out []TimingEntry
 	for _, part := range strings.Split(h, ",") {
@@ -348,8 +352,9 @@ func ParseServerTiming(h string) []TimingEntry {
 			if !ok || !strings.EqualFold(strings.TrimSpace(k), "dur") {
 				continue
 			}
-			if ms, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
-				e.Dur = time.Duration(ms * float64(time.Millisecond))
+			ms, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+			if ns := ms * float64(time.Millisecond); err == nil && ns >= 0 && ns < math.MaxInt64 {
+				e.Dur = time.Duration(ns)
 			}
 		}
 		out = append(out, e)

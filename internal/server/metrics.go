@@ -8,7 +8,6 @@ package server
 
 import (
 	"strconv"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/scratch"
@@ -90,17 +89,18 @@ func registerScratch(r *obs.Registry) {
 		"gauge", []string{"class"}, each(func(c scratch.ClassStats) int64 { return c.Puts }))
 }
 
-// record logs one finished (or rejected) request. Only served requests
-// feed the QoS latency tap — rejections finish in microseconds and
-// would mask real service latency climbing.
-func (m *metrics) record(endpoint, codec string, status int, in, out int64, d time.Duration) {
-	m.requests.Inc(endpoint, codec, strconv.Itoa(status))
-	m.bytesIn.Add(float64(in), endpoint)
-	m.bytesOut.Add(float64(out), endpoint)
-	m.latency.ObserveDuration(d, endpoint, codec)
-	if status >= 200 && status < 300 {
-		m.fastLat.Observe(d.Seconds())
-		m.slowLat.Observe(d.Seconds())
+// record counts one finished request: it is the request wrapper's Done
+// hook, the only place szd writes its request counters. Only served
+// requests feed the QoS latency tap — rejections finish in microseconds
+// and would mask real service latency climbing.
+func (m *metrics) record(o obs.Outcome) {
+	m.requests.Inc(o.Endpoint, o.Codec, strconv.Itoa(o.Status))
+	m.bytesIn.Add(float64(o.BytesIn), o.Endpoint)
+	m.bytesOut.Add(float64(o.BytesOut), o.Endpoint)
+	m.latency.ObserveDuration(o.Total, o.Endpoint, o.Codec)
+	if o.Status >= 200 && o.Status < 300 {
+		m.fastLat.Observe(o.Total.Seconds())
+		m.slowLat.Observe(o.Total.Seconds())
 	}
 }
 
@@ -149,18 +149,3 @@ func (m *metrics) registerQoS(s *Server) {
 	r.Func("szd_qos_tenant_rejected_total", "Admission rejections by tenant.",
 		"counter", []string{"tenant"}, perTenant(func(t tenantSnapshot) float64 { return float64(t.rejected) }))
 }
-
-// recordStages feeds a finished trace's spans into the per-stage
-// histograms. Aggregated spans (e.g. per-slab huffbuild) observe their
-// summed duration once — the histogram answers "how long did this stage
-// take per request", not per invocation.
-func (m *metrics) recordStages(t *obs.Trace) {
-	if t == nil {
-		return
-	}
-	for _, sp := range t.Spans() {
-		m.stages.ObserveDuration(sp.Dur, t.Endpoint, sp.Name)
-	}
-}
-
-func (m *metrics) expose() string { return m.reg.Expose() }

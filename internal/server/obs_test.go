@@ -3,11 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/obs"
 )
@@ -122,5 +125,102 @@ func TestMetricsScrapeValid(t *testing.T) {
 	}
 	if puts == 0 {
 		t.Error("szd_scratch_puts all zero after a blocked compress")
+	}
+}
+
+// scrapeDaemon parses a daemon's whole /metrics exposition.
+func scrapeDaemon(t *testing.T, base string) *obs.Exposition {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ParseExposition(string(readAllClose(t, resp)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exp
+}
+
+// TestUnknownCodecMintsNoSeries: a made-up codec name never becomes a
+// metric label. 50 compress and 50 decompress requests with distinct
+// unknown ?codec= values, and one compress naming an unknown codec in
+// X-Sz-Codec, each count under codec="" with status 400, and add no
+// other series.
+func TestUnknownCodecMintsNoSeries(t *testing.T) {
+	_, ts := newTestDaemon(t, Config{})
+	for i := 0; i < 50; i++ {
+		for _, path := range []string{api.PathCompress, api.PathDecompress} {
+			resp := post(t, fmt.Sprintf("%s%s?codec=nosuch%d&dims=4", ts.URL, path, i), []byte("data"))
+			if readAllClose(t, resp); resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s with codec nosuch%d: status %d, want 400", path, i, resp.StatusCode)
+			}
+		}
+	}
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+api.PathCompress+"?dims=4", strings.NewReader("data"))
+	req.Header.Set(api.HeaderCodec, "nosuchheader")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readAllClose(t, resp); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%s nosuchheader: status %d, want 400", api.HeaderCodec, resp.StatusCode)
+	}
+
+	exp := scrapeDaemon(t, ts.URL)
+	var minted []string
+	for _, s := range exp.Samples {
+		if strings.HasPrefix(s.Name, "szd_request") && s.Labels["codec"] != "" {
+			minted = append(minted, s.Name+" codec="+s.Labels["codec"])
+		}
+	}
+	if len(minted) > 0 {
+		t.Errorf("%d samples carry an unregistered codec label, the first %s", len(minted), minted[0])
+	}
+	for endpoint, n := range map[string]float64{"compress": 51, "decompress": 50} {
+		if v, ok := exp.Value("szd_requests_total",
+			map[string]string{"endpoint": endpoint, "codec": "", "status": "400"}); !ok || v != n {
+			t.Errorf("szd_requests_total{%s,\"\",400} = %v, %v; want %v", endpoint, v, ok, n)
+		}
+		if v, ok := exp.Value("szd_request_seconds_count",
+			map[string]string{"endpoint": endpoint, "codec": ""}); !ok || v != n {
+			t.Errorf("szd_request_seconds_count{%s,\"\"} = %v, %v; want %v", endpoint, v, ok, n)
+		}
+	}
+}
+
+// TestTruncatedDecompressIs500: a container cut off at 70% aborts the
+// decompress response mid-stream, and the trace ring and
+// szd_requests_total both record the 500 the client experienced.
+func TestTruncatedDecompressIs500(t *testing.T) {
+	_, ts := newTestDaemon(t, Config{})
+	raw, _ := makeRaw(t, grid.Float32, 64, 32, 32)
+	p := codec.Params{AbsBound: 1e-3, DType: grid.Float32, Dims: []int{64, 32, 32}, SlabRows: 4}
+	stream := localStream(t, "blocked", raw, p)
+	resp := post(t, ts.URL+api.PathDecompress, stream[:len(stream)*7/10])
+	reqID := resp.Header.Get(api.HeaderRequestID)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err == nil {
+		t.Fatalf("clean %d with %d of %d bytes from a truncated container, want a broken transfer",
+			resp.StatusCode, len(body), len(raw))
+	}
+
+	dresp, err := http.Get(ts.URL + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Traces []obs.TraceRecord `json:"traces"`
+	}
+	if err := json.Unmarshal(readAllClose(t, dresp), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Traces) != 1 || out.Traces[0].RequestID != reqID || out.Traces[0].Status != http.StatusInternalServerError {
+		t.Errorf("ring = %+v, want one 500 record for request %s", out.Traces, reqID)
+	}
+	if v, ok := scrapeDaemon(t, ts.URL).Value("szd_requests_total",
+		map[string]string{"endpoint": "decompress", "codec": "blocked", "status": "500"}); !ok || v != 1 {
+		t.Errorf("szd_requests_total{decompress,blocked,500} = %v, %v; want 1", v, ok)
 	}
 }

@@ -128,12 +128,11 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the szd daemon's HTTP surface plus its governor, QoS
-// controller, metrics, and trace recorder.
+// controller and metrics.
 type Server struct {
 	cfg Config
 	gov *governor
 	met *metrics
-	rec *obs.Recorder
 	mux *http.ServeMux
 
 	// qosc is the adaptive admission controller; qosMu serializes
@@ -164,27 +163,28 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		gov:      gov,
 		met:      newMetrics(gov, cfg.Store),
-		rec:      obs.NewRecorder(cfg.TraceRingSize, cfg.SlowThreshold, nil),
 		mux:      http.NewServeMux(),
 		qosc:     qos.New(qcfg),
 		adaptive: cfg.MaxInflightBytes > 0,
 	}
 	s.retryAfterMS.Store(1000) // static default until the QoS loop ticks
-	// Streaming endpoints deliver Server-Timing as a declared trailer
-	// (the timings do not exist when the response header flushes);
-	// buffered ones carry it as a plain header.
-	s.mux.HandleFunc(api.PathCompress, s.method(http.MethodPost, s.withObs("compress", true, s.handleCompress)))
-	s.mux.HandleFunc(api.PathDecompress, s.method(getPost, s.withObs("decompress", true, s.handleDecompress)))
-	s.mux.HandleFunc(api.PathCodecs, s.method(http.MethodGet, s.withObs("codecs", false, s.handleCodecs)))
-	s.mux.HandleFunc(api.PathInspect, s.method(getPost, s.withObs("inspect", false, s.handleInspect)))
-	s.mux.HandleFunc(api.PathSlabs, s.method(getPost, s.withObs("slabs", false, s.handleSlabs)))
-	s.mux.HandleFunc(api.PathSlabPrefix, s.method(getPost, s.withObs("slab", true, s.handleSlab)))
-	s.mux.HandleFunc(api.PathContainerPrefix, s.withObs("container", false, s.handleContainer))
-	s.mux.HandleFunc(api.PathContainers, s.method(http.MethodGet, s.withObs("containers", false, s.handleContainers)))
+	wrap := &obs.Wrapper{
+		Rec:    obs.NewRecorder(cfg.TraceRingSize, cfg.SlowThreshold, nil),
+		Stages: s.met.stages,
+		Done:   s.met.record,
+	}
+	s.mux.HandleFunc(api.PathCompress, s.method(http.MethodPost, wrap.Wrap("compress", s.handleCompress)))
+	s.mux.HandleFunc(api.PathDecompress, s.method(getPost, wrap.Wrap("decompress", s.handleDecompress)))
+	s.mux.HandleFunc(api.PathCodecs, s.method(http.MethodGet, wrap.Wrap("codecs", s.handleCodecs)))
+	s.mux.HandleFunc(api.PathInspect, s.method(getPost, wrap.Wrap("inspect", s.handleInspect)))
+	s.mux.HandleFunc(api.PathSlabs, s.method(getPost, wrap.Wrap("slabs", s.handleSlabs)))
+	s.mux.HandleFunc(api.PathSlabPrefix, s.method(getPost, wrap.Wrap("slab", s.handleSlab)))
+	s.mux.HandleFunc(api.PathContainerPrefix, wrap.Wrap("container", s.handleContainer))
+	s.mux.HandleFunc(api.PathContainers, s.method(http.MethodGet, wrap.Wrap("containers", s.handleContainers)))
 	s.mux.HandleFunc(api.PathLimits, s.method(http.MethodGet, s.handleLimits))
 	s.mux.HandleFunc(api.PathHealthz, s.handleHealthz)
-	s.mux.HandleFunc(api.PathMetrics, s.method(http.MethodGet, s.handleMetrics))
-	s.mux.Handle(api.PathDebugTraces, s.rec.Ring)
+	s.mux.HandleFunc(api.PathMetrics, s.method(http.MethodGet, s.met.reg.Handler().ServeHTTP))
+	s.mux.Handle(api.PathDebugTraces, wrap.Rec.Ring)
 	s.mux.HandleFunc(api.PathDebugQOS, s.method(http.MethodGet, s.handleDebugQoS))
 	s.met.registerQoS(s)
 	return s
@@ -246,120 +246,6 @@ func (s *Server) qosState() qos.State {
 	return s.qosc.State()
 }
 
-// withObs is the tracing middleware: it opens (or continues, via an
-// inbound traceparent from the router) the request's trace, echoes the
-// request ID, exports the finished trace as Server-Timing, feeds the
-// per-stage histograms, and hands the trace to the recorder (ring +
-// slow-request log). Handlers reach the trace through the context.
-func (s *Server) withObs(endpoint string, streaming bool, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t := obs.StartTrace(endpoint, r.Header.Get("Traceparent"), r.Header.Get(api.HeaderRequestID))
-		w.Header().Set(api.HeaderRequestID, t.RequestID)
-		if streaming {
-			w.Header().Add("Trailer", "Server-Timing")
-		}
-		ow := &obsWriter{ResponseWriter: w, t: t, streaming: streaming}
-		// Deferred so an aborted stream (http.ErrAbortHandler) still
-		// records its trace on the way out.
-		defer func() {
-			status := ow.status
-			if status == 0 {
-				status = http.StatusOK
-			}
-			t.Finish(status)
-			if streaming {
-				w.Header().Set("Server-Timing", t.ServerTiming())
-			}
-			s.met.recordStages(t)
-			s.rec.Done(t)
-		}()
-		// Tenant identity is derived from the API key, never from the
-		// tenant header itself — an inbound X-Sz-Tenant is stripped so
-		// a client cannot spoof its way into another tenant's share.
-		r.Header.Del(api.HeaderTenant)
-		ti, err := tenantFromRequest(r)
-		if err != nil {
-			s.reject(ow, endpoint, "", http.StatusBadRequest, err, time.Now())
-			return
-		}
-		ctx := obs.NewContext(r.Context(), t)
-		ctx = context.WithValue(ctx, tenantCtxKey{}, ti)
-		h(ow, r.WithContext(ctx))
-	}
-}
-
-// tenantInfo is a request's resolved admission identity.
-type tenantInfo struct {
-	name string
-	pri  api.Priority
-}
-
-type tenantCtxKey struct{}
-
-// tenantFromRequest validates the API key and priority headers.
-// Malformed values are a 400 with code bad_tenant — rejected before
-// any admission work, so oversized or hostile keys cost nothing.
-func tenantFromRequest(r *http.Request) (tenantInfo, error) {
-	tenant, err := api.TenantFromKey(r.Header.Get(api.HeaderAPIKey))
-	if err != nil {
-		return tenantInfo{}, &api.Error{
-			Status: http.StatusBadRequest, Code: api.CodeBadTenant,
-			Message: "invalid " + api.HeaderAPIKey + ": " + err.Error(),
-		}
-	}
-	pri, err := api.ParsePriority(r.Header.Get(api.HeaderPriority))
-	if err != nil {
-		return tenantInfo{}, &api.Error{
-			Status: http.StatusBadRequest, Code: api.CodeBadTenant,
-			Message: "invalid " + api.HeaderPriority + ": " + err.Error(),
-		}
-	}
-	return tenantInfo{name: tenant, pri: pri}, nil
-}
-
-// tenantOf returns the request's admission identity (default tenant,
-// interactive) when the middleware did not attach one.
-func tenantOf(ctx context.Context) tenantInfo {
-	if ti, ok := ctx.Value(tenantCtxKey{}).(tenantInfo); ok {
-		return ti
-	}
-	return tenantInfo{name: api.DefaultTenant}
-}
-
-// obsWriter captures the response status for the trace and, on buffered
-// routes, injects the Server-Timing header at WriteHeader time (every
-// span is closed by then — buffered handlers do all their work before
-// the first response byte).
-type obsWriter struct {
-	http.ResponseWriter
-	t         *obs.Trace
-	status    int
-	streaming bool
-}
-
-func (ow *obsWriter) WriteHeader(code int) {
-	if ow.status == 0 {
-		ow.status = code
-		if !ow.streaming {
-			if v := ow.t.ServerTiming(); v != "" {
-				ow.Header().Set("Server-Timing", v)
-			}
-		}
-	}
-	ow.ResponseWriter.WriteHeader(code)
-}
-
-func (ow *obsWriter) Write(b []byte) (int, error) {
-	if ow.status == 0 {
-		ow.WriteHeader(http.StatusOK)
-	}
-	return ow.ResponseWriter.Write(b)
-}
-
-// Unwrap lets http.ResponseController reach the underlying writer
-// (handlers enable full duplex through this wrapper).
-func (ow *obsWriter) Unwrap() http.ResponseWriter { return ow.ResponseWriter }
-
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -393,8 +279,7 @@ func (s *Server) method(allow string, h http.HandlerFunc) http.HandlerFunc {
 
 // writeError emits the unified api.Error envelope. Safe only before
 // the response body has started streaming. Retryable rejections carry
-// the QoS controller's current Retry-After hint; the request ID rides
-// along when the tracing middleware already stamped the response.
+// the QoS controller's current Retry-After hint.
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	e := api.Wrap(status, err)
 	switch {
@@ -405,9 +290,6 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	}
 	if e.Temporary() && e.RetryAfterMS == 0 {
 		e.RetryAfterMS = s.retryAfterMS.Load()
-	}
-	if e.RequestID == "" {
-		e.RequestID = w.Header().Get(api.HeaderRequestID)
 	}
 	api.WriteError(w, e)
 }
@@ -513,15 +395,15 @@ func (s *Server) unknownCharge() int64 {
 // adaptive budget: a request that fits the configured budget but not
 // the current one is a retryable 429. The "admission" span covers both
 // the budget reservation and the worker-token acquisition.
-func (s *Server) admit(ctx context.Context, t *obs.Trace, charge int64, wantWorkers int) (*grant, int, error) {
-	defer t.StartSpan("admission").End()
+func (s *Server) admit(ctx context.Context, charge int64, wantWorkers int) (*grant, int, error) {
+	defer obs.FromContext(ctx).StartSpan("admission").End()
 	if s.cfg.MaxInflightBytes > 0 && charge > s.cfg.MaxInflightBytes {
 		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("%w: estimated memory %d exceeds the in-flight budget %d",
 				errTooLarge, charge, s.cfg.MaxInflightBytes)
 	}
-	ti := tenantOf(ctx)
-	gr, err := s.gov.admit(ti.name, ti.pri, charge, wantWorkers)
+	id := obs.IdentityFrom(ctx)
+	gr, err := s.gov.admit(id.Tenant, id.Priority, charge, wantWorkers)
 	if err != nil {
 		return nil, admitStatus(err), err
 	}
@@ -576,15 +458,14 @@ func newMeteredReader(src io.Reader, gr *grant, declared, charge, limit, mult in
 	return &meteredReader{src: src, gr: gr, meter: !streaming, allowance: allowance, mult: mult, limit: limit}
 }
 
-// respWriter counts response bytes and remembers whether the body has
-// started (after which errors can only abort the connection). discard
-// swallows writes once a request is being aborted, so cleanup-time
-// flushes from a codec writer emit nothing. It needs no lock: every
-// codec writer, the blocked one included, writes to its destination
-// only from the goroutine calling its Write and Close, the handler's.
+// respWriter remembers whether the body has started (after which
+// errors can only abort the connection). discard swallows writes once a
+// request is being aborted, so cleanup-time flushes from a codec writer
+// emit nothing. It needs no lock: every codec writer, the blocked one
+// included, writes to its destination only from the goroutine calling
+// its Write and Close, the handler's.
 type respWriter struct {
 	http.ResponseWriter
-	n       int64
 	wrote   bool
 	discard bool
 }
@@ -594,13 +475,10 @@ func (rw *respWriter) Write(b []byte) (int, error) {
 		return len(b), nil
 	}
 	rw.wrote = true
-	n, err := rw.ResponseWriter.Write(b)
-	rw.n += int64(n)
-	return n, err
+	return rw.ResponseWriter.Write(b)
 }
 
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	tr := obs.FromContext(r.Context())
 	vals := requestValues(r)
 	name := vals.Get("codec")
@@ -609,38 +487,39 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	}
 	c, err := codec.Lookup(name)
 	if err != nil {
-		s.reject(w, "compress", name, http.StatusBadRequest, err, start)
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	name = c.Name()
+	obs.SetCodec(r.Context(), name)
 	p, err := codec.ParamsFromValues(vals)
 	if err != nil {
-		s.reject(w, "compress", name, http.StatusBadRequest, err, start)
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(p.Dims) == 0 && name != "gzip" {
-		s.reject(w, "compress", name, http.StatusBadRequest,
-			fmt.Errorf("missing dims (required to interpret the raw input)"), start)
+		s.writeError(w, http.StatusBadRequest,
+			fmt.Errorf("missing dims (required to interpret the raw input)"))
 		return
 	}
 	// The raw body for these dims cannot legally exceed the per-request
 	// cap; reject absurd geometries (including int64-saturating ones)
 	// before they reach the charge arithmetic.
 	if rb := rawBytesFor(p.Dims, dtypeSize(p)); s.cfg.MaxRequestBytes > 0 && rb > s.cfg.MaxRequestBytes {
-		s.reject(w, "compress", name, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("%w: dims imply %d raw bytes, limit %d", errTooLarge, rb, s.cfg.MaxRequestBytes), start)
+		s.writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("%w: dims imply %d raw bytes, limit %d", errTooLarge, rb, s.cfg.MaxRequestBytes))
 		return
 	}
 
 	declared := declaredLength(r)
 	if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
-		s.reject(w, "compress", name, http.StatusRequestEntityTooLarge, errTooLarge, start)
+		s.writeError(w, http.StatusRequestEntityTooLarge, errTooLarge)
 		return
 	}
 	charge, streaming := s.compressCharge(name, declared, p)
-	gr, status, err := s.admit(r.Context(), tr, charge, wantWorkers(name, p))
+	gr, status, err := s.admit(r.Context(), charge, wantWorkers(name, p))
 	if err != nil {
-		s.reject(w, "compress", name, status, err, start)
+		s.writeError(w, status, err)
 		return
 	}
 	defer gr.release()
@@ -682,7 +561,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		if tee != nil {
 			tee.abort()
 		}
-		s.reject(w, "compress", name, http.StatusBadRequest, err, start)
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	cbuf := scratch.Bytes(streamCopyBuffer)
@@ -713,7 +592,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 			tee.abort()
 		}
 	}
-	s.finishStream(w, out, "compress", name, body.n, err, start)
+	s.finishStream(w, out, err)
 }
 
 // handleDecompress decodes one container from either source: the
@@ -723,15 +602,14 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 // no bytes in). Codec detection, the charge, admission and the decode
 // are the same for both.
 func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	tr := obs.FromContext(r.Context())
 	vals := requestValues(r)
 	p, err := codec.ParamsFromValues(vals)
 	if err != nil {
-		s.reject(w, "decompress", "", http.StatusBadRequest, err, start)
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ent, done := s.openStoreEntry(w, r, "decompress", start)
+	ent, done := s.openStoreEntry(w, r)
 	if done && ent == nil {
 		return
 	}
@@ -745,7 +623,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST (or GET with ?digest=)"))
 		return
 	} else if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
-		s.reject(w, "decompress", "", http.StatusRequestEntityTooLarge, errTooLarge, start)
+		s.writeError(w, http.StatusRequestEntityTooLarge, errTooLarge)
 		return
 	}
 
@@ -755,18 +633,19 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	var c codec.Codec
 	if name := vals.Get("codec"); name != "" {
 		if c, err = codec.Lookup(name); err != nil {
-			s.reject(w, "decompress", name, http.StatusBadRequest, err, start)
+			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
 	} else {
 		prefix, _ := br.Peek(4)
 		if c, err = codec.Detect(prefix); err != nil {
-			s.reject(w, "decompress", "", http.StatusBadRequest,
-				fmt.Errorf("%w; pass ?codec= explicitly", err), start)
+			s.writeError(w, http.StatusBadRequest,
+				fmt.Errorf("%w; pass ?codec= explicitly", err))
 			return
 		}
 	}
 	name := c.Name()
+	obs.SetCodec(r.Context(), name)
 
 	// Peek the stream header for the codecs whose geometry it reveals:
 	// blocked (slab footprint) and sz14 (element count) charges come
@@ -785,9 +664,9 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		p.Workers = 1
 	}
 	charge, streaming := s.decompressCharge(name, declared, header, p)
-	gr, status, err := s.admit(r.Context(), tr, charge, 1)
+	gr, status, err := s.admit(r.Context(), charge, 1)
 	if err != nil {
-		s.reject(w, "decompress", name, status, err, start)
+		s.writeError(w, status, err)
 		return
 	}
 	defer gr.release()
@@ -795,21 +674,19 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(api.HeaderCodec, name)
 	var in io.Reader = br
-	var body *meteredReader
 	var tee *bestEffortPut
 	if ent == nil {
 		// See handleCompress: required so chunked request bodies survive
 		// the first response flush on HTTP/1.
 		http.NewResponseController(w).EnableFullDuplex()
-		body = newMeteredReader(br, gr, declared, charge, s.cfg.MaxRequestBytes, 5, streaming)
-		in = body
+		in = newMeteredReader(br, gr, declared, charge, s.cfg.MaxRequestBytes, 5, streaming)
 		// Tee the container into the store as the decode consumes it:
 		// the body's digest becomes the response's ETag trailer, and the
 		// next read of this container can reference it with no upload.
 		if s.cfg.Store != nil {
 			if put, perr := s.cfg.Store.NewPut(); perr == nil {
 				tee = &bestEffortPut{p: put, t: tr}
-				in = io.TeeReader(body, tee)
+				in = io.TeeReader(in, tee)
 				w.Header().Add("Trailer", "Etag")
 			}
 		}
@@ -823,7 +700,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		if tee != nil {
 			tee.abort()
 		}
-		s.reject(w, "decompress", name, streamErrStatus(err), err, start)
+		s.writeError(w, streamErrStatus(err), err)
 		return
 	}
 	cbuf := scratch.Bytes(streamCopyBuffer)
@@ -851,38 +728,25 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 			tee.abort()
 		}
 	}
-	var bytesIn int64
-	if body != nil {
-		bytesIn = body.n
-	}
-	s.finishStream(w, out, "decompress", name, bytesIn, err, start)
+	s.finishStream(w, out, err)
 }
 
-// reject records and reports a request that failed before its response
-// body started.
-func (s *Server) reject(w http.ResponseWriter, endpoint, codecName string, status int, err error, start time.Time) {
-	s.met.record(endpoint, codecName, status, 0, 0, time.Since(start))
-	s.writeError(w, status, err)
-}
-
-// finishStream settles a streaming request: a clean finish records 200;
-// an error before the first body byte still yields a proper error
-// response; an error mid-stream can only abort the connection so the
-// client sees a truncated transfer instead of silently corrupt data.
-func (s *Server) finishStream(w http.ResponseWriter, out *respWriter, endpoint, codecName string, bytesIn int64, err error, start time.Time) {
+// finishStream settles a streaming response's error: before the first
+// body byte it still yields a proper error response; mid-stream it can
+// only abort the connection, which the request wrapper records as a
+// 500, so the client sees a truncated transfer instead of silently
+// corrupt data.
+func (s *Server) finishStream(w http.ResponseWriter, out *respWriter, err error) {
 	switch {
 	case err == nil:
-		s.met.record(endpoint, codecName, http.StatusOK, bytesIn, out.n, time.Since(start))
 	case !out.wrote:
-		s.reject(w, endpoint, codecName, streamErrStatus(err), err, start)
+		s.writeError(w, streamErrStatus(err), err)
 	default:
-		s.met.record(endpoint, codecName, http.StatusInternalServerError, bytesIn, out.n, time.Since(start))
 		panic(http.ErrAbortHandler)
 	}
 }
 
 func (s *Server) handleCodecs(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	w.Header().Set("Content-Type", "application/json")
 	// preferred_streams is the daemon's advice for `sz c -streams auto`:
 	// the interleaved sub-stream count it considers a good default for
@@ -891,23 +755,21 @@ func (s *Server) handleCodecs(w http.ResponseWriter, r *http.Request) {
 		"codecs":            codec.Names(),
 		"preferred_streams": s.cfg.PreferredStreams,
 	})
-	s.met.record("codecs", "", http.StatusOK, 0, 0, time.Since(start))
 }
 
 func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	declared := declaredLength(r)
 	if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
-		s.reject(w, "inspect", "", http.StatusRequestEntityTooLarge, errTooLarge, start)
+		s.writeError(w, http.StatusRequestEntityTooLarge, errTooLarge)
 		return
 	}
 	charge := declared
 	if charge < 0 {
 		charge = s.unknownCharge()
 	}
-	gr, status, err := s.admit(r.Context(), obs.FromContext(r.Context()), charge, 1)
+	gr, status, err := s.admit(r.Context(), charge, 1)
 	if err != nil {
-		s.reject(w, "inspect", "", status, err, start)
+		s.writeError(w, status, err)
 		return
 	}
 	defer gr.release()
@@ -915,23 +777,23 @@ func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 	stream, err := readAllScratch(body, declared)
 	defer scratch.PutBytes(stream)
 	if err != nil {
-		s.reject(w, "inspect", "", streamErrStatus(err), err, start)
+		s.writeError(w, streamErrStatus(err), err)
 		return
 	}
 	si, err := codec.InspectStream(stream)
 	if err != nil {
-		s.reject(w, "inspect", "", http.StatusBadRequest, err, start)
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	obs.SetCodec(r.Context(), si.Codec)
 	resp, err := json.Marshal(si)
 	if err != nil {
-		s.reject(w, "inspect", si.Codec, http.StatusInternalServerError, err, start)
+		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	resp = append(resp, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(resp)
-	s.met.record("inspect", si.Codec, http.StatusOK, int64(len(stream)), int64(len(resp)), time.Since(start))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -942,11 +804,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	io.WriteString(w, "ok\n")
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	io.WriteString(w, s.met.expose())
 }
 
 // limits assembles the live QoS state as the documented api.Limits

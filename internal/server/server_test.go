@@ -645,9 +645,9 @@ func (er *errAfterReader) Read(p []byte) (int, error) {
 }
 
 // TestAbortedCompressDoesNotLeakGoroutines: an upload that dies
-// mid-stream must still tear down the blocked writer's worker/emit
-// goroutines (each leak would pin GOMAXPROCS+1 goroutines plus slab
-// memory for the daemon's lifetime).
+// mid-stream must still wait out the blocked writer's in-flight slab
+// encodes (each leak would pin up to Workers encode goroutines plus
+// slab memory for the daemon's lifetime).
 func TestAbortedCompressDoesNotLeakGoroutines(t *testing.T) {
 	_, ts := newTestDaemon(t, Config{})
 	before := runtime.NumGoroutine()

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/blocked"
@@ -61,11 +60,10 @@ func slabCharge(base int64, header []byte, lo, hi int, extent bool) int64 {
 // CRC-verified upload or an mmap'd store entry — their footer index,
 // and the admission grant the read holds until release.
 type container struct {
-	stream  []byte
-	ix      *blocked.Index
-	bytesIn int64 // upload size; 0 for a store entry
-	gr      *grant
-	ent     *store.Entry // nil for an upload
+	stream []byte
+	ix     *blocked.Index
+	gr     *grant
+	ent    *store.Entry // nil for an upload
 }
 
 func (c *container) release() {
@@ -85,26 +83,25 @@ func (c *container) release() {
 // upload whose index verifies is persisted, so the next read can name
 // it by digest. lo..hi and extent size the charge (see slabCharge). On
 // !ok the response has been written.
-func (s *Server) openContainer(w http.ResponseWriter, r *http.Request, endpoint string, lo, hi int, extent bool, start time.Time) (*container, bool) {
-	tr := obs.FromContext(r.Context())
-	ent, done := s.openStoreEntry(w, r, endpoint, start)
+func (s *Server) openContainer(w http.ResponseWriter, r *http.Request, lo, hi int, extent bool) (*container, bool) {
+	ent, done := s.openStoreEntry(w, r)
 	if done && ent == nil {
 		return nil, false
 	}
 	c := &container{ent: ent}
 	if ent != nil {
 		c.stream = ent.Bytes()
-		gr, status, err := s.admit(r.Context(), tr, slabCharge(mmapReadCharge, c.stream, lo, hi, extent), 1)
+		gr, status, err := s.admit(r.Context(), slabCharge(mmapReadCharge, c.stream, lo, hi, extent), 1)
 		if err != nil {
 			ent.Release()
-			s.reject(w, endpoint, "", status, err, start)
+			s.writeError(w, status, err)
 			return nil, false
 		}
 		c.gr = gr
 	} else {
 		declared := declaredLength(r)
 		if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
-			s.reject(w, endpoint, "", http.StatusRequestEntityTooLarge, errTooLarge, start)
+			s.writeError(w, http.StatusRequestEntityTooLarge, errTooLarge)
 			return nil, false
 		}
 		base := declared
@@ -114,17 +111,17 @@ func (s *Server) openContainer(w http.ResponseWriter, r *http.Request, endpoint 
 		br := newPeekReader(r.Body)
 		header, _ := br.Peek(blocked.MaxHeaderLen)
 		charge := slabCharge(base, header, lo, hi, extent)
-		gr, status, err := s.admit(r.Context(), tr, charge, 1)
+		gr, status, err := s.admit(r.Context(), charge, 1)
 		if err != nil {
-			s.reject(w, endpoint, "", status, err, start)
+			s.writeError(w, status, err)
 			return nil, false
 		}
 		body := newMeteredReader(br, gr, declared, charge, s.cfg.MaxRequestBytes, 1, false)
 		stream, err := readAllScratch(body, declared)
-		c.stream, c.gr, c.bytesIn = stream, gr, int64(len(stream))
+		c.stream, c.gr = stream, gr
 		if err != nil {
 			c.release()
-			s.reject(w, endpoint, "", streamErrStatus(err), err, start)
+			s.writeError(w, streamErrStatus(err), err)
 			return nil, false
 		}
 		// The body's digest is the response's ETag: a repeat reader
@@ -133,7 +130,7 @@ func (s *Server) openContainer(w http.ResponseWriter, r *http.Request, endpoint 
 		etag := etagFor(bodyDigest(stream))
 		if api.IfNoneMatchHas(r.Header.Get("If-None-Match"), etag) {
 			c.release()
-			s.notModified(w, endpoint, "blocked", etag, start)
+			notModified(w, etag)
 			return nil, false
 		}
 		w.Header().Set("Etag", etag)
@@ -141,9 +138,10 @@ func (s *Server) openContainer(w http.ResponseWriter, r *http.Request, endpoint 
 	ix, err := containerIndex(c.stream, ent == nil)
 	if err != nil {
 		c.release()
-		s.reject(w, endpoint, "", http.StatusBadRequest, err, start)
+		s.writeError(w, http.StatusBadRequest, err)
 		return nil, false
 	}
+	obs.SetCodec(r.Context(), "blocked")
 	c.ix = ix
 	if ent == nil && s.cfg.Store != nil {
 		// Best effort: a full store or failing disk must never fail the
@@ -171,32 +169,29 @@ func containerIndex(stream []byte, verify bool) (*blocked.Index, error) {
 }
 
 func (s *Server) handleSlabs(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	c, ok := s.openContainer(w, r, "slabs", 0, -1, false, start)
+	c, ok := s.openContainer(w, r, 0, -1, false)
 	if !ok {
 		return
 	}
 	defer c.release()
 	resp, err := json.Marshal(codec.SlabIndexFrom(c.stream, c.ix))
 	if err != nil {
-		s.reject(w, "slabs", "blocked", http.StatusInternalServerError, err, start)
+		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	resp = append(resp, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(resp)
-	s.met.record("slabs", "blocked", http.StatusOK, c.bytesIn, int64(len(resp)), time.Since(start))
 }
 
 func (s *Server) handleSlab(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	lo, hi, err := codec.ParseSlabSpec(strings.TrimPrefix(r.URL.Path, api.PathSlabPrefix))
 	if err != nil {
-		s.reject(w, "slab", "", http.StatusBadRequest, err, start)
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	extent := wantsCompressedSlab(r)
-	c, ok := s.openContainer(w, r, "slab", lo, hi, extent, start)
+	c, ok := s.openContainer(w, r, lo, hi, extent)
 	if !ok {
 		return
 	}
@@ -205,17 +200,17 @@ func (s *Server) handleSlab(w http.ResponseWriter, r *http.Request) {
 	// Shared-codebook containers have no self-contained extent; they
 	// answer with decoded samples instead.
 	if extent && !c.ix.SharedCodebook() {
-		s.serveSlabExtent(w, tr, c, lo, hi, start)
+		s.serveSlabExtent(w, tr, c, lo, hi)
 		return
 	}
 	sp := tr.StartSpan("decode")
 	arr, dt, err := blocked.DecompressSlabRangeIndexed(c.stream, c.ix, lo, hi)
 	sp.End()
 	if err != nil {
-		s.rejectSlabErr(w, err, start)
+		s.rejectSlabErr(w, err)
 		return
 	}
-	s.writeSlabRaw(w, arr, dt, lo, hi, c.bytesIn, start)
+	s.writeSlabRaw(w, arr, dt, lo, hi)
 }
 
 // wantsCompressedSlab reports whether the client asked for the raw
@@ -231,10 +226,10 @@ func wantsCompressedSlab(r *http.Request) bool {
 
 // serveSlabExtent writes the compressed byte extent of slabs lo..hi —
 // a pure slice of the container, the zero-copy fast path.
-func (s *Server) serveSlabExtent(w http.ResponseWriter, tr *obs.Trace, c *container, lo, hi int, start time.Time) {
+func (s *Server) serveSlabExtent(w http.ResponseWriter, tr *obs.Trace, c *container, lo, hi int) {
 	off, end, err := c.ix.SlabExtent(lo, hi)
 	if err != nil {
-		s.rejectSlabErr(w, err, start)
+		s.rejectSlabErr(w, err)
 		return
 	}
 	rowLo, _ := c.ix.SlabBounds(lo)
@@ -250,7 +245,7 @@ func (s *Server) serveSlabExtent(w http.ResponseWriter, tr *obs.Trace, c *contai
 	sp := tr.StartSpan("mmap_serve")
 	_, err = out.Write(c.stream[off:end])
 	sp.End()
-	s.finishStream(w, out, "slab", "blocked", c.bytesIn, err, start)
+	s.finishStream(w, out, err)
 }
 
 // formatSlabLengths renders the per-slab stream lengths of lo..hi as a
@@ -269,18 +264,18 @@ func formatSlabLengths(ix *blocked.Index, lo, hi int) string {
 
 // rejectSlabErr maps slab decode errors to their status (416 for a
 // well-formed range beyond the container, 400 otherwise).
-func (s *Server) rejectSlabErr(w http.ResponseWriter, err error, start time.Time) {
+func (s *Server) rejectSlabErr(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	if errors.Is(err, blocked.ErrSlabRange) {
 		// A well-formed spec beyond the container's extent is the
 		// range version of a seek past EOF, not a malformed request.
 		status = http.StatusRequestedRangeNotSatisfiable
 	}
-	s.reject(w, "slab", "blocked", status, err, start)
+	s.writeError(w, status, err)
 }
 
 // writeSlabRaw streams a decoded slab range as raw samples.
-func (s *Server) writeSlabRaw(w http.ResponseWriter, arr *grid.Array, dt grid.DType, lo, hi int, bytesIn int64, start time.Time) {
+func (s *Server) writeSlabRaw(w http.ResponseWriter, arr *grid.Array, dt grid.DType, lo, hi int) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(api.HeaderCodec, "blocked")
 	w.Header().Set(api.HeaderDtype, dt.String())
@@ -288,5 +283,5 @@ func (s *Server) writeSlabRaw(w http.ResponseWriter, arr *grid.Array, dt grid.DT
 	w.Header().Set(api.HeaderSlabs, codec.FormatSlabSpec(lo, hi))
 	out := &respWriter{ResponseWriter: w}
 	err := arr.WriteRaw(out, dt)
-	s.finishStream(w, out, "slab", "blocked", bytesIn, err, start)
+	s.finishStream(w, out, err)
 }

@@ -69,10 +69,9 @@ func requestDigest(r *http.Request) (string, error) {
 func etagFor(digest string) string { return `"` + digest + `"` }
 
 // notModified answers a conditional request whose ETag matched.
-func (s *Server) notModified(w http.ResponseWriter, endpoint, codecName, etag string, start time.Time) {
+func notModified(w http.ResponseWriter, etag string) {
 	w.Header().Set("Etag", etag)
 	w.WriteHeader(http.StatusNotModified)
-	s.met.record(endpoint, codecName, http.StatusNotModified, 0, 0, time.Since(start))
 }
 
 // bestEffortPut tees a response stream into a store putter without ever
@@ -135,10 +134,10 @@ func (b *bestEffortPut) abort() {
 // tier-2 disk store answered. A 304 needs no store access at all — the
 // digest names the bytes, so a matching If-None-Match is decisive even
 // for an entry that was evicted.
-func (s *Server) openStoreEntry(w http.ResponseWriter, r *http.Request, endpoint string, start time.Time) (*store.Entry, bool) {
+func (s *Server) openStoreEntry(w http.ResponseWriter, r *http.Request) (*store.Entry, bool) {
 	digest, err := requestDigest(r)
 	if err != nil {
-		s.reject(w, endpoint, "", http.StatusBadRequest, err, start)
+		s.writeError(w, http.StatusBadRequest, err)
 		return nil, true
 	}
 	if digest == "" {
@@ -146,12 +145,12 @@ func (s *Server) openStoreEntry(w http.ResponseWriter, r *http.Request, endpoint
 	}
 	etag := etagFor(digest)
 	if api.IfNoneMatchHas(r.Header.Get("If-None-Match"), etag) {
-		s.notModified(w, endpoint, "", etag, start)
+		notModified(w, etag)
 		return nil, true
 	}
 	if s.cfg.Store == nil {
-		s.reject(w, endpoint, "", http.StatusNotFound,
-			fmt.Errorf("digest-referenced reads need a store (-store-dir)"), start)
+		s.writeError(w, http.StatusNotFound,
+			fmt.Errorf("digest-referenced reads need a store (-store-dir)"))
 		return nil, true
 	}
 	sp := obs.FromContext(r.Context()).StartSpan("store_read")
@@ -163,7 +162,7 @@ func (s *Server) openStoreEntry(w http.ResponseWriter, r *http.Request, endpoint
 		if !errors.Is(err, store.ErrNotFound) {
 			status = http.StatusInternalServerError
 		}
-		s.reject(w, endpoint, "", status, fmt.Errorf("container %s not in store", digest), start)
+		s.writeError(w, status, fmt.Errorf("container %s not in store", digest))
 		return nil, true
 	}
 	w.Header().Set(api.HeaderStore, "hit")
@@ -184,16 +183,15 @@ func (s *Server) openStoreEntry(w http.ResponseWriter, r *http.Request, endpoint
 // the entry is stored (the digest names the bytes), so only HEAD tells
 // a copier whether the target actually holds them.
 func (s *Server) handleContainer(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	digest := strings.TrimPrefix(r.URL.Path, api.PathContainerPrefix)
 	if !store.ValidDigest(digest) {
-		s.reject(w, "container", "", http.StatusBadRequest,
-			fmt.Errorf("malformed digest %q", digest), start)
+		s.writeError(w, http.StatusBadRequest,
+			fmt.Errorf("malformed digest %q", digest))
 		return
 	}
 	if s.cfg.Store == nil {
-		s.reject(w, "container", "", http.StatusNotFound,
-			fmt.Errorf("no store configured (-store-dir)"), start)
+		s.writeError(w, http.StatusNotFound,
+			fmt.Errorf("no store configured (-store-dir)"))
 		return
 	}
 	switch r.Method {
@@ -201,17 +199,15 @@ func (s *Server) handleContainer(w http.ResponseWriter, r *http.Request) {
 		if !s.cfg.Store.Contains(digest) {
 			w.Header().Set(api.HeaderStore, "miss")
 			w.WriteHeader(http.StatusNotFound)
-			s.met.record("container", "", http.StatusNotFound, 0, 0, time.Since(start))
 			return
 		}
 		w.Header().Set(api.HeaderStore, "hit")
 		w.Header().Set("Etag", etagFor(digest))
 		w.WriteHeader(http.StatusNoContent)
-		s.met.record("container", "", http.StatusNoContent, 0, 0, time.Since(start))
 	case http.MethodGet:
 		etag := etagFor(digest)
 		if api.IfNoneMatchHas(r.Header.Get("If-None-Match"), etag) {
-			s.notModified(w, "container", "", etag, start)
+			notModified(w, etag)
 			return
 		}
 		sp := obs.FromContext(r.Context()).StartSpan("store_read")
@@ -219,13 +215,13 @@ func (s *Server) handleContainer(w http.ResponseWriter, r *http.Request) {
 		sp.End()
 		if err != nil {
 			w.Header().Set(api.HeaderStore, "miss")
-			s.reject(w, "container", "", http.StatusNotFound, fmt.Errorf("container %s not in store", digest), start)
+			s.writeError(w, http.StatusNotFound, fmt.Errorf("container %s not in store", digest))
 			return
 		}
 		defer ent.Release()
-		gr, status, err := s.admit(r.Context(), obs.FromContext(r.Context()), mmapReadCharge, 1)
+		gr, status, err := s.admit(r.Context(), mmapReadCharge, 1)
 		if err != nil {
-			s.reject(w, "container", "", status, err, start)
+			s.writeError(w, status, err)
 			return
 		}
 		defer gr.release()
@@ -235,48 +231,46 @@ func (s *Server) handleContainer(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", fmt.Sprintf("%d", ent.Size()))
 		out := &respWriter{ResponseWriter: w}
 		_, err = out.Write(ent.Bytes())
-		s.finishStream(w, out, "container", "", 0, err, start)
+		s.finishStream(w, out, err)
 	case http.MethodPut:
 		declared := declaredLength(r)
 		if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
-			s.reject(w, "container", "", http.StatusRequestEntityTooLarge, errTooLarge, start)
+			s.writeError(w, http.StatusRequestEntityTooLarge, errTooLarge)
 			return
 		}
-		gr, status, err := s.admit(r.Context(), obs.FromContext(r.Context()), storePutCharge, 1)
+		gr, status, err := s.admit(r.Context(), storePutCharge, 1)
 		if err != nil {
-			s.reject(w, "container", "", status, err, start)
+			s.writeError(w, status, err)
 			return
 		}
 		defer gr.release()
 		if s.cfg.Store.Contains(digest) {
 			w.WriteHeader(http.StatusNoContent)
-			s.met.record("container", "", http.StatusNoContent, 0, 0, time.Since(start))
 			return
 		}
 		put, err := s.cfg.Store.NewPut()
 		if err != nil {
-			s.reject(w, "container", "", http.StatusInternalServerError, err, start)
+			s.writeError(w, http.StatusInternalServerError, err)
 			return
 		}
 		body := newMeteredReader(r.Body, gr, declared, storePutCharge, s.cfg.MaxRequestBytes, 1, true)
 		cbuf := scratch.Bytes(streamCopyBuffer)
 		sp := obs.FromContext(r.Context()).StartSpan("store_write")
-		n, err := io.CopyBuffer(put, body, cbuf)
+		_, err = io.CopyBuffer(put, body, cbuf)
 		sp.End()
 		scratch.PutBytes(cbuf)
 		if err != nil {
 			put.Abort()
-			s.reject(w, "container", "", streamErrStatus(err), err, start)
+			s.writeError(w, streamErrStatus(err), err)
 			return
 		}
 		if _, err := put.Commit(digest); err != nil {
 			// The body hashed to something else: the upload is corrupt
 			// (or mislabeled) and was not stored.
-			s.reject(w, "container", "", http.StatusBadRequest, err, start)
+			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
-		s.met.record("container", "", http.StatusNoContent, n, 0, time.Since(start))
 	default:
 		w.Header().Set("Allow", "GET, HEAD, PUT")
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET, HEAD, or PUT"))
@@ -293,23 +287,21 @@ func (s *Server) handleContainer(w http.ResponseWriter, r *http.Request) {
 // entries may be evicted between the list and a later read — so
 // consumers must treat a subsequent 404 as normal, not as corruption.
 func (s *Server) handleContainers(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	if s.cfg.Store == nil {
-		s.reject(w, "containers", "", http.StatusNotFound,
-			fmt.Errorf("no store configured (-store-dir)"), start)
+		s.writeError(w, http.StatusNotFound,
+			fmt.Errorf("no store configured (-store-dir)"))
 		return
 	}
 	resp, err := json.Marshal(struct {
 		Digests []string `json:"digests"`
 	}{Digests: s.cfg.Store.Digests()})
 	if err != nil {
-		s.reject(w, "containers", "", http.StatusInternalServerError, err, start)
+		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	resp = append(resp, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(resp)
-	s.met.record("containers", "", http.StatusOK, 0, int64(len(resp)), time.Since(start))
 }
 
 // bodyDigest hashes a buffered container body — the same digest the
