@@ -1,9 +1,10 @@
 // Command szrouter fronts a fleet of szd daemons: it spreads
 // /v1/compress, /v1/decompress, /v1/inspect, and the slab range
-// endpoints across the backends by consistent hashing on stream
-// identity, fails over to the next ring node when a backend sheds
-// (429), drains (503), or is unreachable, and balances unbounded
-// streams onto the least-loaded healthy node.
+// endpoints across the backends by rendezvous hashing on stream
+// identity, fails over to the next node in the key's order when a
+// backend sheds (429), drains (503), or is unreachable, and balances
+// unbounded streams onto the least-loaded healthy node. It learns each
+// backend's health and load from one GET /v1/limits per -poll interval.
 //
 //	szrouter -addr :7070 -backends host1:7071,host2:7071,host3:7071
 //
@@ -15,7 +16,7 @@
 // backend work (malformed keys are 400 bad_tenant envelopes here),
 // inbound X-Sz-Tenant spoofs are stripped, per-tenant request counts
 // are exported as szrouter_tenant_requests_total, and GET /v1/limits
-// aggregates the fleet's live QoS state across the backends. The full
+// lists the healthy backends' QoS state as of their last poll. The full
 // wire contract lives in internal/api and API.md.
 //
 // Fleet robustness:
@@ -61,7 +62,6 @@ type options struct {
 	membershipFile string
 	memberPoll     time.Duration
 	poll           time.Duration
-	replicas       int
 	replication    int
 	drainGrace     time.Duration
 	antiEntropy    time.Duration
@@ -81,7 +81,6 @@ func main() {
 	flag.StringVar(&o.membershipFile, "membership-file", "", "watched backend list (one address per line, '#' comments); edits apply live on SIGHUP or the poll; empty = static -backends")
 	flag.DurationVar(&o.memberPoll, "membership-poll", 2*time.Second, "membership-file mtime poll cadence (<= 0 disables polling; SIGHUP still reloads)")
 	flag.DurationVar(&o.poll, "poll", 2*time.Second, "health-poll interval")
-	flag.IntVar(&o.replicas, "replicas", 0, "consistent-hash vnodes per backend (0 = 128)")
 	flag.IntVar(&o.replication, "replication", 1, "container replication factor R: ring owner plus R-1 successors hold every validated container (1 = owner only)")
 	flag.DurationVar(&o.drainGrace, "drain-grace", 0, "how long a removed backend lingers as a drain/repair source (0 = 10s)")
 	flag.DurationVar(&o.antiEntropy, "anti-entropy", 0, "periodic anti-entropy sweep cadence (0 = sweep only on membership changes, < 0 disables)")
@@ -181,7 +180,6 @@ func run(o options) error {
 
 	rt, err = fleet.New(fleet.Config{
 		Backends:            watcher.Nodes(),
-		Replicas:            o.replicas,
 		Replication:         o.replication,
 		DrainGrace:          o.drainGrace,
 		AntiEntropyInterval: o.antiEntropy,

@@ -56,6 +56,7 @@ func TestAPIDocCoversConstants(t *testing.T) {
 		"MediaTypeSlabExtent": MediaTypeSlabExtent,
 		"DefaultTenant":       DefaultTenant,
 		"MaxAPIKeyLen":        strconv.Itoa(MaxAPIKeyLen),
+		"MaxTenants":          strconv.Itoa(MaxTenants),
 		"Interactive":         Interactive.String(),
 		"Batch":               Batch.String(),
 		"CodeOverloaded":      CodeOverloaded,

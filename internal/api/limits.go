@@ -1,5 +1,9 @@
 package api
 
+// MaxTenants bounds a daemon's tenant table: a new tenant that finds
+// this many first drops every idle tenant without a configured weight.
+const MaxTenants = 4096
+
 // Limits is the GET /v1/limits response on a single daemon: the live
 // QoS state a client can read before deciding how hard to push.
 type Limits struct {
@@ -14,11 +18,18 @@ type Limits struct {
 	// Congested reports whether the controller currently sees
 	// pressure (budget shrinking or held down).
 	Congested bool `json:"congested"`
+	// Draining reports a daemon that admits nothing new.
+	Draining bool `json:"draining"`
+	// InflightBytes is the budget admitted requests currently reserve.
+	InflightBytes int64 `json:"inflight_bytes"`
+	// Sheds counts admission rejections (429s) since boot.
+	Sheds int64 `json:"sheds"`
 	// Priorities lists the admission classes in shed order: later
 	// entries shed first.
 	Priorities []string `json:"priorities"`
-	// Tenants holds the per-tenant view, keyed by tenant name. Only
-	// tenants with configured weights or live traffic appear.
+	// Tenants holds the per-tenant view, keyed by tenant name: the
+	// configured tenants, those in flight, and those with traffic since
+	// the table last reached MaxTenants.
 	Tenants map[string]TenantLimits `json:"tenants,omitempty"`
 }
 
@@ -37,12 +48,12 @@ type TenantLimits struct {
 	Rejected int64 `json:"rejected"`
 }
 
-// FleetLimits is the router's GET /v1/limits response: the per-backend
-// Limits of every routable backend plus fleet-wide totals.
+// FleetLimits is the router's GET /v1/limits response: the last poll
+// answer of every healthy backend plus fleet-wide totals.
 type FleetLimits struct {
-	// BudgetBytes sums the routable backends' budgets.
+	// BudgetBytes sums the listed backends' budgets.
 	BudgetBytes int64 `json:"budget_bytes"`
-	// Backends maps backend address to its live Limits. Backends that
-	// failed to answer are absent.
+	// Backends maps backend address to its last polled Limits. Only
+	// backends whose last poll read healthy appear.
 	Backends map[string]Limits `json:"backends"`
 }

@@ -17,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -199,18 +200,27 @@ func (c *Client) ReadSlabExtent(ctx context.Context, digest string, lo, hi int) 
 }
 
 // Decode reconstructs the extent's raw little-endian samples locally,
-// walking the per-slab core streams. For a Raw extent the daemon
-// already decoded; Data passes through.
+// walking the per-slab core streams. Every slab must continue the first
+// one: the same element type and the same dims after the slowest, or the
+// extent is corrupt. For a Raw extent the daemon already decoded; Data
+// passes through.
 func (e *SlabExtent) Decode() ([]byte, error) {
 	if e.Raw {
 		return e.Data, nil
 	}
 	var out bytes.Buffer
+	var first *core.Header
 	off := 0
 	for i, n := range e.Lengths {
 		arr, h, err := core.Decompress(e.Data[off : off+n])
 		if err != nil {
 			return nil, fmt.Errorf("client: decoding slab stream %d: %w", i, err)
+		}
+		if first == nil {
+			first = h
+		} else if h.DType != first.DType || !slices.Equal(h.Dims[1:], first.Dims[1:]) {
+			return nil, fmt.Errorf("client: slab stream %d (%v %v) does not continue stream 0 (%v %v): %w",
+				i, h.DType, h.Dims, first.DType, first.Dims, core.ErrCorrupt)
 		}
 		if err := arr.WriteRaw(&out, h.DType); err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/blocked"
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -239,5 +241,50 @@ func TestCodecsInfoPreferredStreams(t *testing.T) {
 	}
 	if len(info.Codecs) == 0 {
 		t.Fatal("codec list empty")
+	}
+}
+
+// TestSlabExtentRejectsMixedSlabs: an extent whose slab streams disagree
+// in element type or in their dims after the slowest is corrupt, not a
+// concatenation of unrelated samples; a ragged slowest dimension is
+// fine.
+func TestSlabExtentRejectsMixedSlabs(t *testing.T) {
+	stream := func(dt grid.DType, dims ...int) []byte {
+		t.Helper()
+		a := grid.New(dims...)
+		for i := range a.Data {
+			a.Data[i] = float64(i) * 0.25
+		}
+		b, _, err := core.Compress(a, core.Params{Mode: core.BoundAbs, AbsBound: 1e-3, OutputType: dt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	extent := func(streams ...[]byte) *SlabExtent {
+		e := &SlabExtent{}
+		for _, s := range streams {
+			e.Data = append(e.Data, s...)
+			e.Lengths = append(e.Lengths, len(s))
+		}
+		return e
+	}
+	f32 := stream(grid.Float32, 2, 4, 4)
+	for _, tc := range []struct {
+		name string
+		next []byte
+	}{
+		{"dtype and dims", stream(grid.Float64, 2, 5, 3)},
+		{"dtype", stream(grid.Float64, 2, 4, 4)},
+		{"dims", stream(grid.Float32, 2, 5, 3)},
+		{"rank", stream(grid.Float32, 2, 16)},
+	} {
+		if out, err := extent(f32, tc.next).Decode(); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("%s: Decode = %d bytes, %v; want core.ErrCorrupt", tc.name, len(out), err)
+		}
+	}
+	out, err := extent(f32, stream(grid.Float32, 3, 4, 4)).Decode()
+	if err != nil || len(out) != (2+3)*4*4*4 {
+		t.Fatalf("consistent extent: Decode = %d bytes, %v; want %d bytes", len(out), err, (2+3)*4*4*4)
 	}
 }

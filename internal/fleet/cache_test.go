@@ -54,8 +54,8 @@ func TestRespCacheRejectsOversized(t *testing.T) {
 func countingBackend(t *testing.T, hits *atomic.Int64, block chan struct{}) string {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			io.WriteString(w, "ok\n") // health-poller traffic is not a forward
+		if r.URL.Path == api.PathLimits {
+			io.WriteString(w, "{}\n") // health-poller traffic is not a forward
 			return
 		}
 		hits.Add(1)
@@ -170,8 +170,8 @@ func TestRouterCompressNotCached(t *testing.T) {
 func TestRouterOversizedResponseNotCached(t *testing.T) {
 	var hits atomic.Int64
 	ts0 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			io.WriteString(w, "ok\n")
+		if r.URL.Path == api.PathLimits {
+			io.WriteString(w, "{}\n")
 			return
 		}
 		hits.Add(1)

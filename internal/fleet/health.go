@@ -1,24 +1,30 @@
 package fleet
 
-// Backend health tracking. The poller GETs each backend's /healthz on an
-// interval and, while the node answers, scrapes /metrics for the two
-// load signals admission control exposes: the reserved in-flight byte
-// gauge and the cumulative 429 count. The router consults the resulting
-// state to order candidates (dead and draining nodes are skipped, loaded
-// nodes deprioritized) and feeds observed connect failures back so a
+// Backend health tracking. The poller sends each backend one GET
+// /v1/limits per poll: a decoded answer is the node's health (draining
+// when it says so) and its load signals at once — the reserved
+// in-flight bytes and the cumulative admission rejections. The router
+// consults the resulting state to order candidates (dead and draining
+// nodes are skipped, loaded nodes deprioritized), serves the answers as
+// its own /v1/limits, and feeds observed connect failures back so a
 // SIGKILLed backend stops receiving traffic before the next poll tick.
 
 import (
-	"bufio"
 	"context"
-	"fmt"
+	"encoding/json"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/api"
 )
+
+// limitsReadLimit bounds one /v1/limits answer. The document grows with
+// the daemon's tenant count, which szd holds to api.MaxTenants besides
+// configured and in-flight ones: that many at their longest take 1.2 MB.
+const limitsReadLimit = 8 << 20
 
 // State is a backend's health as seen by the poller.
 type State int
@@ -27,15 +33,16 @@ const (
 	// StateUnknown is the pre-first-poll state; the router treats it as
 	// routable so a cold router does not blackhole traffic.
 	StateUnknown State = iota
-	// StateHealthy backends answer /healthz with 200.
+	// StateHealthy backends answer /v1/limits.
 	StateHealthy
-	// StateDraining backends answer 503: they finish in-flight work but
-	// accept nothing new, so the router routes around them.
+	// StateDraining backends answer /v1/limits with draining set: they
+	// finish in-flight work but accept nothing new, so the router routes
+	// around them.
 	StateDraining
 	// StateDead backends are unreachable (connect error, timeout) or
-	// answer with a non-health status.
+	// answer with a non-200 or a body that is not a Limits document.
 	StateDead
-	// StateWarming is a backend that has never answered /healthz and is
+	// StateWarming is a backend that has never answered /v1/limits and is
 	// still inside its startup grace window: probably booting, not dead.
 	// The router treats it like StateUnknown (routable, but a live
 	// connect failure still demotes it), and membership keeps it out of
@@ -58,25 +65,25 @@ func (s State) String() string {
 	return "unknown"
 }
 
+// routable reports whether the router offers a backend in this state
+// traffic: healthy, not yet polled, or still warming up.
+func (s State) routable() bool {
+	return s == StateHealthy || s == StateUnknown || s == StateWarming
+}
+
 // Health is one backend's polled status and load signals.
 type Health struct {
 	State State
-	// InflightBytes is the backend's reserved admission budget
-	// (szd_inflight_bytes) at the last successful scrape.
-	InflightBytes int64
-	// Shed429 is the cumulative 429 count (szd_requests_total with
-	// status="429") at the last successful scrape.
-	Shed429 int64
-	// ShedRecently reports whether the backend returned any 429s between
-	// the two most recent scrapes — the signal that its budget is
-	// saturated right now, not just that it shed load at some point.
+	// Limits is the backend's last /v1/limits answer: its reserved
+	// in-flight bytes, cumulative sheds and the rest of its admission
+	// state. A failed probe keeps the previous answer.
+	Limits api.Limits
+	// ShedRecently reports whether Limits.Sheds rose between the two
+	// most recent answers — the signal that its budget is saturated
+	// right now, not just that it shed load at some point.
 	ShedRecently bool
-	// LastChange is when State last transitioned.
-	LastChange time.Time
-	// LastPoll is when the backend was last probed.
-	LastPoll time.Time
 
-	// everHealthy records a first successful /healthz: the startup
+	// everHealthy records a first healthy answer: the startup
 	// grace applies only before it, so a backend that was up and died
 	// goes straight to dead, never back to warming.
 	everHealthy bool
@@ -217,35 +224,34 @@ func (p *Poller) PollOnce(ctx context.Context) {
 	}
 }
 
-// probe classifies one backend: connect failure or an unexpected status
-// is dead, 503 is draining, 200 is healthy — and a healthy node also
-// gets its /metrics load signals scraped.
+// probe classifies one backend from a single GET /v1/limits: a decoded
+// answer is healthy (draining if it says so); a connect failure, a
+// non-200 or a body that is not a Limits document is dead.
 func (p *Poller) probe(ctx context.Context, backend string) {
-	state := StateDead
-	var inflight, shed int64
-	var scraped bool
-	resp, err := p.get(ctx, backend, "/healthz")
+	var lim *api.Limits
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backendURL(backend)+api.PathLimits, nil)
 	if err == nil {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			state = StateHealthy
-		case http.StatusServiceUnavailable:
-			state = StateDraining
+		if resp, err := p.client.Do(req); err == nil {
+			if resp.StatusCode != http.StatusOK ||
+				json.NewDecoder(io.LimitReader(resp.Body, limitsReadLimit)).Decode(&lim) != nil {
+				lim = nil
+			}
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
+			resp.Body.Close()
 		}
 	}
-	if state == StateHealthy {
-		if mresp, err := p.get(ctx, backend, "/metrics"); err == nil {
-			inflight, shed, scraped = parseLoadMetrics(mresp.Body)
-			mresp.Body.Close()
+	state := StateDead
+	if lim != nil {
+		state = StateHealthy
+		if lim.Draining {
+			state = StateDraining
 		}
 	}
 	now := time.Now()
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	h := p.status[backend]
 	if h == nil {
-		p.mu.Unlock()
 		return
 	}
 	if state == StateHealthy {
@@ -259,25 +265,11 @@ func (p *Poller) probe(ctx context.Context, backend string) {
 		p.grace > 0 && now.Sub(h.added) < p.grace {
 		state = StateWarming
 	}
-	if h.State != state {
-		h.State = state
-		h.LastChange = now
+	h.State = state
+	if lim != nil {
+		h.ShedRecently = lim.Sheds > h.Limits.Sheds
+		h.Limits = *lim
 	}
-	if scraped {
-		h.ShedRecently = shed > h.Shed429
-		h.InflightBytes = inflight
-		h.Shed429 = shed
-	}
-	h.LastPoll = now
-	p.mu.Unlock()
-}
-
-func (p *Poller) get(ctx context.Context, backend, path string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backendURL(backend)+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	return p.client.Do(req)
 }
 
 // backendURL normalizes a backend address to a base URL.
@@ -299,11 +291,9 @@ func (p *Poller) Health(backend string) Health {
 	return Health{}
 }
 
-// Routable reports whether the router should offer the backend traffic:
-// healthy, not yet polled, or still warming up.
+// Routable reports whether the router should offer the backend traffic.
 func (p *Poller) Routable(backend string) bool {
-	s := p.Health(backend).State
-	return s == StateHealthy || s == StateUnknown || s == StateWarming
+	return p.Health(backend).State.routable()
 }
 
 // MarkDead records an observed failure (the router could not connect)
@@ -312,45 +302,7 @@ func (p *Poller) Routable(backend string) bool {
 func (p *Poller) MarkDead(backend string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	h := p.status[backend]
-	if h == nil || h.State == StateDead {
-		return
+	if h := p.status[backend]; h != nil {
+		h.State = StateDead
 	}
-	h.State = StateDead
-	h.LastChange = time.Now()
-}
-
-// parseLoadMetrics extracts szd_inflight_bytes and the summed 429 count
-// from a Prometheus text exposition. ok is true only when at least the
-// inflight gauge was recognized — szd always exposes it, so anything
-// else (an HTML error page behind a middlebox, an empty body) is not a
-// scrape, and the caller must keep its previous signals rather than
-// zero them.
-func parseLoadMetrics(r io.Reader) (inflight, shed429 int64, ok bool) {
-	sc := bufio.NewScanner(io.LimitReader(r, 1<<20))
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(line, "szd_inflight_bytes "):
-			if v, err := strconv.ParseInt(strings.TrimSpace(line[len("szd_inflight_bytes "):]), 10, 64); err == nil {
-				inflight = v
-				ok = true
-			}
-		case strings.HasPrefix(line, "szd_requests_total{") && strings.Contains(line, `status="429"`):
-			if i := strings.LastIndexByte(line, ' '); i >= 0 {
-				if v, err := strconv.ParseInt(line[i+1:], 10, 64); err == nil {
-					shed429 += v
-				}
-			}
-		}
-	}
-	return inflight, shed429, ok
-}
-
-// String renders a status line for logs.
-func (h Health) String() string {
-	return fmt.Sprintf("%s inflight=%d shed429=%d", h.State, h.InflightBytes, h.Shed429)
 }

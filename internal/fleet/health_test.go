@@ -2,19 +2,25 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/api"
 )
 
-// fakeBackend is a controllable szd stand-in: its /healthz mode can be
-// flipped, its /metrics report arbitrary load, and it can be killed and
-// resurrected on the same address to exercise the dead -> recovered
-// transition.
+// fakeBackend is a controllable szd stand-in: its /v1/limits can report
+// draining and arbitrary load, and it can be killed and resurrected on
+// the same address to exercise the dead -> recovered transition.
 type fakeBackend struct {
 	t        *testing.T
 	addr     string
@@ -39,20 +45,12 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 
 func (fb *fakeBackend) serve(ln net.Listener) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if fb.draining.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "draining")
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "# TYPE szd_requests_total counter\n")
-		fmt.Fprintf(w, "szd_requests_total{endpoint=\"compress\",codec=\"blocked\",status=\"429\"} %d\n", fb.shed.Load())
-		fmt.Fprintf(w, "szd_requests_total{endpoint=\"decompress\",codec=\"\",status=\"200\"} 7\n")
-		fmt.Fprintf(w, "# TYPE szd_inflight_bytes gauge\n")
-		fmt.Fprintf(w, "szd_inflight_bytes %d\n", fb.inflight.Load())
+	mux.HandleFunc(api.PathLimits, func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(api.Limits{
+			Draining:      fb.draining.Load(),
+			InflightBytes: fb.inflight.Load(),
+			Sheds:         fb.shed.Load(),
+		})
 	})
 	fb.srv = &http.Server{Handler: mux}
 	go fb.srv.Serve(ln)
@@ -85,8 +83,8 @@ func TestPollerStateTransitions(t *testing.T) {
 	if h.State != StateHealthy {
 		t.Fatalf("state = %v, want healthy", h.State)
 	}
-	if h.InflightBytes != 12345 {
-		t.Errorf("inflight = %d, want 12345 (metrics not scraped?)", h.InflightBytes)
+	if h.Limits.InflightBytes != 12345 {
+		t.Errorf("inflight = %d, want 12345 (metrics not scraped?)", h.Limits.InflightBytes)
 	}
 	if !p.Routable(fb.addr) {
 		t.Error("healthy backend not routable")
@@ -129,8 +127,8 @@ func TestPollerShedRecently(t *testing.T) {
 	p.PollOnce(ctx)
 	fb.shed.Store(5)
 	p.PollOnce(ctx)
-	if h := p.Health(fb.addr); !h.ShedRecently || h.Shed429 != 5 {
-		t.Fatalf("after 429 burst: ShedRecently=%v Shed429=%d, want true/5", h.ShedRecently, h.Shed429)
+	if h := p.Health(fb.addr); !h.ShedRecently || h.Limits.Sheds != 5 {
+		t.Fatalf("after 429 burst: ShedRecently=%v Shed429=%d, want true/5", h.ShedRecently, h.Limits.Sheds)
 	}
 	p.PollOnce(ctx)
 	if h := p.Health(fb.addr); h.ShedRecently {
@@ -247,16 +245,75 @@ func TestPollerAddRemove(t *testing.T) {
 	}
 }
 
-func TestParseLoadMetrics(t *testing.T) {
-	exp := `# HELP szd_requests_total Requests.
-# TYPE szd_requests_total counter
-szd_requests_total{endpoint="compress",codec="blocked",status="200"} 10
-szd_requests_total{endpoint="compress",codec="blocked",status="429"} 3
-szd_requests_total{endpoint="decompress",codec="gzip",status="429"} 4
-szd_inflight_bytes 987654
-`
-	inflight, shed, ok := parseLoadMetrics(strings.NewReader(exp))
-	if !ok || inflight != 987654 || shed != 7 {
-		t.Fatalf("parse = (%d, %d, %v), want (987654, 7, true)", inflight, shed, ok)
+// TestPollerOneProbe: a poll is exactly one GET /v1/limits per backend.
+// The fake answers every other path with 200 as szd would, so a second
+// probe request could not hide behind a failure.
+func TestPollerOneProbe(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string]int{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.Method+" "+r.URL.Path]++
+		mu.Unlock()
+		if r.URL.Path == api.PathLimits {
+			io.WriteString(w, "{}\n")
+			return
+		}
+		io.WriteString(w, "ok\n")
+	}))
+	defer ts.Close()
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	p := NewPoller([]string{addr}, time.Second, 0, nil)
+	for i := 1; i <= 3; i++ {
+		p.PollOnce(context.Background())
+		mu.Lock()
+		got := fmt.Sprint(seen)
+		ok := reflect.DeepEqual(seen, map[string]int{"GET " + api.PathLimits: i})
+		mu.Unlock()
+		if !ok {
+			t.Fatalf("after %d polls the backend saw %s, want only %d GET %s", i, got, i, api.PathLimits)
+		}
+	}
+	if h := p.Health(addr); h.State != StateHealthy {
+		t.Fatalf("state = %v, want healthy", h.State)
+	}
+}
+
+// TestPollerLimitsDocuments: an answer carrying 10,000 tenants (~1.5 MB)
+// is read whole and reads healthy; a 200 whose body is HTML is not a
+// Limits document and reads dead.
+func TestPollerLimitsDocuments(t *testing.T) {
+	lim := api.Limits{BudgetBytes: 1 << 30, Workers: 8, Tenants: map[string]api.TenantLimits{}}
+	for i := 0; i < 10000; i++ {
+		lim.Tenants[fmt.Sprintf("climate-reanalysis-ingest-team-%05d", i)] = api.TenantLimits{
+			Weight: 1.25, ShareBytes: 1073741824, InflightBytes: 167772160, Admitted: 123456789, Rejected: 1234567,
+		}
+	}
+	big, err := json.Marshal(lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(big) < 1<<20 {
+		t.Fatalf("tenant document is %d bytes, want over 1 MiB", len(big))
+	}
+	serve := func(body []byte) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write(body)
+		}))
+		t.Cleanup(ts.Close)
+		return strings.TrimPrefix(ts.URL, "http://")
+	}
+	bigAddr := serve(big)
+	htmlAddr := serve([]byte("<!DOCTYPE html>\n<html><body><h1>200 OK</h1></body></html>\n"))
+	// A long interval gives the probe a generous timeout (half of it):
+	// the decode runs slowly under the race detector. No warming grace,
+	// so a failed probe reads dead at once.
+	p := NewPoller([]string{bigAddr, htmlAddr}, 20*time.Second, -1, nil)
+	p.PollOnce(context.Background())
+	if h := p.Health(bigAddr); h.State != StateHealthy || len(h.Limits.Tenants) != 10000 {
+		t.Errorf("large document: state %v with %d tenants, want healthy with 10000", h.State, len(h.Limits.Tenants))
+	}
+	if h := p.Health(htmlAddr); h.State != StateDead {
+		t.Errorf("HTML 200: state %v, want dead", h.State)
 	}
 }

@@ -378,7 +378,7 @@ func TestFleetChaosKillAndLiveAdd(t *testing.T) {
 			h, _ := armed.Load().(string)
 			// Health probes stay clean so the poller's picture tracks
 			// real liveness, not injected noise.
-			return h != "" && r.URL.Host == h && strings.HasPrefix(r.URL.Path, "/v1/")
+			return h != "" && r.URL.Host == h && r.URL.Path != api.PathLimits && strings.HasPrefix(r.URL.Path, "/v1/")
 		},
 	})
 	rt, ts := newRouter(t, Config{

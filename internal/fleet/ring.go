@@ -1,10 +1,11 @@
-// Package fleet routes szd traffic across a set of daemon backends: a
-// consistent-hash ring assigns replayable requests to nodes by stream
+// Package fleet routes szd traffic across a set of daemon backends:
+// rendezvous hashing assigns replayable requests to nodes by stream
 // identity (so repeated compressions of the same input land on the same
-// daemon, which is what makes response caching placeable later), a
-// health poller tracks each backend's /healthz and /metrics, and the
-// Router proxies /v1/* with automatic failover to the next ring node
-// when a backend sheds (429), drains (503), or is unreachable.
+// daemon, which keeps per-node caches and stores hot), a health poller
+// reads each backend's typed GET /v1/limits once per poll, and the
+// Router proxies /v1/* with automatic failover to the next node in the
+// key's order when a backend sheds (429), drains (503), or is
+// unreachable.
 //
 // The admission budget stays authoritative on each node: the router
 // never queues work it cannot place, it only moves it to the next
@@ -13,93 +14,35 @@
 package fleet
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 )
 
-// defaultReplicas is the virtual-node count per backend. 128 vnodes keep
-// the expected load imbalance across a handful of nodes within a few
-// percent while the ring stays small enough to rebuild on every
-// membership change.
-const defaultReplicas = 128
-
-// Ring is a consistent-hash ring with virtual nodes. It is not
-// goroutine-safe; the Router guards every access — including the
-// Add/Remove calls live membership makes mid-flight — behind its
-// RWMutex, so the ring itself stays lock-free and testable on its own.
-// Consistent hashing is what makes live membership cheap: adding or
-// removing one of N nodes remaps only ~1/N of keys (asserted by
-// TestRingStability and the router's churn tests).
+// Ring places keys on nodes by rendezvous (highest-random-weight)
+// hashing: every node weighs every key with hash64(node, key), and the
+// heaviest node owns it. It is not goroutine-safe; the Router guards
+// every access — including the Add/Remove calls live membership makes
+// mid-flight — behind its RWMutex. Adding or removing one of N nodes
+// remaps only the keys that node wins or loses, ~1/N of them (asserted
+// by TestRingStability and the router's churn tests).
 type Ring struct {
-	replicas int
-	nodes    map[string]bool
-	hashes   []uint64          // sorted vnode positions
-	owner    map[uint64]string // vnode position -> node
+	nodes map[string]bool
 }
 
-// NewRing builds a ring over nodes with the given vnode count per node
-// (0 = default).
-func NewRing(replicas int, nodes ...string) *Ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
-	r := &Ring{replicas: replicas, nodes: map[string]bool{}}
+// NewRing builds a ring over nodes.
+func NewRing(nodes ...string) *Ring {
+	r := &Ring{nodes: map[string]bool{}}
 	for _, n := range nodes {
 		r.nodes[n] = true
 	}
-	r.rebuild()
 	return r
 }
 
 // Add inserts a node (no-op if present).
-func (r *Ring) Add(node string) {
-	if r.nodes[node] {
-		return
-	}
-	r.nodes[node] = true
-	r.rebuild()
-}
+func (r *Ring) Add(node string) { r.nodes[node] = true }
 
 // Remove deletes a node (no-op if absent).
-func (r *Ring) Remove(node string) {
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	r.rebuild()
-}
-
-// Nodes returns the membership, sorted.
-func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// rebuild recomputes the vnode table from the membership set. On a vnode
-// hash collision the lexicographically smaller node wins, so ownership
-// stays deterministic regardless of insertion order.
-func (r *Ring) rebuild() {
-	r.hashes = r.hashes[:0]
-	r.owner = make(map[uint64]string, len(r.nodes)*r.replicas)
-	for node := range r.nodes {
-		for i := 0; i < r.replicas; i++ {
-			h := hash64(fmt.Sprintf("%s#%d", node, i))
-			if prev, ok := r.owner[h]; ok && prev < node {
-				continue
-			}
-			if _, ok := r.owner[h]; !ok {
-				r.hashes = append(r.hashes, h)
-			}
-			r.owner[h] = node
-		}
-	}
-	sort.Slice(r.hashes, func(i, j int) bool { return r.hashes[i] < r.hashes[j] })
-}
+func (r *Ring) Remove(node string) { delete(r.nodes, node) }
 
 // Lookup returns the node owning key, "" on an empty ring.
 func (r *Ring) Lookup(key string) string {
@@ -110,38 +53,49 @@ func (r *Ring) Lookup(key string) string {
 	return seq[0]
 }
 
-// Sequence returns up to n distinct nodes in ring order starting at
-// key's successor vnode — the failover order for a request with this
-// identity: index 0 is the owner, each later entry is the next node a
-// router should try when the previous one sheds or is unreachable.
+// Sequence returns up to n distinct nodes in descending hash64(node,
+// key) order, ties broken by name — the failover order for a request
+// with this identity: index 0 is the owner, each later entry is the next
+// node a router should try when the previous one sheds or is
+// unreachable.
 func (r *Ring) Sequence(key string, n int) []string {
-	if len(r.hashes) == 0 || n <= 0 {
-		return nil
-	}
 	if n > len(r.nodes) {
 		n = len(r.nodes)
 	}
-	h := hash64(key)
-	start := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < len(r.hashes) && len(out) < n; i++ {
-		node := r.owner[r.hashes[(start+i)%len(r.hashes)]]
-		if !seen[node] {
-			seen[node] = true
-			out = append(out, node)
+	if n <= 0 {
+		return nil
+	}
+	type weighted struct {
+		w    uint64
+		node string
+	}
+	all := make([]weighted, 0, len(r.nodes))
+	for node := range r.nodes {
+		all = append(all, weighted{hash64(node, key), node})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].w != all[j].w {
+			return all[i].w > all[j].w
 		}
+		return all[i].node < all[j].node
+	})
+	out := make([]string, n)
+	for i := range out {
+		out[i] = all[i].node
 	}
 	return out
 }
 
-// hash64 is FNV-1a with a murmur-style finalizer. Raw FNV avalanches
-// poorly on short, similar strings (vnode labels differ only in their
-// suffix), which skews node shares by 2x and more; the finalizer
-// restores uniform spread.
-func hash64(s string) uint64 {
+// hash64 is node's weight for key: FNV-1a over node, a NUL separator
+// and key, with a murmur-style finalizer. Raw FNV avalanches poorly on
+// short, similar strings (node addresses often differ only in their
+// last digit), which skews node shares; the finalizer restores uniform
+// spread.
+func hash64(node, key string) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(s))
+	h.Write([]byte(node))
+	h.Write([]byte{0})
+	h.Write([]byte(key))
 	x := h.Sum64()
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd

@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -15,7 +19,7 @@ func ringKeys(n int) []string {
 
 func TestRingDistribution(t *testing.T) {
 	nodes := []string{"a:1", "b:1", "c:1", "d:1"}
-	r := NewRing(0, nodes...)
+	r := NewRing(nodes...)
 	counts := map[string]int{}
 	keys := ringKeys(20000)
 	for _, k := range keys {
@@ -23,8 +27,8 @@ func TestRingDistribution(t *testing.T) {
 	}
 	for _, n := range nodes {
 		frac := float64(counts[n]) / float64(len(keys))
-		// Perfect balance is 0.25; 128 vnodes should hold every node
-		// within a factor of ~1.5 of fair share.
+		// Perfect balance is 0.25; rendezvous hashing should hold every
+		// node within a factor of ~1.5 of fair share.
 		if frac < 0.15 || frac > 0.40 {
 			t.Errorf("node %s owns %.1f%% of keys, want ~25%%", n, 100*frac)
 		}
@@ -36,7 +40,7 @@ func TestRingDistribution(t *testing.T) {
 // adding it back restores the exact original assignment.
 func TestRingStability(t *testing.T) {
 	nodes := []string{"a:1", "b:1", "c:1", "d:1", "e:1"}
-	r := NewRing(0, nodes...)
+	r := NewRing(nodes...)
 	keys := ringKeys(10000)
 	before := map[string]string{}
 	for _, k := range keys {
@@ -73,7 +77,7 @@ func TestRingStability(t *testing.T) {
 
 func TestRingSequence(t *testing.T) {
 	nodes := []string{"a:1", "b:1", "c:1"}
-	r := NewRing(0, nodes...)
+	r := NewRing(nodes...)
 	seq := r.Sequence("some-key", 10)
 	if len(seq) != len(nodes) {
 		t.Fatalf("sequence has %d nodes, want %d", len(seq), len(nodes))
@@ -91,11 +95,28 @@ func TestRingSequence(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if got := r.Lookup("k"); got != "" {
 		t.Errorf("empty ring lookup = %q, want empty", got)
 	}
 	if seq := r.Sequence("k", 3); len(seq) != 0 {
 		t.Errorf("empty ring sequence = %v, want none", seq)
+	}
+}
+
+// TestRingPlacementPinned pins where keys land: owners are state shared
+// by every router and the backends' stores, so a change to hash64 would
+// move keys on upgrade. These are the counts README's "Hashing and
+// identity" quotes.
+func TestRingPlacementPinned(t *testing.T) {
+	r := NewRing("127.0.0.1:7181", "127.0.0.1:7182", "127.0.0.1:7183")
+	counts := map[string]int{}
+	for i := 0; i < 20000; i++ {
+		sum := sha256.Sum256([]byte(strconv.Itoa(i)))
+		counts[r.Lookup(hex.EncodeToString(sum[:]))]++
+	}
+	want := map[string]int{"127.0.0.1:7181": 6709, "127.0.0.1:7182": 6708, "127.0.0.1:7183": 6583}
+	if !reflect.DeepEqual(counts, want) {
+		t.Fatalf("owners of 20,000 digests = %v, want %v", counts, want)
 	}
 }

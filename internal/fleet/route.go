@@ -59,11 +59,11 @@ func copyHeaders(dst, src http.Header) {
 	}
 }
 
-// candidates orders the ring sequence for key by health: routable nodes
+// candidates orders the key's node sequence by health: routable nodes
 // that are not actively shedding first, then routable-but-shedding, then
 // everything else (draining/dead — still tried last, because poller
 // state may be stale and a request in hand beats a guaranteed 503).
-// Ring order is preserved within each tier so the owner stays first.
+// Sequence order is preserved within each tier so the owner stays first.
 // Warming backends not yet in the ring trail the sequence: they cannot
 // own keys, but when the whole ring is down a booting node is the last
 // resort that may still answer.
@@ -88,24 +88,15 @@ func (rt *Router) candidates(key string) []string {
 	// comparator's consistency.
 	tier := make(map[string]int, len(seq))
 	for _, b := range seq {
-		h := rt.poller.Health(b)
-		switch {
-		case routableState(h.State) && !h.ShedRecently:
-			tier[b] = 0
-		case routableState(h.State):
-			tier[b] = 1
-		default:
+		switch h := rt.poller.Health(b); {
+		case !h.State.routable():
 			tier[b] = 2
+		case h.ShedRecently:
+			tier[b] = 1
 		}
 	}
 	sort.SliceStable(seq, func(i, j int) bool { return tier[seq[i]] < tier[seq[j]] })
 	return seq
-}
-
-// routableState mirrors Poller.Routable on a snapshot: healthy, not
-// yet polled, or warming.
-func routableState(s State) bool {
-	return s == StateHealthy || s == StateUnknown || s == StateWarming
 }
 
 // ringOwner is the in-ring owner for key ("" on an empty ring).
@@ -128,15 +119,15 @@ func (rt *Router) pickStreaming() string {
 			h := rt.poller.Health(b)
 			// Warming nodes are excluded here: a stream gets exactly one
 			// attempt, so it goes to a node known to answer.
-			routable := h.State == StateHealthy || h.State == StateUnknown
+			routable := h.State.routable() && h.State != StateWarming
 			if tier == 0 && (!routable || h.ShedRecently) {
 				continue
 			}
 			if tier == 1 && !routable {
 				continue
 			}
-			if best == "" || h.InflightBytes < bestLoad {
-				best, bestLoad = b, h.InflightBytes
+			if best == "" || h.Limits.InflightBytes < bestLoad {
+				best, bestLoad = b, h.Limits.InflightBytes
 			}
 		}
 	}

@@ -145,8 +145,8 @@ func TestRouterCacheKeyedByMethod(t *testing.T) {
 func TestRouterAbortsOnBrokenBackendBody(t *testing.T) {
 	var forwards atomic.Int64
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			io.WriteString(w, "ok\n") // health-poller traffic
+		if r.URL.Path == api.PathLimits {
+			io.WriteString(w, "{}\n") // health-poller traffic
 			return
 		}
 		forwards.Add(1)

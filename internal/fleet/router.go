@@ -57,8 +57,6 @@ const (
 type Config struct {
 	// Backends are the szd nodes ("host:port" or full URLs). Required.
 	Backends []string
-	// Replicas is the ring vnode count per backend (0 = 128).
-	Replicas int
 	// BufferLimit is the replayable-body cap in bytes (0 = 4 MiB).
 	BufferLimit int
 	// PollInterval is the health-poll cadence (0 = 2s).
@@ -181,7 +179,7 @@ func New(cfg Config) (*Router, error) {
 		cacheBytes = defaultCacheBytes
 	}
 	rt := &Router{
-		ring:        NewRing(cfg.Replicas, cfg.Backends...),
+		ring:        NewRing(cfg.Backends...),
 		poller:      NewPoller(cfg.Backends, cfg.PollInterval, cfg.WarmupGrace, phc),
 		backends:    append([]string(nil), cfg.Backends...),
 		pending:     map[string]bool{},
@@ -364,11 +362,10 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "no routable backends\n")
 }
 
-// handleLimits aggregates GET /v1/limits across the fleet: every
-// routable backend's live QoS state, fetched in sequence (the fleet is
-// small and the endpoint cheap), plus the summed budget. Backends that
-// fail to answer are simply absent — a partial view beats a 502 when
-// one node is mid-restart.
+// handleLimits serves GET /v1/limits for the fleet: every healthy
+// backend's last poll answer, at most one poll interval old, plus the
+// summed budget. A backend whose last probe failed is absent — a partial
+// view beats a 502 when one node is mid-restart.
 func (rt *Router) handleLimits(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		api.WriteError(w, api.Wrap(http.StatusMethodNotAllowed,
@@ -377,31 +374,14 @@ func (rt *Router) handleLimits(w http.ResponseWriter, r *http.Request) {
 	}
 	fl := api.FleetLimits{Backends: map[string]api.Limits{}}
 	for _, b := range rt.Backends() {
-		if !rt.poller.Routable(b) {
-			continue
+		if h := rt.poller.Health(b); h.State == StateHealthy {
+			fl.Backends[b] = h.Limits
+			fl.BudgetBytes += h.Limits.BudgetBytes
 		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet,
-			backendURL(b)+api.PathLimits, nil)
-		if err != nil {
-			continue
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			continue
-		}
-		var lim api.Limits
-		derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&lim)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || derr != nil {
-			continue
-		}
-		fl.Backends[b] = lim
-		fl.BudgetBytes += lim.BudgetBytes
 	}
 	if len(fl.Backends) == 0 {
 		api.WriteError(w, api.Wrap(http.StatusServiceUnavailable,
-			&api.Error{Code: api.CodeNoBackend, Message: "no routable backend answered /v1/limits"}))
+			&api.Error{Code: api.CodeNoBackend, Message: "no healthy backend answered /v1/limits"}))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -453,7 +433,7 @@ func newRouterMetrics(p *Poller, cache *respCache) *routerMetrics {
 	r.Func("szrouter_backend_inflight_bytes", "Last-scraped reserved budget per backend.",
 		"gauge", []string{"backend"}, func(emit func(float64, ...string)) {
 			for _, bk := range p.Backends() {
-				emit(float64(p.Health(bk).InflightBytes), bk)
+				emit(float64(p.Health(bk).Limits.InflightBytes), bk)
 			}
 		})
 	stat := func(pick func(bytes, entries, hits, misses, evictions int64) int64) func(func(float64, ...string)) {

@@ -188,10 +188,8 @@ func shedBackend(t *testing.T, retryAfter string) string {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case "/healthz":
-			fmt.Fprintln(w, "ok")
-		case "/metrics":
-			fmt.Fprintln(w, "szd_inflight_bytes 0")
+		case api.PathLimits:
+			fmt.Fprintln(w, "{}")
 		default:
 			w.Header().Set("Retry-After", retryAfter)
 			w.Header().Set("Content-Type", "application/json")

@@ -5,20 +5,25 @@ package fleet
 // and fleet-wide /v1/limits aggregation.
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/api"
+	"repro/internal/server"
 )
 
-// tenantBackend is a minimal szd stand-in: healthy to the poller, records
-// every proxied request (headers cloned), and optionally serves a
-// canned /v1/limits document.
+// tenantBackend is a minimal szd stand-in: it records every proxied
+// request (headers cloned) and optionally serves a canned /v1/limits
+// document, without which the poller reads it dead.
 type tenantBackend struct {
 	ts     *httptest.Server
 	limits *api.Limits
@@ -32,10 +37,6 @@ func newTenantBackend(t *testing.T, limits *api.Limits) *tenantBackend {
 	fb := &tenantBackend{limits: limits}
 	fb.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case api.PathHealthz:
-			io.WriteString(w, "ok\n")
-		case api.PathMetrics:
-			io.WriteString(w, "szd_inflight_bytes 0\n")
 		case api.PathLimits:
 			if fb.limits == nil {
 				http.Error(w, "limits unavailable", http.StatusInternalServerError)
@@ -257,5 +258,88 @@ func TestFleetLimitsEndToEnd(t *testing.T) {
 	}
 	if fl.BudgetBytes != fl.Backends[backends[0]].BudgetBytes+fl.Backends[backends[1]].BudgetBytes {
 		t.Error("fleet budget is not the sum of backend budgets")
+	}
+}
+
+// TestFleetLimitsDrainingBackend: a real szd that starts draining reads
+// draining after the router's next poll and leaves the router's
+// /v1/limits, while the other backend stays.
+func TestFleetLimitsDrainingBackend(t *testing.T) {
+	s := server.New(server.Config{})
+	sts := httptest.NewServer(s.Handler())
+	t.Cleanup(sts.Close)
+	draining, other := strings.TrimPrefix(sts.URL, "http://"), newSzd(t)
+	rt, ts := newRouter(t, Config{Backends: []string{draining, other}})
+
+	s.StartDrain()
+	rt.poller.PollOnce(context.Background())
+	if st := rt.poller.Health(draining).State; st != StateDraining {
+		t.Fatalf("draining szd reads %v after a poll, want draining", st)
+	}
+	resp, err := http.Get(ts.URL + api.PathLimits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fl api.FleetLimits
+	if err := json.NewDecoder(resp.Body).Decode(&fl); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if _, ok := fl.Backends[draining]; ok {
+		t.Errorf("draining backend %s still listed in the router's /v1/limits", draining)
+	}
+	if lim, ok := fl.Backends[other]; !ok || lim.Draining {
+		t.Errorf("healthy backend %s: listed %v, draining %v; want listed and not draining", other, ok, lim.Draining)
+	}
+}
+
+// TestPollerTenantFlood: a real szd that has seen more distinct API
+// keys than api.MaxTenants lists at most that many tenants and still
+// reads healthy; and that many tenants, with the longest names and
+// counters a daemon can report, fit the probe's read limit.
+func TestPollerTenantFlood(t *testing.T) {
+	// A batch gzip compress, charged the whole 1 MiB budget, is shed
+	// past the batch watermark: each key reaches admission, and so the
+	// tenant table, at the cost of a 429.
+	sts := httptest.NewServer(server.New(server.Config{MaxInflightBytes: 1 << 20}).Handler())
+	t.Cleanup(sts.Close)
+	addr := strings.TrimPrefix(sts.URL, "http://")
+	for i := 0; i < api.MaxTenants+100; i++ {
+		req, err := http.NewRequest(http.MethodPost, sts.URL+api.PathCompress+"?codec=gzip", strings.NewReader("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(api.HeaderAPIKey, fmt.Sprintf("flood%05d.k", i))
+		req.Header.Set(api.HeaderPriority, api.Batch.String())
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("batch compress %d = %d, want 429", i, resp.StatusCode)
+		}
+	}
+	p := NewPoller([]string{addr}, 20*time.Second, -1, nil)
+	p.PollOnce(context.Background())
+	if h := p.Health(addr); h.State != StateHealthy || len(h.Limits.Tenants) > api.MaxTenants {
+		t.Errorf("after %d keys: state %v with %d tenants, want healthy with at most %d",
+			api.MaxTenants+100, h.State, len(h.Limits.Tenants), api.MaxTenants)
+	}
+
+	worst := api.Limits{Tenants: map[string]api.TenantLimits{}}
+	for i := 0; i < api.MaxTenants; i++ {
+		worst.Tenants[fmt.Sprintf("%0*d", api.MaxAPIKeyLen, i)] = api.TenantLimits{
+			Weight: math.MaxFloat64, ShareBytes: math.MaxInt64, InflightBytes: math.MaxInt64,
+			Admitted: math.MaxInt64, Rejected: math.MaxInt64,
+		}
+	}
+	doc, err := json.Marshal(worst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc) > limitsReadLimit {
+		t.Errorf("%d tenants at their longest take %d bytes, past the %d-byte read limit", api.MaxTenants, len(doc), limitsReadLimit)
 	}
 }

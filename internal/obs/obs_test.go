@@ -183,7 +183,7 @@ func TestRegistryExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		`szd_requests_total{endpoint="compress",codec="blocked",status="200"} 2`,
-		"szd_inflight_bytes 1073741824", // integer rendering, parseLoadMetrics depends on it
+		"szd_inflight_bytes 1073741824", // integer rendering, CI's exact-line greps depend on it
 		`szd_request_seconds_bucket{endpoint="compress",le="+Inf"} 3`,
 		`szd_request_seconds_count{endpoint="compress"} 3`,
 		"szd_live 3.5",

@@ -69,11 +69,13 @@ type governor struct {
 	tenants map[string]*tenantAcct // live per-tenant accounting
 }
 
-// tenantAcct is one tenant's admission state. Entries persist once
-// created so the admitted/rejected counters survive idle periods.
+// tenantAcct is one tenant's admission state. Entries outlive idle
+// periods so the admitted/rejected counters accumulate, until the table
+// fills: see acct.
 type tenantAcct struct {
 	weight   float64
 	inflight int64
+	grants   int // live grants; an entry with none is idle
 	admitted int64
 	rejected int64
 }
@@ -96,20 +98,25 @@ func (g *governor) setBudget(n int64) { g.budget.Store(n) }
 
 // setWorkerClamp publishes a new worker clamp in [1, poolSize].
 func (g *governor) setWorkerClamp(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > g.poolSize {
-		n = g.poolSize
-	}
-	g.clamp.Store(int64(n))
+	g.clamp.Store(int64(min(max(n, 1), g.poolSize)))
 }
 
-// acct returns (creating if needed) the tenant's accounting entry.
-// Caller holds mu.
+// acct returns (creating if needed) the tenant's accounting entry. A
+// new entry that finds api.MaxTenants in the table first drops every
+// idle tenant without a configured weight, so a flood of distinct API
+// keys cannot grow /v1/limits and the szd_qos_tenant_* series; a
+// dropped tenant's counters restart if it returns, and no admission
+// changes, since shares count only tenants in flight. Caller holds mu.
 func (g *governor) acct(tenant string) *tenantAcct {
 	a := g.tenants[tenant]
 	if a == nil {
+		if len(g.tenants) >= api.MaxTenants {
+			for name, t := range g.tenants {
+				if t.grants == 0 && g.weights[name] == 0 {
+					delete(g.tenants, name)
+				}
+			}
+		}
 		w := g.weights[tenant]
 		if w <= 0 {
 			w = 1
@@ -120,17 +127,24 @@ func (g *governor) acct(tenant string) *tenantAcct {
 	return a
 }
 
-// shareBytes computes tenant a's weighted-fair byte share given the
-// currently active tenants (those with in-flight charge, plus a
-// itself). Caller holds mu.
-func (g *governor) shareBytes(a *tenantAcct, budget int64) int64 {
-	sumW := a.weight
+// activeWeight sums the weights of the tenants with in-flight charge;
+// a snapshot sums once, not per tenant, to stay linear. Caller holds mu.
+func (g *governor) activeWeight() (w float64) {
 	for _, t := range g.tenants {
-		if t != a && t.inflight > 0 {
-			sumW += t.weight
+		if t.inflight > 0 {
+			w += t.weight
 		}
 	}
-	return int64(float64(budget) * a.weight / sumW)
+	return w
+}
+
+// shareBytes computes tenant a's weighted-fair byte share of budget,
+// given active, the activeWeight of the tenants; a itself always counts.
+func shareBytes(a *tenantAcct, budget int64, active float64) int64 {
+	if a.inflight <= 0 {
+		active += a.weight
+	}
+	return int64(float64(budget) * a.weight / active)
 }
 
 // grant is one admitted request's hold on the governed resources.
@@ -157,51 +171,36 @@ func (g *governor) admit(tenant string, pri api.Priority, charge int64, wantWork
 
 	g.mu.Lock()
 	a := g.acct(tenant)
-	if budget > 0 {
-		cur := g.inflight.Load()
-		if cur+charge > budget {
-			a.rejected++
-			g.mu.Unlock()
-			g.sheds.Add(1)
-			return nil, errBudget
-		}
-		if pri == api.Batch && float64(cur+charge) > batchWatermark*float64(budget) {
-			a.rejected++
-			g.mu.Unlock()
-			g.sheds.Add(1)
-			return nil, errBudget
-		}
-		if float64(cur+charge) > fairShareWatermark*float64(budget) {
-			if a.inflight+charge > g.shareBytes(a, budget) {
-				a.rejected++
-				g.mu.Unlock()
-				g.sheds.Add(1)
-				return nil, errTenantShare
-			}
-		}
-	}
-	if wantWorkers < 1 {
-		wantWorkers = 1
-	}
-	clamp := int(g.clamp.Load())
-	if wantWorkers > clamp {
-		wantWorkers = clamp
-	}
-	// The clamp may sit below the pool: tokens beyond it are parked
-	// even when free.
-	avail := clamp - (g.poolSize - g.free)
-	granted := wantWorkers
-	if granted > avail {
-		granted = avail
-	}
-	if granted <= 0 {
+	shed := func(err error) (*grant, error) {
 		a.rejected++
 		g.mu.Unlock()
 		g.sheds.Add(1)
-		return nil, errWorkers
+		return nil, err
+	}
+	if budget > 0 {
+		cur := g.inflight.Load()
+		if cur+charge > budget {
+			return shed(errBudget)
+		}
+		if pri == api.Batch && float64(cur+charge) > batchWatermark*float64(budget) {
+			return shed(errBudget)
+		}
+		if float64(cur+charge) > fairShareWatermark*float64(budget) {
+			if a.inflight+charge > shareBytes(a, budget, g.activeWeight()) {
+				return shed(errTenantShare)
+			}
+		}
+	}
+	// The clamp may sit below the pool: tokens beyond it are parked
+	// even when free.
+	clamp := int(g.clamp.Load())
+	granted := min(max(wantWorkers, 1), clamp, clamp-(g.poolSize-g.free))
+	if granted <= 0 {
+		return shed(errWorkers)
 	}
 	g.free -= granted
 	a.inflight += charge
+	a.grants++
 	a.admitted++
 	g.mu.Unlock()
 
@@ -251,6 +250,7 @@ func (gr *grant) release() {
 	g.mu.Lock()
 	g.free += gr.workers
 	gr.acct.inflight -= gr.bytes
+	gr.acct.grants--
 	g.mu.Unlock()
 	g.requests.Add(-1)
 }
@@ -282,12 +282,13 @@ func (g *governor) snapshotTenants() []tenantSnapshot {
 	for name := range g.weights {
 		g.acct(name)
 	}
+	active := g.activeWeight()
 	out := make([]tenantSnapshot, 0, len(g.tenants))
 	for name, a := range g.tenants {
 		out = append(out, tenantSnapshot{
 			name:     name,
 			weight:   a.weight,
-			share:    g.shareBytes(a, budget),
+			share:    shareBytes(a, budget, active),
 			inflight: a.inflight,
 			admitted: a.admitted,
 			rejected: a.rejected,

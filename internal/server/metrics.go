@@ -1,10 +1,8 @@
 package server
 
-// Request telemetry on the shared obs registry. The szd_* series names
-// and label orders predate the registry and are scrape-contract: the
-// router's load poller parses szd_inflight_bytes / szd_workers_busy
-// lines (fleet/health.go), and CI greps exact sample lines — only the
-// emitter moved, not the exposition.
+// Request telemetry on the shared obs registry. The szd_* names and
+// label orders are scrape-contract for dashboards, perfbench and CI's
+// exact-line greps; the router reads its load signals from /v1/limits.
 
 import (
 	"strconv"

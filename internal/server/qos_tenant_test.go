@@ -6,9 +6,11 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/api"
@@ -262,6 +264,112 @@ func TestLimitsAndDebugQoS(t *testing.T) {
 	}
 	if dbg.State.Ticks != before+1 {
 		t.Errorf("ticks = %d, want %d", dbg.State.Ticks, before+1)
+	}
+}
+
+// TestLimitsLoadSignals: /v1/limits carries the signals the router's
+// health poll reads — a held grant's bytes in inflight_bytes, a 429
+// counted in sheds, and draining once StartDrain is called.
+func TestLimitsLoadSignals(t *testing.T) {
+	s, ts := newTestDaemon(t, Config{MaxInflightBytes: 64 << 20})
+	read := func() api.Limits {
+		t.Helper()
+		resp, err := http.Get(ts.URL + api.PathLimits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var lim api.Limits
+		if err := json.NewDecoder(resp.Body).Decode(&lim); err != nil {
+			t.Fatal(err)
+		}
+		return lim
+	}
+	if lim := read(); lim.Draining || lim.InflightBytes != 0 || lim.Sheds != 0 {
+		t.Fatalf("idle limits = %+v, want not draining, nothing in flight, no sheds", lim)
+	}
+	gr, err := s.gov.admit(api.DefaultTenant, api.Interactive, 64<<20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gr.release()
+	if lim := read(); lim.InflightBytes != 64<<20 {
+		t.Fatalf("inflight_bytes = %d with a held %d-byte grant", lim.InflightBytes, 64<<20)
+	}
+	resp := post(t, ts.URL+api.PathCompress+"?codec=gzip", []byte("x"))
+	readAllClose(t, resp)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("compress against a full budget = %d, want 429", resp.StatusCode)
+	}
+	if lim := read(); lim.Sheds != 1 {
+		t.Fatalf("sheds = %d after one 429, want 1", lim.Sheds)
+	}
+	s.StartDrain()
+	if lim := read(); !lim.Draining {
+		t.Fatal("limits not draining after StartDrain")
+	}
+}
+
+// TestTenantTableBounded: tenants past api.MaxTenants, admitted or shed
+// from several goroutines at once, do not grow the table past it, while
+// a configured tenant and one that holds a grant keep their entries and
+// counters, and every other grant's release lands on a live entry.
+func TestTenantTableBounded(t *testing.T) {
+	g := newGovernor(1<<20, 8, map[string]float64{"gold": 3})
+	held, err := g.admit("busy", api.Interactive, 1<<10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.admit("gold", api.Interactive, 2<<20, 1); err == nil {
+		t.Fatal("a charge over the budget was admitted")
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < 2*api.MaxTenants; i += workers {
+				name := fmt.Sprintf("flood%05d", i)
+				if i%2 == 0 {
+					gr, err := g.admit(name, api.Interactive, 1<<10, 1)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					gr.release()
+				} else if _, err := g.admit(name, api.Interactive, 2<<20, 1); err == nil {
+					t.Error("a charge over the budget was admitted")
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := len(g.tenants); n > api.MaxTenants {
+		t.Fatalf("after %d flood tenants the table holds %d, want at most %d", 2*api.MaxTenants, n, api.MaxTenants)
+	}
+	for name, a := range g.tenants {
+		if name != "busy" && (a.grants != 0 || a.inflight != 0) {
+			t.Errorf("released tenant %s = %+v, want idle", name, a)
+		}
+	}
+	if g.inflight.Load() != 1<<10 || g.free != 7 {
+		t.Errorf("governor holds %d bytes and %d free tokens, want the held grant's 1024 and 7", g.inflight.Load(), g.free)
+	}
+	snap := map[string]tenantSnapshot{}
+	for _, ten := range g.snapshotTenants() {
+		snap[ten.name] = ten
+	}
+	if b := snap["busy"]; b.inflight != 1<<10 || b.admitted != 1 {
+		t.Errorf("tenant with a held grant = %+v, want 1 KiB in flight and 1 admitted", b)
+	}
+	if gd := snap["gold"]; gd.weight != 3 || gd.rejected != 1 {
+		t.Errorf("configured tenant = %+v, want weight 3 and 1 rejected", gd)
+	}
+	held.release()
+	if b := g.tenants["busy"]; b == nil || b.inflight != 0 || b.grants != 0 {
+		t.Errorf("after release the held tenant's entry = %+v, want present and idle", b)
 	}
 }
 

@@ -807,7 +807,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // limits assembles the live QoS state as the documented api.Limits
-// shape (shared with the router's fleet aggregation).
+// shape: the router's one health probe and its fleet view.
 func (s *Server) limits() api.Limits {
 	st := s.qosState()
 	lim := api.Limits{
@@ -816,6 +816,9 @@ func (s *Server) limits() api.Limits {
 		Workers:         int(s.gov.clamp.Load()),
 		RetryAfterMS:    s.retryAfterMS.Load(),
 		Congested:       st.Congested,
+		Draining:        s.Draining(),
+		InflightBytes:   s.gov.inflight.Load(),
+		Sheds:           s.gov.sheds.Load(),
 		Priorities:      []string{api.Interactive.String(), api.Batch.String()},
 		Tenants:         map[string]api.TenantLimits{},
 	}
