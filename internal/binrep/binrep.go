@@ -55,78 +55,84 @@ func NewEncoder(w *bitstream.Writer, eb float64) *Encoder {
 // reconstruct for it — the compressor feeds that back into its prediction
 // array so compressor and decompressor stay bit-for-bit in sync.
 func (e *Encoder) Encode(v float64) float64 {
-	if e.eb <= 0 || math.IsInf(e.eb, 0) || math.IsNaN(e.eb) ||
-		math.IsNaN(v) || math.IsInf(v, 0) {
-		e.writeRaw(v)
+	switch tag, k := e.classify(v); tag {
+	case tagRaw:
+		e.W.WriteBits(0b11, 2)
+		e.W.WriteBits(math.Float64bits(v), 64)
 		return v
-	}
-	if math.Abs(v) <= e.eb {
+	case tagZero:
 		e.W.WriteBits(0b10, 2)
 		return 0
+	default:
+		bits := math.Float64bits(v)
+		e.W.WriteBits(0, 1) // tagTrunc
+		e.W.WriteBits(bits>>63, 1)
+		e.W.WriteBits(bits>>52, 11)
+		e.W.WriteBits(uint64(k), 6)
+		if k > 0 {
+			e.W.WriteBits((bits&mantMask)>>(52-k), k)
+		}
+		return truncate(bits, k)
 	}
-	bits := math.Float64bits(v)
-	exp := int((bits >> 52) & 0x7FF)
-	if exp == 0 {
-		// Subnormal with |v| > eb: eb is below the subnormal threshold, so
-		// truncation bookkeeping gets awkward; the raw escape is rare and safe.
-		e.writeRaw(v)
+}
+
+// Value returns what Encode(v) returns without writing anything, so a
+// compressor can reconstruct an unpredictable point during its scan and
+// write the bits afterwards. The Encoder's Writer may be nil.
+func (e *Encoder) Value(v float64) float64 {
+	switch tag, k := e.classify(v); tag {
+	case tagRaw:
 		return v
+	case tagZero:
+		return 0
+	default:
+		return truncate(math.Float64bits(v), k)
 	}
-	unbiased := exp - 1023
-	k := unbiased - e.ebExp
-	if k < 0 {
-		k = 0
-	}
-	if k > 52 {
-		k = 52
-	}
-	mant := bits & ((uint64(1) << 52) - 1)
-	e.W.WriteBits(0, 1) // tagTrunc
-	e.W.WriteBits(bits>>63, 1)
-	e.W.WriteBits(uint64(exp), 11)
-	e.W.WriteBits(uint64(k), 6)
-	if k > 0 {
-		e.W.WriteBits(mant>>(52-uint(k)), uint(k))
-	}
-	return reconstruct(bits>>63, uint64(exp), mant>>(52-uint(k))<<(52-uint(k)), uint(k))
-}
-
-// reconstruct mirrors Decoder.Decode's truncated-value path.
-func reconstruct(sign, exp, mant uint64, k uint) float64 {
-	if k < 52 {
-		mant |= uint64(1) << (52 - k - 1)
-	}
-	return math.Float64frombits(sign<<63 | exp<<52 | mant)
-}
-
-func (e *Encoder) writeRaw(v float64) {
-	e.W.WriteBits(0b11, 2)
-	e.W.WriteBits(math.Float64bits(v), 64)
 }
 
 // BitsFor returns the number of bits Encode will use for v, without
 // writing. Useful for cost models.
 func (e *Encoder) BitsFor(v float64) int {
+	switch tag, k := e.classify(v); tag {
+	case tagRaw:
+		return 2 + 64
+	case tagZero:
+		return 2
+	default:
+		return 1 + 1 + 11 + 6 + int(k)
+	}
+}
+
+const mantMask = uint64(1)<<52 - 1
+
+// classify picks v's wire form and, for tagTrunc, the number k of
+// mantissa bits kept.
+func (e *Encoder) classify(v float64) (tag int, k uint) {
 	if e.eb <= 0 || math.IsInf(e.eb, 0) || math.IsNaN(e.eb) ||
 		math.IsNaN(v) || math.IsInf(v, 0) {
-		return 66
+		return tagRaw, 0
 	}
 	if math.Abs(v) <= e.eb {
-		return 2
+		return tagZero, 0
 	}
-	bits := math.Float64bits(v)
-	exp := int((bits >> 52) & 0x7FF)
+	exp := int((math.Float64bits(v) >> 52) & 0x7FF)
 	if exp == 0 {
-		return 66
+		// Subnormal with |v| > eb: eb is below the subnormal threshold, so
+		// truncation bookkeeping gets awkward; the raw escape is rare and safe.
+		return tagRaw, 0
 	}
-	k := exp - 1023 - e.ebExp
-	if k < 0 {
-		k = 0
+	return tagTrunc, uint(min(max(exp-1023-e.ebExp, 0), 52))
+}
+
+// truncate keeps the top k mantissa bits of the value with IEEE bits
+// and re-centers the dropped tail at its midpoint, as Decoder.Decode's
+// truncated-value path does.
+func truncate(bits uint64, k uint) float64 {
+	mant := (bits & mantMask) >> (52 - k) << (52 - k)
+	if k < 52 {
+		mant |= uint64(1) << (52 - k - 1)
 	}
-	if k > 52 {
-		k = 52
-	}
-	return 1 + 1 + 11 + 6 + k
+	return math.Float64frombits(bits&^mantMask | mant)
 }
 
 // Decoder reads values written by Encoder.

@@ -204,3 +204,33 @@ func TestEncodeReturnsDecoderValue(t *testing.T) {
 		}
 	}
 }
+
+// TestValueMatchesEncode pins Value(v) to Encode(v)'s return, bit for bit,
+// and checks that Value writes nothing: compressors reconstruct an
+// unpredictable point with Value during the scan and write its bits
+// afterwards.
+func TestValueMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	sub := math.SmallestNonzeroFloat64
+	for _, eb := range []float64{1e-2, 1e-5, 1e-9, 1e-320, 0, -1, math.Inf(1), math.NaN()} {
+		vals := []float64{0, math.Copysign(0, -1), eb, -eb, math.Nextafter(eb, 2), 2 * eb,
+			math.NaN(), math.Inf(1), math.Inf(-1), sub, -sub, 5e-320, 2.2e-308,
+			math.MaxFloat64, -math.MaxFloat64}
+		for i := 0; i < 500; i++ {
+			vals = append(vals, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
+		}
+		w := bitstream.NewWriter(0)
+		enc := NewEncoder(w, eb)
+		for _, v := range vals {
+			want := enc.Encode(v)
+			n := w.Len()
+			if got := enc.Value(v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("eb=%g v=%g: Value %x, Encode returned %x",
+					eb, v, math.Float64bits(got), math.Float64bits(want))
+			}
+			if w.Len() != n {
+				t.Fatalf("eb=%g v=%g: Value wrote %d bits", eb, v, w.Len()-n)
+			}
+		}
+	}
+}

@@ -74,7 +74,11 @@ func analyze(a *grid.Array, p Params, kernels bool) (*Scan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	_, _, valueRange := a.Range()
+	var valueRange float64
+	if p.Mode != BoundAbs {
+		// Only the relative modes consult the value range.
+		_, _, valueRange = a.Range()
+	}
 	eb := p.EffectiveBound(valueRange)
 
 	q, err := quant.New(eb, p.IntervalBits)
@@ -90,36 +94,36 @@ func analyze(a *grid.Array, p Params, kernels bool) (*Scan, error) {
 	codes := scratch.Ints(n)     // every entry assigned by the scan
 	recon := scratch.Float64s(n) // every entry assigned by the scan
 	hist := scratch.Uint64sZeroed(q.NumCodes())
-	// The reconstruction is dead once the scan finishes (only the codes
-	// and outliers reach the stream), so it recycles here rather than
-	// living as long as the Scan — two-pass encodes hold one Scan per
-	// slab concurrently.
-	defer scratch.PutFloat64s(recon)
-
-	// Outlier values are discovered during the scan but serialized after
-	// the Huffman-coded symbols, so they collect in a side stream. The
-	// hint covers a few percent of outliers at 33 bits each; heavier
-	// escape traffic grows the buffer, which recycles under its grown
-	// size class.
-	outW := bitstream.NewWriterBytes(scratch.Bytes(n/8 + 64))
-	outEnc := binrep.NewEncoder(outW, eb)
-
 	scan := &compressState{
 		qparams: newQParams(q, p.OutputType),
 		data:    a.Data,
 		recon:   recon,
 		codes:   codes,
 		hist:    hist,
-		outW:    outW,
-		outEnc:  outEnc,
+		enc:     binrep.NewEncoder(nil, eb),
 	}
 	scan.scan(a.Dims, p.Layers, pred, kernels)
+	// The reconstruction is dead once the scan finishes (only the codes
+	// and outliers reach the stream), so it recycles before the outlier
+	// bits are written rather than living as long as the Scan — two-pass
+	// encodes hold one Scan per slab concurrently.
+	scratch.PutFloat64s(recon)
+	scan.recon = nil
+
+	// Outlier values are serialized after the Huffman-coded symbols, so
+	// they collect in a side stream, sized for the escapes the scan
+	// counted at 33 bits each (a float32 source's raw pattern) and at
+	// least for a few percent of the points escaping. Longer outliers
+	// grow the buffer, which recycles under its grown size class.
+	numOutliers := int(hist[quant.UnpredictableCode])
+	outW := bitstream.NewWriterBytes(scratch.Bytes(max(n, numOutliers*33)/8 + 64))
+	scan.writeOutliers(outW)
 	return &Scan{
 		p:           p,
 		dims:        a.Dims,
 		eb:          eb,
 		n:           n,
-		numOutliers: scan.numOutliers,
+		numOutliers: numOutliers,
 		codes:       codes,
 		hist:        hist,
 		outW:        outW,
@@ -177,10 +181,11 @@ func (s *Scan) EncodeAppend(dst []byte, shared *huffman.Codebook) ([]byte, *Stat
 	if k > 1 || shared != nil {
 		version = VersionMulti
 	}
-	// One byte per element covers compression factors down to 4x for
-	// float32 (8x for float64) without growing; the scratch class
-	// rounding gives the buffer further headroom on top.
-	payload := bitstream.NewWriterBytes(scratch.Bytes(n + 64))
+	// One byte per element covers the codes at compression factors down
+	// to 4x for float32 (8x for float64) without growing, on top of the
+	// outlier section; the scratch class rounding gives the buffer
+	// further headroom.
+	payload := bitstream.NewWriterBytes(scratch.Bytes(n + len(s.outW.Bytes()) + 64))
 	defer func() { scratch.PutBytes(payload.Bytes()) }()
 
 	var tableBits, codeBits uint64
@@ -268,27 +273,43 @@ func (s *Scan) EncodeAppend(dst []byte, shared *huffman.Codebook) ([]byte, *Stat
 	return stream, st, nil
 }
 
-// encodeOutlier stores an unpredictable value and returns the exact value
-// the decompressor will reconstruct for it.
+// encodeOutlier writes an unpredictable value to enc's Writer, and
+// outlierValue returns the value the decompressor reconstructs from those
+// bits.
 //
 // float64 sources use error-bounded IEEE truncation (binrep). float32
 // sources store the raw 32-bit pattern — lossless for genuinely
 // single-precision inputs — with a 64-bit escape for float64 inputs
 // mislabelled as float32 whose narrowing would exceed the bound.
-func encodeOutlier(enc *binrep.Encoder, w *bitstream.Writer, x, eb float64, t grid.DType) float64 {
-	if t != grid.Float32 {
-		return enc.Encode(x)
-	}
-	x32 := float64(float32(x))
-	if math.Abs(x32-x) <= eb || math.IsNaN(x) {
+func encodeOutlier(enc *binrep.Encoder, x, eb float64, t grid.DType) {
+	switch {
+	case t != grid.Float32:
+		enc.Encode(x)
+	case narrows(x, eb):
 		// One 33-bit write: the 0 escape flag followed by the raw pattern
 		// (identical bits to writing them separately).
-		w.WriteBits(uint64(math.Float32bits(float32(x))), 33)
-		return x32
+		enc.W.WriteBits(uint64(math.Float32bits(float32(x))), 33)
+	default:
+		enc.W.WriteBits(1, 1)
+		enc.W.WriteBits(math.Float64bits(x), 64)
 	}
-	w.WriteBits(1, 1)
-	w.WriteBits(math.Float64bits(x), 64)
-	return x
+}
+
+func outlierValue(enc *binrep.Encoder, x, eb float64, t grid.DType) float64 {
+	switch {
+	case t != grid.Float32:
+		return enc.Value(x)
+	case narrows(x, eb):
+		return float64(float32(x))
+	default:
+		return x
+	}
+}
+
+// narrows reports whether a float32 source stores x as its raw 32-bit
+// pattern: narrowing keeps x within eb, or x is NaN.
+func narrows(x, eb float64) bool {
+	return math.Abs(float64(float32(x))-x) <= eb || math.IsNaN(x)
 }
 
 // decodeOutlier mirrors encodeOutlier.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -359,6 +362,54 @@ func TestCorruptionDetected(t *testing.T) {
 	// Empty.
 	if _, _, err := Decompress(nil); err == nil {
 		t.Fatal("empty stream accepted")
+	}
+}
+
+// TestCorruptOutlierSection checks the outlier read that runs ahead of the
+// reconstruction scan: a stream whose outlier section is cut short, or
+// whose escape codes outnumber the header's outlier count, fails with
+// ErrCorrupt (and no panic) in both layouts. The streams are re-framed
+// with a valid header and CRC, so only the outlier read can catch them.
+func TestCorruptOutlierSection(t *testing.T) {
+	a := escapeHeavy(rand.New(rand.NewSource(5)), []int{6, 9, 40}, true)
+	for _, streams := range []int{1, 4} {
+		p := Params{Mode: BoundAbs, AbsBound: 1e-3, OutputType: grid.Float32, Streams: streams}
+		stream, st, err := Compress(a, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, off, err := parseHeader(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.NumOutliers < 2 {
+			t.Fatalf("streams=%d: only %d outliers", streams, h.NumOutliers)
+		}
+		payload := stream[off : len(stream)-4]
+		// reframe writes h and the payload's first h.PayloadBits bits as a
+		// stream with a valid CRC.
+		reframe := func(h Header) []byte {
+			out := appendHeader(nil, &h)
+			out = append(out, payload[:(h.PayloadBits+7)/8]...)
+			return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+		}
+		cut := *h
+		// Forty bits lose at least the last 33-bit float32 outlier.
+		cut.PayloadBits -= 40
+		fewer := *h
+		fewer.NumOutliers--
+		none := *h
+		none.NumOutliers = 0
+		for name, bad := range map[string][]byte{
+			"truncated":  reframe(cut),
+			"outnumber":  reframe(fewer),
+			"no-outlier": reframe(none),
+		} {
+			if _, _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("streams=%d (%d outliers in %d bits) %s: err = %v, want ErrCorrupt",
+					streams, h.NumOutliers, st.OutlierBits, name, err)
+			}
+		}
 	}
 }
 

@@ -167,21 +167,39 @@ func decompress(stream []byte, kernels bool, data []float64, ext *huffman.Codebo
 	} else {
 		out = grid.New(h.Dims...)
 	}
+	if err := readOutliers(r, codes, out.Data, h.DType, h.NumOutliers); err != nil {
+		return nil, nil, err
+	}
 	scan := &decompressState{
 		qparams: newQParams(q, h.DType),
 		recon:   out.Data,
 		codes:   codes,
-		r:       r,
-		dec:     binrep.NewDecoder(r),
 	}
 	scan.scan(h.Dims, h.Layers, pred, kernels)
-	if scan.err != nil {
-		return nil, nil, scan.err
-	}
-	if scan.outliers != h.NumOutliers {
-		return nil, nil, fmt.Errorf("%w: outlier count %d, header says %d", ErrCorrupt, scan.outliers, h.NumOutliers)
-	}
 	return out, h, nil
+}
+
+// readOutliers decodes every escape's value from r, in code order, into
+// recon ahead of the reconstruction scan, which leaves escapes alone. It
+// stops at the first outlier that fails to decode.
+func readOutliers(r *bitstream.Reader, codes []int, recon []float64, t grid.DType, want int) error {
+	dec := binrep.NewDecoder(r)
+	got := 0
+	for idx, c := range codes {
+		if c != quant.UnpredictableCode {
+			continue
+		}
+		v, err := decodeOutlier(dec, r, t)
+		if err != nil {
+			return fmt.Errorf("%w: outlier %d: %v", ErrCorrupt, got, err)
+		}
+		recon[idx] = v
+		got++
+	}
+	if got != want {
+		return fmt.Errorf("%w: outlier count %d, header says %d", ErrCorrupt, got, want)
+	}
+	return nil
 }
 
 // readAlignedUvarint reads a standard uvarint from a byte-aligned

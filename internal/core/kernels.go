@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/binrep"
@@ -30,8 +29,26 @@ import (
 //   - the fused quantize in (*compressState).point mirrors quant.Quantize
 //     operation for operation (see the comment there).
 //
+// Each point's prediction starts from the reconstruction just before it,
+// so a row is one serial dependency chain (a divide, a round and the f32
+// snap per point), and the term order cannot be changed to shorten it.
+// But the Lorenzo stencil never reads a point right of the current column
+// in an earlier row: (j−1, k+1) is not among its terms. So row j+1 can
+// run one column behind row j, and the 2D and 3D Layers=1 kernels scan a
+// plane's rows after the first in pairs, point (j, k) beside point
+// (j+1, k−1), keeping two independent chains in flight. Border columns,
+// a plane's first row and an odd trailing row go through point.
+//
+// A pair visits escapes out of scan order, so outlier I/O stays out of
+// every scan: compression reconstructs an escape with binrep's Value (or
+// its float32 twin, outlierValue), and writeOutliers writes the bits
+// afterwards in one pass over the codes, in scan order; decompression
+// reads every outlier into the reconstruction before the scan
+// (readOutliers), and the scan leaves escapes alone.
+//
 // kernels_test.go asserts byte-for-byte equivalence on randomized
-// geometries; the golden-stream tests pin the bytes themselves.
+// geometries and on the pair loop's edge geometries; the golden-stream
+// tests pin the bytes themselves.
 
 // qparams holds the hoisted quantizer and output-precision parameters
 // shared by the compress and decompress kernels.
@@ -71,9 +88,9 @@ type compressState struct {
 	codes []int
 	hist  []uint64
 
-	outW        *bitstream.Writer
-	outEnc      *binrep.Encoder
-	numOutliers int
+	// enc reconstructs escapes during the scan (Value); writeOutliers
+	// writes their bits through it afterwards.
+	enc *binrep.Encoder
 }
 
 // point quantizes the value at idx against prediction pv, mirroring the
@@ -111,12 +128,25 @@ func (s *compressState) point(idx int, pv float64) {
 	s.escape(idx, x)
 }
 
-// escape routes the value at idx through the unpredictable-point path.
+// escape routes the value at idx through the unpredictable-point path: it
+// sets the reconstruction the decoder will read back. The bits are
+// written after the scan, by writeOutliers.
 func (s *compressState) escape(idx int, x float64) {
 	s.codes[idx] = quant.UnpredictableCode
-	s.recon[idx] = encodeOutlier(s.outEnc, s.outW, x, s.eb, s.dtype)
-	s.numOutliers++
+	s.recon[idx] = outlierValue(s.enc, x, s.eb, s.dtype)
 	s.hist[quant.UnpredictableCode]++
+}
+
+// writeOutliers writes the escapes' bits into w in scan order, in one
+// pass over the codes. It reads only the codes and the data, so the
+// reconstruction may be gone by then.
+func (s *compressState) writeOutliers(w *bitstream.Writer) {
+	s.enc.W = w
+	for idx, c := range s.codes {
+		if c == quant.UnpredictableCode {
+			encodeOutlier(s.enc, s.data[idx], s.eb, s.dtype)
+		}
+	}
 }
 
 // scanGeneric is the reference path: per-point coordinate odometer and
@@ -155,6 +185,18 @@ func (s *compressState) scan(dims []int, layers int, pred *predictor.Predictor, 
 	return false
 }
 
+// lorenzo2 is the 2D Lorenzo prediction at idx for row stride w, and
+// lorenzo3 the 3D one for plane stride sp, each summed in the order
+// predictor.Predict enumerates the terms.
+func lorenzo2(recon []float64, idx, w int) float64 {
+	return recon[idx-1] + recon[idx-w] - recon[idx-w-1]
+}
+
+func lorenzo3(recon []float64, idx, w, sp int) float64 {
+	return recon[idx-1] + recon[idx-w] - recon[idx-w-1] +
+		recon[idx-sp] - recon[idx-sp-1] - recon[idx-sp-w] + recon[idx-sp-w-1]
+}
+
 // compress1DL1: pv = previous reconstruction (1D Lorenzo).
 func (s *compressState) compress1DL1(n int) {
 	recon := s.recon
@@ -164,72 +206,97 @@ func (s *compressState) compress1DL1(n int) {
 	}
 }
 
-// compress2DL1: 2D Lorenzo with explicit first row and first column. The
-// interior quantize is spelled out in the loop (same operations as point,
-// see the comment there) so the whole hit path runs without a call and the
-// hoisted parameters stay in registers.
+// compress2DL1: 2D Lorenzo with an explicit first row and first column.
+// Rows after the first run in pairs (see the file comment); the interior
+// quantize of both points is spelled out in the loop (same operations as
+// point, see the comment there) so the whole hit path runs without a call
+// and the hoisted parameters stay in registers.
 func (s *compressState) compress2DL1(h, w int) {
 	data, recon, codes, hist := s.data, s.recon, s.codes, s.hist
 	twoEB, eb, lim, fradius := s.twoEB, s.eb, s.lim, s.fradius
 	center, f32 := s.center, s.f32
 	s.point(0, 0)
-	for j := 1; j < w; j++ {
-		s.point(j, recon[j-1])
+	for k := 1; k < w; k++ {
+		s.point(k, recon[k-1])
 	}
-	for i := 1; i < h; i++ {
-		row := i * w
-		s.point(row, recon[row-w])
-		for idx := row + 1; idx < row+w; idx++ {
-			pv := recon[idx-1] + recon[idx-w] - recon[idx-w-1]
-			x := data[idx]
-			fi := (x - pv) / twoEB
-			if fi <= lim && fi >= -lim {
+	j := 1
+	for ; j+1 < h; j += 2 {
+		ra, rb := j*w, (j+1)*w
+		s.point(ra, recon[ra-w])
+		if w > 1 {
+			s.point(ra+1, lorenzo2(recon, ra+1, w))
+		}
+		s.point(rb, recon[rb-w])
+		for k := 2; k < w; k++ {
+			ia, ib := ra+k, rb+k-1
+			pa, pb := lorenzo2(recon, ia, w), lorenzo2(recon, ib, w)
+			xa, xb := data[ia], data[ib]
+			hit := false
+			if fi := (xa - pa) / twoEB; fi <= lim && fi >= -lim {
 				ri := math.Round(fi)
 				if ri <= fradius && ri >= -fradius {
-					rv := pv + twoEB*ri
-					if d := x - rv; d <= eb && d >= -eb {
+					rv := pa + twoEB*ri
+					if d := xa - rv; d <= eb && d >= -eb {
 						if f32 {
 							rv = float64(float32(rv))
-							if d := x - rv; !(d <= eb && d >= -eb) {
-								s.escape(idx, x)
-								continue
-							}
+							d = xa - rv
 						}
-						code := center + int(ri)
-						codes[idx] = code
-						recon[idx] = rv
-						hist[code]++
-						continue
+						if hit = d <= eb && d >= -eb; hit {
+							code := center + int(ri)
+							codes[ia] = code
+							recon[ia] = rv
+							hist[code]++
+						}
 					}
 				}
 			}
-			s.escape(idx, x)
+			if !hit {
+				s.escape(ia, xa)
+			}
+			if fi := (xb - pb) / twoEB; fi <= lim && fi >= -lim {
+				ri := math.Round(fi)
+				if ri <= fradius && ri >= -fradius {
+					rv := pb + twoEB*ri
+					if d := xb - rv; d <= eb && d >= -eb {
+						if f32 {
+							rv = float64(float32(rv))
+							d = xb - rv
+						}
+						if d <= eb && d >= -eb {
+							code := center + int(ri)
+							codes[ib] = code
+							recon[ib] = rv
+							hist[code]++
+							continue
+						}
+					}
+				}
+			}
+			s.escape(ib, xb)
+		}
+		if w > 1 {
+			s.point(rb+w-1, lorenzo2(recon, rb+w-1, w))
+		}
+	}
+	if j < h {
+		row := j * w
+		s.point(row, recon[row-w])
+		for idx := row + 1; idx < row+w; idx++ {
+			s.point(idx, lorenzo2(recon, idx, w))
 		}
 	}
 }
 
-// compress3DL1: 3D Lorenzo with explicit first plane, first rows and first
-// columns. sp is the plane stride, w the row stride.
+// compress3DL1: 3D Lorenzo. Plane 0 degenerates to the 2D kernel; each
+// later plane has an explicit first row and first column, and its other
+// rows run in pairs with the quantize spelled out as in compress2DL1.
+// sp is the plane stride, w the row stride.
 func (s *compressState) compress3DL1(d, h, w int) {
-	recon := s.recon
-	sp := h * w
-	// Plane 0 degenerates to the 2D Lorenzo kernel.
-	s.point(0, 0)
-	for k := 1; k < w; k++ {
-		s.point(k, recon[k-1])
-	}
-	for j := 1; j < h; j++ {
-		row := j * w
-		s.point(row, recon[row-w])
-		for idx := row + 1; idx < row+w; idx++ {
-			s.point(idx, recon[idx-1]+recon[idx-w]-recon[idx-w-1])
-		}
-	}
-	// Interior planes: the inner-row quantize is spelled out as in
-	// compress2DL1 so consecutive hits run call-free.
-	data, codes, hist := s.data, s.codes, s.hist
+	s.compress2DL1(h, w)
+	data, recon, codes, hist := s.data, s.recon, s.codes, s.hist
 	twoEB, eb, lim, fradius := s.twoEB, s.eb, s.lim, s.fradius
 	center, f32 := s.center, s.f32
+	sp := h * w
 	for i := 1; i < d; i++ {
 		base := i * sp
 		// Row (i,0,·): Lorenzo in the (i,k) plane.
@@ -237,36 +304,71 @@ func (s *compressState) compress3DL1(d, h, w int) {
 		for idx := base + 1; idx < base+w; idx++ {
 			s.point(idx, recon[idx-1]+recon[idx-sp]-recon[idx-sp-1])
 		}
-		for j := 1; j < h; j++ {
-			row := base + j*w
+		j := 1
+		for ; j+1 < h; j += 2 {
+			ra, rb := base+j*w, base+(j+1)*w
 			// Column (i,j,0): Lorenzo in the (i,j) plane.
-			s.point(row, recon[row-w]+recon[row-sp]-recon[row-sp-w])
-			for idx := row + 1; idx < row+w; idx++ {
-				pv := recon[idx-1] + recon[idx-w] - recon[idx-w-1] +
-					recon[idx-sp] - recon[idx-sp-1] - recon[idx-sp-w] + recon[idx-sp-w-1]
-				x := data[idx]
-				fi := (x - pv) / twoEB
-				if fi <= lim && fi >= -lim {
+			s.point(ra, recon[ra-w]+recon[ra-sp]-recon[ra-sp-w])
+			if w > 1 {
+				s.point(ra+1, lorenzo3(recon, ra+1, w, sp))
+			}
+			s.point(rb, recon[rb-w]+recon[rb-sp]-recon[rb-sp-w])
+			for k := 2; k < w; k++ {
+				ia, ib := ra+k, rb+k-1
+				pa, pb := lorenzo3(recon, ia, w, sp), lorenzo3(recon, ib, w, sp)
+				xa, xb := data[ia], data[ib]
+				hit := false
+				if fi := (xa - pa) / twoEB; fi <= lim && fi >= -lim {
 					ri := math.Round(fi)
 					if ri <= fradius && ri >= -fradius {
-						rv := pv + twoEB*ri
-						if d := x - rv; d <= eb && d >= -eb {
+						rv := pa + twoEB*ri
+						if d := xa - rv; d <= eb && d >= -eb {
 							if f32 {
 								rv = float64(float32(rv))
-								if d := x - rv; !(d <= eb && d >= -eb) {
-									s.escape(idx, x)
-									continue
-								}
+								d = xa - rv
 							}
-							code := center + int(ri)
-							codes[idx] = code
-							recon[idx] = rv
-							hist[code]++
-							continue
+							if hit = d <= eb && d >= -eb; hit {
+								code := center + int(ri)
+								codes[ia] = code
+								recon[ia] = rv
+								hist[code]++
+							}
 						}
 					}
 				}
-				s.escape(idx, x)
+				if !hit {
+					s.escape(ia, xa)
+				}
+				if fi := (xb - pb) / twoEB; fi <= lim && fi >= -lim {
+					ri := math.Round(fi)
+					if ri <= fradius && ri >= -fradius {
+						rv := pb + twoEB*ri
+						if d := xb - rv; d <= eb && d >= -eb {
+							if f32 {
+								rv = float64(float32(rv))
+								d = xb - rv
+							}
+							if d <= eb && d >= -eb {
+								code := center + int(ri)
+								codes[ib] = code
+								recon[ib] = rv
+								hist[code]++
+								continue
+							}
+						}
+					}
+				}
+				s.escape(ib, xb)
+			}
+			if w > 1 {
+				s.point(rb+w-1, lorenzo3(recon, rb+w-1, w, sp))
+			}
+		}
+		if j < h {
+			row := base + j*w
+			s.point(row, recon[row-w]+recon[row-sp]-recon[row-sp-w])
+			for idx := row + 1; idx < row+w; idx++ {
+				s.point(idx, lorenzo3(recon, idx, w, sp))
 			}
 		}
 	}
@@ -355,33 +457,19 @@ type decompressState struct {
 	qparams
 	recon []float64
 	codes []int
-
-	r        *bitstream.Reader
-	dec      *binrep.Decoder
-	outliers int
-	err      error
 }
 
 // point reconstructs the value at idx from its quantization code and the
-// prediction pv. Outlier decode errors stick in s.err; the scan keeps
-// running (the bitstream reader keeps failing harmlessly) and the caller
-// checks s.err once at the end.
+// prediction pv. Escapes were reconstructed by readOutliers before the
+// scan and are left as they are.
 func (s *decompressState) point(idx int, pv float64) {
-	code := s.codes[idx]
-	if code == quant.UnpredictableCode {
-		v, err := decodeOutlier(s.dec, s.r, s.dtype)
-		if err != nil && s.err == nil {
-			s.err = fmt.Errorf("%w: outlier %d: %v", ErrCorrupt, s.outliers, err)
+	if code := s.codes[idx]; code != quant.UnpredictableCode {
+		rv := pv + s.twoEB*float64(code-s.center)
+		if s.f32 {
+			rv = float64(float32(rv))
 		}
-		s.recon[idx] = v
-		s.outliers++
-		return
+		s.recon[idx] = rv
 	}
-	rv := pv + s.twoEB*float64(code-s.center)
-	if s.f32 {
-		rv = float64(float32(rv))
-	}
-	s.recon[idx] = rv
 }
 
 // scanGeneric is the reference reconstruction path.
@@ -428,48 +516,99 @@ func (s *decompressState) decompress1DL1(n int) {
 	}
 }
 
+// decompress2DL1 walks compress2DL1's rows, pairs included, with the
+// reconstruction of both points spelled out in the pair loop.
 func (s *decompressState) decompress2DL1(h, w int) {
-	recon := s.recon
-	s.point(0, 0)
-	for j := 1; j < w; j++ {
-		s.point(j, recon[j-1])
-	}
-	for i := 1; i < h; i++ {
-		row := i * w
-		s.point(row, recon[row-w])
-		for idx := row + 1; idx < row+w; idx++ {
-			s.point(idx, recon[idx-1]+recon[idx-w]-recon[idx-w-1])
-		}
-	}
-}
-
-func (s *decompressState) decompress3DL1(d, h, w int) {
-	recon := s.recon
-	sp := h * w
+	recon, codes := s.recon, s.codes
+	twoEB, center, f32 := s.twoEB, s.center, s.f32
 	s.point(0, 0)
 	for k := 1; k < w; k++ {
 		s.point(k, recon[k-1])
 	}
-	for j := 1; j < h; j++ {
+	j := 1
+	for ; j+1 < h; j += 2 {
+		ra, rb := j*w, (j+1)*w
+		s.point(ra, recon[ra-w])
+		if w > 1 {
+			s.point(ra+1, lorenzo2(recon, ra+1, w))
+		}
+		s.point(rb, recon[rb-w])
+		for k := 2; k < w; k++ {
+			ia, ib := ra+k, rb+k-1
+			if c := codes[ia]; c != quant.UnpredictableCode {
+				rv := lorenzo2(recon, ia, w) + twoEB*float64(c-center)
+				if f32 {
+					rv = float64(float32(rv))
+				}
+				recon[ia] = rv
+			}
+			if c := codes[ib]; c != quant.UnpredictableCode {
+				rv := lorenzo2(recon, ib, w) + twoEB*float64(c-center)
+				if f32 {
+					rv = float64(float32(rv))
+				}
+				recon[ib] = rv
+			}
+		}
+		if w > 1 {
+			s.point(rb+w-1, lorenzo2(recon, rb+w-1, w))
+		}
+	}
+	if j < h {
 		row := j * w
 		s.point(row, recon[row-w])
 		for idx := row + 1; idx < row+w; idx++ {
-			s.point(idx, recon[idx-1]+recon[idx-w]-recon[idx-w-1])
+			s.point(idx, lorenzo2(recon, idx, w))
 		}
 	}
+}
+
+// decompress3DL1 walks compress3DL1's planes and rows, pairs included.
+func (s *decompressState) decompress3DL1(d, h, w int) {
+	s.decompress2DL1(h, w)
+	recon, codes := s.recon, s.codes
+	twoEB, center, f32 := s.twoEB, s.center, s.f32
+	sp := h * w
 	for i := 1; i < d; i++ {
 		base := i * sp
 		s.point(base, recon[base-sp])
 		for idx := base + 1; idx < base+w; idx++ {
 			s.point(idx, recon[idx-1]+recon[idx-sp]-recon[idx-sp-1])
 		}
-		for j := 1; j < h; j++ {
+		j := 1
+		for ; j+1 < h; j += 2 {
+			ra, rb := base+j*w, base+(j+1)*w
+			s.point(ra, recon[ra-w]+recon[ra-sp]-recon[ra-sp-w])
+			if w > 1 {
+				s.point(ra+1, lorenzo3(recon, ra+1, w, sp))
+			}
+			s.point(rb, recon[rb-w]+recon[rb-sp]-recon[rb-sp-w])
+			for k := 2; k < w; k++ {
+				ia, ib := ra+k, rb+k-1
+				if c := codes[ia]; c != quant.UnpredictableCode {
+					rv := lorenzo3(recon, ia, w, sp) + twoEB*float64(c-center)
+					if f32 {
+						rv = float64(float32(rv))
+					}
+					recon[ia] = rv
+				}
+				if c := codes[ib]; c != quant.UnpredictableCode {
+					rv := lorenzo3(recon, ib, w, sp) + twoEB*float64(c-center)
+					if f32 {
+						rv = float64(float32(rv))
+					}
+					recon[ib] = rv
+				}
+			}
+			if w > 1 {
+				s.point(rb+w-1, lorenzo3(recon, rb+w-1, w, sp))
+			}
+		}
+		if j < h {
 			row := base + j*w
 			s.point(row, recon[row-w]+recon[row-sp]-recon[row-sp-w])
 			for idx := row + 1; idx < row+w; idx++ {
-				s.point(idx,
-					recon[idx-1]+recon[idx-w]-recon[idx-w-1]+
-						recon[idx-sp]-recon[idx-sp-1]-recon[idx-sp-w]+recon[idx-sp-w-1])
+				s.point(idx, lorenzo3(recon, idx, w, sp))
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/grid"
 )
 
@@ -13,7 +14,13 @@ import (
 // "generic" variants force the reference path, so the ratio is the kernel
 // speedup in isolation (Huffman coding and stream assembly included).
 func BenchmarkCoreKernels(b *testing.B) {
-	cases := []struct {
+	type benchCase struct {
+		name string
+		a    *grid.Array
+		p    Params
+	}
+	var cases []benchCase
+	for _, tc := range []struct {
 		name   string
 		dims   []int
 		layers int
@@ -23,11 +30,21 @@ func BenchmarkCoreKernels(b *testing.B) {
 		{"3D-L1", []int{40, 40, 40}, 1},
 		{"2D-L2", []int{256, 256}, 2},
 		{"3D-L2", []int{40, 40, 40}, 2},
-	}
-	for _, tc := range cases {
+	} {
 		rng := rand.New(rand.NewSource(1))
-		a := randArray(rng, tc.dims, true)
-		p := Params{Mode: BoundRel, RelBound: 1e-4, Layers: tc.layers, OutputType: grid.Float32}
+		cases = append(cases, benchCase{tc.name, randArray(rng, tc.dims, true),
+			Params{Mode: BoundRel, RelBound: 1e-4, Layers: tc.layers, OutputType: grid.Float32}})
+	}
+	// The per-slab unit of perfbench's local-compress: the first 10-plane
+	// slab of its first 50×250×250 Hurricane field at --seed 1, compressed
+	// as its blocked container does (abs 1e-3, 4 sub-streams).
+	field := datagen.Hurricane(50, 250, 250, 1000004)
+	slab := &grid.Array{Dims: []int{10, 250, 250}, Data: field.Data[:10*250*250]}
+	cases = append(cases, benchCase{"3D-L1-hurricane-slab", slab,
+		Params{Mode: BoundAbs, AbsBound: 1e-3, OutputType: grid.Float32, Streams: 4}})
+
+	for _, tc := range cases {
+		a, p := tc.a, tc.p
 		stream, _, err := Compress(a, p)
 		if err != nil {
 			b.Fatal(err)

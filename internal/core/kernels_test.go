@@ -2,13 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/binrep"
-	"repro/internal/bitstream"
 	"repro/internal/grid"
 	"repro/internal/predictor"
 	"repro/internal/quant"
@@ -128,6 +128,88 @@ func TestKernelEquivalenceNonFinite(t *testing.T) {
 	}
 }
 
+// escapeHeavy is randArray with every 37th sample scaled by 1e3: each
+// scaled sample escapes and so do its right and lower neighbours, so
+// escapes land in both rows of a pair.
+func escapeHeavy(rng *rand.Rand, dims []int, f32 bool) *grid.Array {
+	a := randArray(rng, dims, f32)
+	for i := 0; i < len(a.Data); i += 37 {
+		a.Data[i] *= 1e3
+		if f32 {
+			a.Data[i] = float64(float32(a.Data[i]))
+		}
+	}
+	return a
+}
+
+// nonFinite is randArray with NaN, ±Inf and subnormal samples of the
+// source precision scattered through it.
+func nonFinite(rng *rand.Rand, dims []int, f32 bool) *grid.Array {
+	a := randArray(rng, dims, f32)
+	sub := 5e-320
+	if f32 {
+		sub = float64(math.Float32frombits(3)) // a float32 subnormal
+	}
+	for i := range a.Data {
+		switch {
+		case i%11 == 5:
+			a.Data[i] = math.NaN()
+		case i%13 == 6:
+			a.Data[i] = math.Inf(1)
+		case i%17 == 7:
+			a.Data[i] = math.Inf(-1)
+		case i%7 == 3:
+			a.Data[i] = sub
+		}
+	}
+	return a
+}
+
+// TestKernelEquivalenceEdges checks the 2D and 3D Layers=1 kernels on fixed
+// geometries where the row-pair loop meets its borders: one to three rows
+// and planes, widths 1 and 2 (no interior column), and odd and even row
+// counts (a trailing unpaired row, or none).
+func TestKernelEquivalenceEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var geoms [][]int
+	for _, h := range []int{1, 2, 3, 6, 7} {
+		for _, w := range []int{1, 2, 3, 40} {
+			geoms = append(geoms, []int{h, w})
+			for _, d := range []int{1, 2, 3} {
+				geoms = append(geoms, []int{d, h, w})
+			}
+		}
+	}
+	fields := []struct {
+		name string
+		gen  func(*rand.Rand, []int, bool) *grid.Array
+	}{{"rand", randArray}, {"escape-heavy", escapeHeavy}, {"non-finite", nonFinite}}
+	cases := 0
+	for _, dims := range geoms {
+		for _, f := range fields {
+			for _, f32 := range []bool{false, true} {
+				for _, mode := range []BoundMode{BoundAbs, BoundRel} {
+					a := f.gen(rng, dims, f32)
+					p := Params{Mode: mode, AbsBound: 1e-3, RelBound: 1e-4}
+					if f.name == "non-finite" && mode == BoundRel {
+						// ±Inf makes the value range infinite, which leaves a
+						// relative bound alone undefined.
+						p.Mode = BoundAbsAndRel
+					}
+					if f32 {
+						p.OutputType = grid.Float32
+					}
+					t.Run(fmt.Sprintf("%s/%v/f32=%v/%v", f.name, dims, f32, p.Mode), func(t *testing.T) {
+						checkEquivalence(t, a, p, dims, 1)
+					})
+					cases++
+				}
+			}
+		}
+	}
+	t.Logf("checked %d fixed cases", cases)
+}
+
 // TestPointMatchesQuantizer pins the fused point() quantize against the
 // independent quant.Quantize + snap + bound-recheck reference on randomized
 // (x, pv, eb, m, dtype). The equivalence tests compare kernels against
@@ -171,16 +253,14 @@ func TestPointMatchesQuantizer(t *testing.T) {
 			wantCode = quant.UnpredictableCode
 		}
 
-		// Fused path, with the outlier writer stubbed out.
-		outW := bitstream.NewWriter(8)
+		// Fused path; escapes are reconstructed, never written.
 		s := &compressState{
 			qparams: newQParams(q, dtype),
 			data:    []float64{x},
 			recon:   make([]float64, 1),
 			codes:   make([]int, 1),
 			hist:    make([]uint64, q.NumCodes()),
-			outW:    outW,
-			outEnc:  binrep.NewEncoder(outW, eb),
+			enc:     binrep.NewEncoder(nil, eb),
 		}
 		s.point(0, pv)
 
@@ -192,9 +272,9 @@ func TestPointMatchesQuantizer(t *testing.T) {
 			t.Fatalf("x=%g pv=%g eb=%g m=%d %v: recon %x, want %x",
 				x, pv, eb, m, dtype, math.Float64bits(s.recon[0]), math.Float64bits(wantRv))
 		}
-		if ok != (s.numOutliers == 0) {
+		if ok != (s.hist[quant.UnpredictableCode] == 0) {
 			t.Fatalf("x=%g pv=%g eb=%g m=%d %v: outlier mismatch (ok=%v, outliers=%d)",
-				x, pv, eb, m, dtype, ok, s.numOutliers)
+				x, pv, eb, m, dtype, ok, s.hist[quant.UnpredictableCode])
 		}
 	}
 }
@@ -227,15 +307,13 @@ func TestKernelSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outW := bitstream.NewWriter(64)
 		s := &compressState{
 			qparams: newQParams(q, p.OutputType),
 			data:    a.Data,
 			recon:   make([]float64, a.Len()),
 			codes:   make([]int, a.Len()),
 			hist:    make([]uint64, q.NumCodes()),
-			outW:    outW,
-			outEnc:  binrep.NewEncoder(outW, eb),
+			enc:     binrep.NewEncoder(nil, eb),
 		}
 		if got := s.scan(a.Dims, p.Layers, pred, true); got != tc.want {
 			t.Errorf("dims=%v layers=%d: kernel used = %v, want %v", tc.dims, tc.layers, got, tc.want)

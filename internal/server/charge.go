@@ -14,6 +14,8 @@ package server
 //	compress  sz14     measured 11.7x the raw body   (charged 11x = 1+40/4)
 //	compress  gzip     measured 0.78 MiB             (charged 1 MiB)
 //	compress  blocked  measured 29.0-29.5 B/cell of workers+2 slabs (charged 32)
+//	          blocked, every point escaping (float32 noise, abs 1e-9):
+//	                   measured 36.5-40.0 B/cell (charged 32)
 //	decompress sz14    measured 27.9 B/element       (charged 24+esz)
 //	decompress gzip    measured 0.10 MiB             (charged 0.19 MiB)
 //	decompress blocked 1 worker:  10.7 MB, one slab decode's working set

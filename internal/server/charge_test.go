@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -106,27 +107,53 @@ func TestAdmissionChargeCalibration(t *testing.T) {
 		"gzip":    {},
 		"blocked": {Dims: dims, DType: grid.Float32, Mode: core.BoundAbs, AbsBound: 1e-3, SlabRows: 8, Workers: 2},
 	}
-	for _, name := range []string{"sz14", "gzip", "blocked"} {
-		p := compressParams[name]
+	measureCompress := func(name string, p codec.Params, in []byte) int64 {
+		t.Helper()
 		c, err := codec.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		measured := measureAllocated(t, func() {
+		return measureAllocated(t, func() {
 			zw, err := c.NewWriter(io.Discard, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := zw.Write(raw); err != nil {
+			if _, err := zw.Write(in); err != nil {
 				t.Fatal(err)
 			}
 			if err := zw.Close(); err != nil {
 				t.Fatal(err)
 			}
 		})
-		charge, _ := s.compressCharge(name, int64(len(raw)), p)
-		check("compress", name, charge, measured)
 	}
+	for _, name := range []string{"sz14", "gzip", "blocked"} {
+		p := compressParams[name]
+		charge, _ := s.compressCharge(name, int64(len(raw)), p)
+		check("compress", name, charge, measureCompress(name, p, raw))
+	}
+
+	// The blocked writer on input where every point escapes — noise under
+	// a tiny bound, which any client can send — whose slabs also carry 33
+	// outlier bits per float32 cell.
+	noise := grid.New(dims...)
+	rng := rand.New(rand.NewSource(7))
+	for i := range noise.Data {
+		noise.Data[i] = float64(rng.Float32())
+	}
+	var noiseBuf bytes.Buffer
+	if err := noise.WriteRaw(&noiseBuf, grid.Float32); err != nil {
+		t.Fatal(err)
+	}
+	escP := compressParams["blocked"]
+	escP.AbsBound = 1e-9
+	slab := &grid.Array{Dims: []int{8, 192, 192}, Data: noise.Data[:8*192*192]}
+	if _, st, err := core.Compress(slab, core.Params{Mode: core.BoundAbs, AbsBound: escP.AbsBound, OutputType: grid.Float32}); err != nil {
+		t.Fatal(err)
+	} else if st.Histogram[0] != uint64(slab.Len()) {
+		t.Fatalf("all-escape input: %d of %d points escape", st.Histogram[0], slab.Len())
+	}
+	charge, _ := s.compressCharge("blocked", int64(noiseBuf.Len()), escP)
+	check("compress", "blocked/all-escape", charge, measureCompress("blocked", escP, noiseBuf.Bytes()))
 
 	for _, name := range []string{"sz14", "gzip"} {
 		stream := encode(name, compressParams[name])
