@@ -1,19 +1,22 @@
 package fleet
 
-// Backend health tracking. The poller sends each backend one GET
-// /v1/limits per poll: a decoded answer is the node's health (draining
-// when it says so) and its load signals at once — the reserved
-// in-flight bytes and the cumulative admission rejections. The router
-// consults the resulting state to order candidates (dead and draining
-// nodes are skipped, loaded nodes deprioritized), serves the answers as
-// its own /v1/limits, and feeds observed connect failures back so a
-// SIGKILLed backend stops receiving traffic before the next poll tick.
+// Backend health and membership: the poller's table is the router's
+// one record of its backends, each entry a health beside a lifecycle.
+// The poller sends each backend one GET /v1/limits per poll: a decoded
+// answer is the node's health (draining when it says so) and its load
+// signals at once — the reserved in-flight bytes and the cumulative
+// admission rejections. The router consults the resulting state to
+// order candidates (dead and draining nodes are skipped, loaded nodes
+// deprioritized), serves the answers as its own /v1/limits, and feeds
+// observed connect failures back so a SIGKILLed backend stops receiving
+// traffic before the next poll tick.
 
 import (
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -45,8 +48,8 @@ const (
 	// StateWarming is a backend that has never answered /v1/limits and is
 	// still inside its startup grace window: probably booting, not dead.
 	// The router treats it like StateUnknown (routable, but a live
-	// connect failure still demotes it), and membership keeps it out of
-	// the ring until its first successful poll. Declared after StateDead
+	// connect failure still demotes it), except that it sends a stream
+	// there only when nothing else is routable. Declared after StateDead
 	// so the numeric values 0–3 stay the documented metric encoding.
 	StateWarming
 )
@@ -90,33 +93,37 @@ type Health struct {
 	// added is when the poller started tracking this backend; the
 	// warming grace window is measured from it.
 	added time.Time
+	// joining: added after start; no keys until its first healthy answer.
+	joining bool
+	// leaving: removed, and polled as a repair source until this time.
+	leaving time.Time
 }
 
 // DefaultWarmupGrace is how long a never-healthy backend reads as
 // warming instead of dead when no explicit grace is configured.
 const DefaultWarmupGrace = 15 * time.Second
 
-// Poller tracks the health of a dynamic backend set.
+// Poller tracks the health and membership of a dynamic backend set.
 type Poller struct {
 	client   *http.Client
 	interval time.Duration
 	grace    time.Duration
 
-	mu       sync.Mutex
-	backends []string
-	status   map[string]*Health
+	// mu guards status, the membership table.
+	mu     sync.Mutex
+	status map[string]*Health
 
-	// afterPoll, when set before Start, runs at the end of every
-	// PollOnce — the router's membership reconciler hangs off it so
-	// warm-up promotion happens on poll cadence without its own timer.
-	afterPoll func()
+	// onJoin, when set before the first poll, runs after a poll in which
+	// a joining backend answered healthy and so entered the ring.
+	onJoin func()
 
 	stop chan struct{}
 	done chan struct{}
 }
 
 // NewPoller builds a poller over backends (each "host:port", http://
-// assumed; full URLs pass through, so https:// backends work).
+// assumed; full URLs pass through, so https:// backends work), all of
+// them in the ring from the start.
 // interval <= 0 defaults to 2s; grace is the startup window during
 // which an unreachable never-healthy backend reads as warming rather
 // than dead (0 = DefaultWarmupGrace, < 0 disables warming); hc nil
@@ -132,7 +139,6 @@ func NewPoller(backends []string, interval, grace time.Duration, hc *http.Client
 		hc = &http.Client{Timeout: interval / 2}
 	}
 	p := &Poller{
-		backends: append([]string(nil), backends...),
 		client:   hc,
 		interval: interval,
 		grace:    grace,
@@ -141,45 +147,85 @@ func NewPoller(backends []string, interval, grace time.Duration, hc *http.Client
 		done:     make(chan struct{}),
 	}
 	now := time.Now()
-	for _, b := range p.backends {
+	for _, b := range backends {
 		p.status[b] = &Health{added: now}
 	}
 	return p
 }
 
-// Add starts tracking a backend (no-op if already tracked). The new
-// backend begins its warming grace window now.
-func (p *Poller) Add(backend string) {
+// SetBackends makes nodes the membership by applying the difference to
+// the table, and reports whether anything changed:
+//
+//   - A new backend joins: it is polled from now on and begins its
+//     warming grace window, but owns no keys until its first healthy
+//     answer, so ring ownership never points at a node that cannot
+//     serve yet.
+//   - A leaving backend named again goes straight back into the ring:
+//     it was in it moments ago.
+//   - A removed backend in the ring leaves it at once — new traffic
+//     stops hashing to it — but stays polled as a repair source for the
+//     drain grace; with drain <= 0 it is dropped at once.
+//   - A removed backend that never owned keys is dropped at once.
+func (p *Poller) SetBackends(nodes []string, drain time.Duration) bool {
+	now := time.Now()
+	named := make(map[string]bool, len(nodes))
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.status[backend] != nil {
-		return
-	}
-	p.backends = append(p.backends, backend)
-	p.status[backend] = &Health{added: time.Now()}
-}
-
-// Remove stops tracking a backend and drops its status.
-func (p *Poller) Remove(backend string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.status[backend] == nil {
-		return
-	}
-	delete(p.status, backend)
-	for i, b := range p.backends {
-		if b == backend {
-			p.backends = append(p.backends[:i], p.backends[i+1:]...)
-			break
+	changed := false
+	for _, b := range nodes {
+		named[b] = true
+		if h := p.status[b]; h == nil {
+			p.status[b] = &Health{added: now, joining: true}
+			changed = true
+		} else if !h.leaving.IsZero() {
+			h.leaving = time.Time{}
+			changed = true
 		}
 	}
+	for b, h := range p.status {
+		if named[b] || !h.leaving.IsZero() {
+			continue
+		}
+		changed = true
+		if h.joining || drain <= 0 {
+			delete(p.status, b)
+		} else {
+			h.leaving = now.Add(drain)
+		}
+	}
+	return changed
 }
 
-// Backends returns the tracked backend set (a copy).
+// Backends returns every tracked backend, leaving ones included, in
+// name order.
 func (p *Poller) Backends() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]string(nil), p.backends...)
+	out := make([]string, 0, len(p.status))
+	for b := range p.status {
+		out = append(out, b)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// view reads the table once: the health of every backend that takes
+// requests (not leaving), and the ring of those past joining.
+func (p *Poller) view() (*Ring, map[string]Health) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ring := &Ring{}
+	serving := make(map[string]Health, len(p.status))
+	for b, h := range p.status {
+		if !h.leaving.IsZero() {
+			continue
+		}
+		serving[b] = *h
+		if !h.joining {
+			ring.nodes = append(ring.nodes, b)
+		}
+	}
+	return ring, serving
 }
 
 // Start runs one synchronous poll (so callers begin with real states,
@@ -208,7 +254,9 @@ func (p *Poller) Stop() {
 }
 
 // PollOnce probes every backend concurrently and updates states, then
-// runs the afterPoll hook.
+// moves the lifecycle on: a joining backend that answered healthy
+// enters the ring (and onJoin runs), and a leaving one past its drain
+// deadline is dropped.
 func (p *Poller) PollOnce(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, b := range p.Backends() {
@@ -219,8 +267,19 @@ func (p *Poller) PollOnce(ctx context.Context) {
 		}(b)
 	}
 	wg.Wait()
-	if p.afterPoll != nil {
-		p.afterPoll()
+	now, joined := time.Now(), false
+	p.mu.Lock()
+	for b, h := range p.status {
+		switch {
+		case h.joining && h.State == StateHealthy:
+			h.joining, joined = false, true
+		case !h.leaving.IsZero() && now.After(h.leaving):
+			delete(p.status, b)
+		}
+	}
+	p.mu.Unlock()
+	if joined && p.onJoin != nil {
+		p.onJoin()
 	}
 }
 
@@ -258,9 +317,9 @@ func (p *Poller) probe(ctx context.Context, backend string) {
 		h.everHealthy = true
 	}
 	// Startup grace: an unreachable backend that has never been healthy
-	// is probably still booting. Keep it warming (routable, out of the
-	// ring) until the window expires — unless a live connect failure
-	// already marked it dead, which is decisive evidence over a guess.
+	// is probably still booting. Keep it warming (routable) until the
+	// window expires — unless a live connect failure already marked it
+	// dead, which is decisive evidence over a guess.
 	if state == StateDead && !h.everHealthy && h.State != StateDead &&
 		p.grace > 0 && now.Sub(h.added) < p.grace {
 		state = StateWarming

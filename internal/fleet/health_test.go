@@ -227,8 +227,8 @@ func TestPollerAddRemove(t *testing.T) {
 	if got := p.Backends(); len(got) != 0 {
 		t.Fatalf("backends %v", got)
 	}
-	p.Add(fb.addr)
-	p.Add(fb.addr) // idempotent
+	p.SetBackends([]string{fb.addr}, 0)
+	p.SetBackends([]string{fb.addr}, 0) // idempotent
 	if got := p.Backends(); len(got) != 1 || got[0] != fb.addr {
 		t.Fatalf("backends %v", got)
 	}
@@ -236,7 +236,7 @@ func TestPollerAddRemove(t *testing.T) {
 	if h := p.Health(fb.addr); h.State != StateHealthy {
 		t.Fatalf("state = %v, want healthy", h.State)
 	}
-	p.Remove(fb.addr)
+	p.SetBackends(nil, 0)
 	if got := p.Backends(); len(got) != 0 {
 		t.Fatalf("backends after remove %v", got)
 	}

@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,9 +98,8 @@ func metricSum(t *testing.T, base, family string) float64 {
 }
 
 func ringHas(rt *Router, node string) bool {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.ring.nodes[node]
+	ring, _ := rt.poller.view()
+	return slices.Contains(ring.nodes, node)
 }
 
 // TestRouterSetBackendsLifecycle walks the two membership lifecycles:

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -30,11 +31,10 @@ const (
 	replCopyTimeout = 60 * time.Second
 )
 
-// ringSequence is Sequence under the membership lock.
+// ringSequence is the key's first n ring owners.
 func (rt *Router) ringSequence(key string, n int) []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.ring.Sequence(key, n)
+	ring, _ := rt.poller.view()
+	return ring.Sequence(key, n)
 }
 
 // peerFill repairs a ring-affinity miss: when target's store lacks a
@@ -48,7 +48,7 @@ func (rt *Router) peerFill(r *http.Request, digest, target string, cands []strin
 			continue
 		}
 		if rt.copyContainer(r.Context(), digest, peer, target) {
-			rt.met.peerFill(target)
+			rt.met.fills.Inc(target)
 			return true
 		}
 	}
@@ -111,45 +111,57 @@ func (rt *Router) containerAt(ctx context.Context, dst, digest string) bool {
 	return resp.StatusCode == http.StatusNoContent
 }
 
+// recentDigests remembers which digests were kicked for replication
+// within replDedupTTL.
+type recentDigests struct {
+	mu   sync.Mutex
+	seen map[string]time.Time
+}
+
+// first records digest and reports whether it was not already kicked
+// within replDedupTTL.
+func (rd *recentDigests) first(digest string) bool {
+	now := time.Now()
+	rd.mu.Lock()
+	defer rd.mu.Unlock()
+	if t, ok := rd.seen[digest]; ok && now.Sub(t) < replDedupTTL {
+		return false
+	}
+	if len(rd.seen) >= replDedupMax {
+		for d, t := range rd.seen {
+			if now.Sub(t) >= replDedupTTL {
+				delete(rd.seen, d)
+			}
+		}
+	}
+	if rd.seen == nil || len(rd.seen) >= replDedupMax {
+		rd.seen = map[string]time.Time{}
+	}
+	rd.seen[digest] = now
+	return true
+}
+
 // noteContainer records that src holds digest and, with replication
 // on, kicks an async fan-out to the digest's ring owner and R-1
 // successors. Calls dedup per digest for replDedupTTL: every read of a
 // popular container re-announces its ETag, and one probe round per TTL
 // suffices.
 func (rt *Router) noteContainer(digest, src string) {
-	if rt.replication <= 1 {
+	if rt.replication <= 1 || !rt.replSeen.first(digest) {
 		return
 	}
-	now := time.Now()
-	rt.replMu.Lock()
-	if t, ok := rt.replSeen[digest]; ok && now.Sub(t) < replDedupTTL {
-		rt.replMu.Unlock()
-		return
-	}
-	if len(rt.replSeen) >= replDedupMax {
-		for d, t := range rt.replSeen {
-			if now.Sub(t) >= replDedupTTL {
-				delete(rt.replSeen, d)
-			}
-		}
-		if len(rt.replSeen) >= replDedupMax {
-			rt.replSeen = map[string]time.Time{}
-		}
-	}
-	rt.replSeen[digest] = now
-	rt.replMu.Unlock()
 	rt.replWG.Add(1)
 	go func() {
 		defer rt.replWG.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), replCopyTimeout)
 		defer cancel()
-		rt.replicate(ctx, digest, src, rt.met.replicationWrite)
+		rt.replicate(ctx, digest, src)
 	}()
 }
 
 // replicate copies digest from src to every one of its R ring targets
-// that lacks it, counting each landed copy with record.
-func (rt *Router) replicate(ctx context.Context, digest, src string, record func(backend string)) {
+// that lacks it, counting each landed copy as a replication write.
+func (rt *Router) replicate(ctx context.Context, digest, src string) {
 	for _, target := range rt.ringSequence(digest, rt.replication) {
 		if target == src || ctx.Err() != nil {
 			continue
@@ -158,7 +170,7 @@ func (rt *Router) replicate(ctx context.Context, digest, src string, record func
 			continue
 		}
 		if rt.copyContainer(ctx, digest, src, target) {
-			record(target)
+			rt.met.replWrites.Inc(target)
 		}
 	}
 }
@@ -240,7 +252,7 @@ func (rt *Router) SweepOnce(ctx context.Context) {
 			}
 			for _, src := range srcs {
 				if rt.copyContainer(ctx, digest, src, target) {
-					rt.met.replicationRepair(target)
+					rt.met.replRepairs.Inc(target)
 					break
 				}
 			}

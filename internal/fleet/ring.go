@@ -20,29 +20,19 @@ import (
 
 // Ring places keys on nodes by rendezvous (highest-random-weight)
 // hashing: every node weighs every key with hash64(node, key), and the
-// heaviest node owns it. It is not goroutine-safe; the Router guards
-// every access — including the Add/Remove calls live membership makes
-// mid-flight — behind its RWMutex. Adding or removing one of N nodes
-// remaps only the keys that node wins or loses, ~1/N of them (asserted
-// by TestRingStability and the router's churn tests).
+// heaviest node owns it. A Ring is immutable, so any number of
+// goroutines may share one; membership changes build a new one over the
+// nodes that own keys. Adding or removing one of N nodes remaps only
+// the keys that node wins or loses, ~1/N of them (asserted by
+// TestRingStability and the router's churn tests).
 type Ring struct {
-	nodes map[string]bool
+	nodes []string
 }
 
-// NewRing builds a ring over nodes.
+// NewRing builds a ring over distinct nodes.
 func NewRing(nodes ...string) *Ring {
-	r := &Ring{nodes: map[string]bool{}}
-	for _, n := range nodes {
-		r.nodes[n] = true
-	}
-	return r
+	return &Ring{nodes: append([]string(nil), nodes...)}
 }
-
-// Add inserts a node (no-op if present).
-func (r *Ring) Add(node string) { r.nodes[node] = true }
-
-// Remove deletes a node (no-op if absent).
-func (r *Ring) Remove(node string) { delete(r.nodes, node) }
 
 // Lookup returns the node owning key, "" on an empty ring.
 func (r *Ring) Lookup(key string) string {
@@ -70,7 +60,7 @@ func (r *Ring) Sequence(key string, n int) []string {
 		node string
 	}
 	all := make([]weighted, 0, len(r.nodes))
-	for node := range r.nodes {
+	for _, node := range r.nodes {
 		all = append(all, weighted{hash64(node, key), node})
 	}
 	sort.Slice(all, func(i, j int) bool {

@@ -1,8 +1,8 @@
 package fleet
 
-// The request path: replayable requests take the cache (decode side)
-// and then one attempt loop, forward; unbounded streams take a single
-// attempt, forwardStream. Both end in relay, the one streaming copy.
+// The request path: replayable requests take the cache (decode side);
+// then every request, a stream with a single candidate included, takes
+// one attempt loop, forward, which ends in relay, the one streaming copy.
 
 import (
 	"bytes"
@@ -64,77 +64,51 @@ func copyHeaders(dst, src http.Header) {
 // everything else (draining/dead — still tried last, because poller
 // state may be stale and a request in hand beats a guaranteed 503).
 // Sequence order is preserved within each tier so the owner stays first.
-// Warming backends not yet in the ring trail the sequence: they cannot
+// Joining backends not yet in the ring trail the sequence: they cannot
 // own keys, but when the whole ring is down a booting node is the last
-// resort that may still answer.
+// resort that may still answer. The tiers come from the same read of the
+// table as the sequence, so a concurrent probe cannot flip a state
+// mid-sort.
 func (rt *Router) candidates(key string) []string {
-	rt.mu.RLock()
-	seq := rt.ring.Sequence(key, len(rt.backends))
-	if len(seq) < len(rt.backends) {
-		inSeq := make(map[string]bool, len(seq))
-		for _, b := range seq {
-			inSeq[b] = true
-		}
-		for _, b := range rt.backends {
-			if !inSeq[b] {
-				seq = append(seq, b)
-			}
+	ring, serving := rt.poller.view()
+	seq := ring.Sequence(key, len(serving))
+	var joining []string
+	for b, h := range serving {
+		if h.joining {
+			joining = append(joining, b)
 		}
 	}
-	rt.mu.RUnlock()
-	// Snapshot each backend's tier once: querying the poller inside the
-	// comparator would take its lock O(n log n) times and, worse, a
-	// concurrent probe could flip a state mid-sort and break the
-	// comparator's consistency.
-	tier := make(map[string]int, len(seq))
-	for _, b := range seq {
-		switch h := rt.poller.Health(b); {
+	sort.Strings(joining)
+	seq = append(seq, joining...)
+	tier := func(b string) int {
+		switch h := serving[b]; {
 		case !h.State.routable():
-			tier[b] = 2
+			return 2
 		case h.ShedRecently:
-			tier[b] = 1
+			return 1
+		}
+		return 0
+	}
+	sort.SliceStable(seq, func(i, j int) bool { return tier(seq[i]) < tier(seq[j]) })
+	return seq
+}
+
+// streamCandidate narrows cands to the one backend a stream gets: it
+// cannot be replayed, so it goes to the first candidate known to
+// answer, and to a warming one only when no other is routable.
+func (rt *Router) streamCandidate(cands []string) []string {
+	for i, b := range cands {
+		if s := rt.poller.Health(b).State; s == StateHealthy || s == StateUnknown {
+			return cands[i : i+1]
 		}
 	}
-	sort.SliceStable(seq, func(i, j int) bool { return tier[seq[i]] < tier[seq[j]] })
-	return seq
+	return cands[:1]
 }
 
 // ringOwner is the in-ring owner for key ("" on an empty ring).
 func (rt *Router) ringOwner(key string) string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.ring.Lookup(key)
-}
-
-// pickStreaming chooses the backend for a non-replayable stream: the
-// least-loaded (by reserved in-flight bytes) routable backend, with a
-// rotating tie-break so equally-idle nodes share the traffic.
-func (rt *Router) pickStreaming() string {
-	backends := rt.Backends()
-	start := int(rt.rr.Add(1))
-	best, bestLoad := "", int64(-1)
-	for tier := 0; tier < 2 && best == ""; tier++ {
-		for i := range backends {
-			b := backends[(start+i)%len(backends)]
-			h := rt.poller.Health(b)
-			// Warming nodes are excluded here: a stream gets exactly one
-			// attempt, so it goes to a node known to answer.
-			routable := h.State.routable() && h.State != StateWarming
-			if tier == 0 && (!routable || h.ShedRecently) {
-				continue
-			}
-			if tier == 1 && !routable {
-				continue
-			}
-			if best == "" || h.Limits.InflightBytes < bestLoad {
-				best, bestLoad = b, h.Limits.InflightBytes
-			}
-		}
-	}
-	if best == "" {
-		best = backends[start%len(backends)]
-	}
-	return best
+	ring, _ := rt.poller.view()
+	return ring.Lookup(key)
 }
 
 // keepRejection drains (bounded) and closes a response the loop moves
@@ -180,43 +154,58 @@ func requestDigestParam(r *http.Request, endpoint string) string {
 // proxyBody handles the body-carrying endpoints. Bodies within the
 // buffer limit are hashed and routed with failover, answered from the
 // response cache when the endpoint is decode-side and the identity is
-// cached; larger bodies stream to a single picked backend.
+// cached. Larger bodies stream to one candidate: a container PUT to its
+// digest's owner, so the write-path fan-out reaches its replicas, and
+// any other stream to a rotating pick, as bodyless requests are.
 // Digest-referenced requests (no body, content address in the query,
 // header, or container path) ring-route by the digest itself, which is
 // exactly where earlier body-carrying reads of the same container
 // landed: the backend that stored it on disk.
 func (rt *Router) proxyBody(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		rd := obs.FromContext(r.Context()).StartSpan("read_body")
+		tr := obs.FromContext(r.Context())
+		rd := tr.StartSpan("read_body")
 		head, err := io.ReadAll(io.LimitReader(r.Body, int64(rt.bufferLimit)+1))
 		rd.End()
 		if err != nil {
 			api.WriteError(w, api.Wrap(http.StatusBadRequest, fmt.Errorf("reading request body: %w", err)))
 			return
 		}
-		if len(head) > rt.bufferLimit {
-			rt.forwardStream(w, r, endpoint, head)
-			return
-		}
-		key := requestDigestParam(r, endpoint)
-		fillDigest := ""
-		if key != "" && len(head) == 0 {
+		stream := len(head) > rt.bufferLimit
+		key, fillDigest, id := requestDigestParam(r, endpoint), "", ""
+		switch {
+		case stream && endpoint == "container" && r.Method == http.MethodPut:
+			key = strings.TrimPrefix(r.URL.Path, api.PathContainerPrefix)
+		case stream:
+			key = strconv.FormatUint(rt.rr.Add(1), 10)
+		case key != "" && len(head) == 0:
 			fillDigest = key
-		} else {
+		default:
 			// Body path: the body hash IS the container digest for the
 			// decode-side endpoints, so both paths share ring affinity.
 			sum := sha256.Sum256(head)
 			key = hex.EncodeToString(sum[:])
 		}
-		id := ""
-		if cacheableEndpoint[endpoint] {
+		if cacheableEndpoint[endpoint] && !stream {
 			id = requestIdentity(endpoint, r, key)
 			if rt.serveCached(w, r, id) {
 				return
 			}
 		}
-		sp := obs.FromContext(r.Context()).StartSpan("ring")
+		sp := tr.StartSpan("ring")
 		cands := rt.candidates(key)
+		if stream {
+			// The client may still be uploading while the backend's
+			// response streams back; without full duplex Go's HTTP/1
+			// server discards still-unread request bytes at the first
+			// response flush. With it, the handler must close the body
+			// itself: net/http closing a partly read full-duplex body
+			// after the handler returns races its own next read and
+			// panics.
+			http.NewResponseController(w).EnableFullDuplex()
+			defer r.Body.Close()
+			cands = rt.streamCandidate(cands)
+		}
 		sp.End()
 		rt.forward(w, r, endpoint, cands, fillDigest, id, head)
 	}
@@ -289,7 +278,7 @@ func (rt *Router) serveCached(w http.ResponseWriter, r *http.Request, id string)
 		w.WriteHeader(http.StatusNotModified)
 		return true
 	}
-	rt.met.cacheHitBytes(int64(len(e.body)))
+	rt.met.hitBytes.Add(float64(len(e.body)))
 	e.writeTo(w)
 	return true
 }
@@ -305,8 +294,10 @@ func (rt *Router) proxyBodyless(endpoint string) http.HandlerFunc {
 	}
 }
 
-// forward is the attempt loop for a replayable request: candidates in
-// order, a fresh copy of body per attempt.
+// forward is the attempt loop: candidates in order, a fresh copy of
+// body per attempt. A body over the buffer limit is a stream's
+// buffered prefix: the rest of the client body follows it, so the
+// caller passes exactly one candidate.
 //
 //   - A transport error or a shed status (429/503) fails over to the
 //     next candidate.
@@ -331,7 +322,11 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint strin
 			return // client went away; stop burning backends
 		}
 		attempt := time.Now()
-		req, err := rt.buildRequest(r, backend, bytes.NewReader(body), int64(len(body)))
+		var rd io.Reader = bytes.NewReader(body)
+		if len(body) > rt.bufferLimit {
+			rd = io.MultiReader(rd, r.Body) // length unknown: sent chunked
+		}
+		req, err := rt.buildRequest(r, backend, rd)
 		if err != nil {
 			api.WriteError(w, api.Wrap(http.StatusInternalServerError, err))
 			return
@@ -342,17 +337,17 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint strin
 				return // the client aborted; the backend is not at fault
 			}
 			rt.poller.MarkDead(backend)
-			rt.met.failover(backend)
+			rt.met.failovers.Inc(backend)
 			tr.Observe("failover", time.Since(attempt))
 			continue
 		}
 		// Request send + backend time-to-first-header. The relay span picks
 		// up from here, so upstream+relay brackets the whole backend call.
 		tr.Observe("upstream", time.Since(attempt))
-		rt.met.forward(backend, endpoint)
+		rt.met.forwards.Inc(backend, endpoint)
 		if retryable(resp.StatusCode) {
 			last = keepRejection(resp, backend)
-			rt.met.failover(backend)
+			rt.met.failovers.Inc(backend)
 			tr.Observe("failover", time.Since(attempt))
 			continue
 		}
@@ -378,7 +373,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint strin
 		if fillDigest != "" && resp.StatusCode == http.StatusOK && owner != "" && backend != owner {
 			// A digest read answered by a non-owner: the replica (or ring
 			// walk) covered for a dead or missing owner.
-			rt.met.replicationFailover(backend)
+			rt.met.replFailovers.Inc(backend)
 		}
 		if endpoint == "container" && r.Method == http.MethodPut &&
 			resp.StatusCode == http.StatusNoContent {
@@ -413,39 +408,9 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint strin
 		&api.Error{Code: api.CodeNoBackend, Message: "no reachable backend"}))
 }
 
-// forwardStream forwards a non-replayable stream in one attempt: head
-// holds the already-buffered prefix, the rest of the client body is
-// piped through.
-func (rt *Router) forwardStream(w http.ResponseWriter, r *http.Request, endpoint string, head []byte) {
-	backend := rt.pickStreaming()
-	// The client may still be uploading while the backend's response
-	// streams back; without full duplex Go's HTTP/1 server discards
-	// still-unread request bytes at the first response flush.
-	http.NewResponseController(w).EnableFullDuplex()
-	req, err := rt.buildRequest(r, backend, io.MultiReader(bytes.NewReader(head), r.Body), -1)
-	if err != nil {
-		api.WriteError(w, api.Wrap(http.StatusInternalServerError, err))
-		return
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		// Only blame the backend when the client side is still live: a
-		// Do error here can equally be the client's own aborted upload,
-		// and marking healthy backends dead for that lets misbehaving
-		// clients knock nodes out of rotation.
-		if r.Context().Err() == nil {
-			rt.poller.MarkDead(backend)
-			rt.met.failover(backend)
-		}
-		api.WriteError(w, api.Wrap(http.StatusBadGateway, fmt.Errorf("backend %s: %w", backend, err)))
-		return
-	}
-	rt.met.forward(backend, endpoint)
-	rt.relay(w, obs.FromContext(r.Context()), resp, backend, "")
-}
-
-// buildRequest clones the inbound request toward a backend.
-func (rt *Router) buildRequest(r *http.Request, backend string, body io.Reader, length int64) (*http.Request, error) {
+// buildRequest clones the inbound request toward a backend. A
+// bytes.Reader body sets the outbound Content-Length.
+func (rt *Router) buildRequest(r *http.Request, backend string, body io.Reader) (*http.Request, error) {
 	u := backendURL(backend) + r.URL.Path
 	if r.URL.RawQuery != "" {
 		u += "?" + r.URL.RawQuery
@@ -465,9 +430,6 @@ func (rt *Router) buildRequest(r *http.Request, backend string, body io.Reader, 
 	// The resolved tenant rides along for symmetry and logs; the backend
 	// strips it and re-derives its own from the API key.
 	req.Header.Set(api.HeaderTenant, obs.IdentityFrom(r.Context()).Tenant)
-	if length >= 0 {
-		req.ContentLength = length
-	}
 	return req, nil
 }
 

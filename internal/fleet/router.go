@@ -1,15 +1,17 @@
 package fleet
 
-// The routing proxy. One Router fronts a set of szd backends:
+// The routing proxy. One Router fronts a set of szd backends, which it
+// knows only through its poller's membership table:
 //
 //   - Replayable bodies (those that fit the buffer limit) are routed by
 //     stream identity: the SHA-256 of the body picks the owning ring
 //     node, and on 429/503/connect failure the request replays against
 //     the next ring node in sequence. Identical inputs always land on
 //     the same healthy backend, which keeps per-node caches hot.
-//   - Unbounded streaming bodies cannot be replayed, so they skip the
-//     ring: the router picks the least-loaded routable backend
-//     (round-robin among ties) and forwards in a single attempt.
+//   - Bodies beyond the buffer limit cannot be replayed, so they take
+//     the same candidates and attempt loop with exactly one candidate:
+//     a container PUT's digest owner, or for any other stream the first
+//     candidate known to answer for a rotating key.
 //   - Backend rejections that exhaust every candidate are relayed to
 //     the client unchanged — status, body, and Retry-After header — so
 //     client backoff works exactly as it does against a single daemon.
@@ -28,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -81,9 +84,6 @@ type Config struct {
 	// successors, so any single backend can die without losing data.
 	// 0 or 1 disables replication (owner-only, the pre-R behavior).
 	Replication int
-	// WarmupGrace is how long a never-healthy backend reads as warming
-	// instead of dead (0 = DefaultWarmupGrace, < 0 disables).
-	WarmupGrace time.Duration
 	// DrainGrace is how long a removed backend lingers as a drain/
 	// anti-entropy source before being forgotten (0 = 10s).
 	DrainGrace time.Duration
@@ -95,17 +95,7 @@ type Config struct {
 
 // Router is the fleet-mode HTTP proxy.
 type Router struct {
-	// mu guards the membership state below: the ring (not itself
-	// goroutine-safe), the serving backend list, and the pending/leaving
-	// lifecycle sets. Request-path readers take it shared; SetBackends
-	// and the poll-driven reconciler take it exclusive.
-	mu       sync.RWMutex
-	ring     *Ring
-	backends []string             // serving set: in-ring plus pending warm-ups
-	pending  map[string]bool      // added, awaiting first healthy poll before ring entry
-	leaving  map[string]time.Time // removed from ring, kept as drain/repair source until deadline
-
-	poller      *Poller
+	poller      *Poller // the membership table: health and lifecycle
 	client      *http.Client
 	bufferLimit int
 	replication int
@@ -118,8 +108,7 @@ type Router struct {
 	// Background replication: replSeen dedups per-digest kicks, replWG
 	// tracks in-flight copies, and the sweep goroutine re-replicates
 	// under-replicated digests after membership changes.
-	replMu    sync.Mutex
-	replSeen  map[string]time.Time
+	replSeen  recentDigests
 	replWG    sync.WaitGroup
 	sweepKick chan struct{}
 	sweepStop chan struct{}
@@ -133,18 +122,11 @@ type Router struct {
 
 // New builds a Router; call Start to begin health polling.
 func New(cfg Config) (*Router, error) {
-	if len(cfg.Backends) == 0 {
-		return nil, errors.New("fleet: no backends configured")
+	if err := checkBackends(cfg.Backends); err != nil {
+		return nil, err
 	}
 	if cfg.CacheBytes < 0 {
 		return nil, fmt.Errorf("fleet: negative cache budget %d", cfg.CacheBytes)
-	}
-	seen := map[string]bool{}
-	for _, b := range cfg.Backends {
-		if b == "" || seen[b] {
-			return nil, fmt.Errorf("fleet: empty or duplicate backend %q", b)
-		}
-		seen[b] = true
 	}
 	limit := cfg.BufferLimit
 	if limit <= 0 {
@@ -153,18 +135,6 @@ func New(cfg Config) (*Router, error) {
 	hc := cfg.HTTPClient
 	if hc == nil {
 		hc = &http.Client{}
-	}
-	// The poller needs its own short-timeout client, but it must share
-	// the proxy transport when one is configured — that is where the
-	// mTLS client certificate lives, and probing an mTLS backend in
-	// plaintext would read every node as dead.
-	pi := cfg.PollInterval
-	if pi <= 0 {
-		pi = 2 * time.Second
-	}
-	var phc *http.Client
-	if hc.Transport != nil {
-		phc = &http.Client{Timeout: pi / 2, Transport: hc.Transport}
 	}
 	replication := cfg.Replication
 	if replication < 1 {
@@ -179,23 +149,25 @@ func New(cfg Config) (*Router, error) {
 		cacheBytes = defaultCacheBytes
 	}
 	rt := &Router{
-		ring:        NewRing(cfg.Backends...),
-		poller:      NewPoller(cfg.Backends, cfg.PollInterval, cfg.WarmupGrace, phc),
-		backends:    append([]string(nil), cfg.Backends...),
-		pending:     map[string]bool{},
-		leaving:     map[string]time.Time{},
+		poller:      NewPoller(cfg.Backends, cfg.PollInterval, 0, nil),
 		client:      hc,
 		bufferLimit: limit,
 		replication: replication,
 		drainGrace:  drainGrace,
 		aeInterval:  cfg.AntiEntropyInterval,
-		replSeen:    map[string]time.Time{},
 		sweepKick:   make(chan struct{}, 1),
 		mux:         http.NewServeMux(),
 		cache:       newRespCache(cacheBytes),
 		entryLimit:  cacheBytes / 4,
 	}
-	rt.poller.afterPoll = rt.reconcile
+	// The poller keeps its own short-timeout client, but it must share
+	// the proxy transport — that is where the mTLS client certificate
+	// lives, and probing an mTLS backend in plaintext would read every
+	// node as dead.
+	rt.poller.client.Transport = hc.Transport
+	// A joining backend's first healthy answer puts it in the ring: sweep
+	// so its share of replicas migrates in.
+	rt.poller.onJoin = rt.kickSweep
 	rt.met = newRouterMetrics(rt.poller, rt.cache)
 	wrap := &obs.Wrapper{
 		Rec:    obs.NewRecorder(cfg.TraceRingSize, cfg.SlowThreshold, nil),
@@ -242,112 +214,45 @@ func (rt *Router) Stop() {
 	rt.replWG.Wait()
 }
 
-// Poller exposes the health tracker (for status pages and tests).
-func (rt *Router) Poller() *Poller { return rt.poller }
-
-// Backends returns the current serving set (in-ring plus warming), a
-// copy.
+// Backends returns the backends that take requests (in the ring or
+// joining), in name order.
 func (rt *Router) Backends() []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return append([]string(nil), rt.backends...)
+	_, serving := rt.poller.view()
+	out := make([]string, 0, len(serving))
+	for b := range serving {
+		out = append(out, b)
+	}
+	sort.Strings(out)
+	return out
 }
 
-// SetBackends applies a new membership set, reconciling it against the
-// current one with the add → warm-up → in-ring and drain-then-remove
-// lifecycles:
-//
-//   - A new backend starts polling immediately but joins the ring only
-//     at its first healthy poll (reconcile), so ring ownership never
-//     points at a node that cannot serve yet.
-//   - A removed backend leaves the ring at once — new traffic stops
-//     hashing to it — but stays polled and usable as an anti-entropy
-//     source for the drain grace, then is forgotten.
-//
-// The ring change is the only synchronous part; data movement happens
-// behind it via the anti-entropy sweep this call kicks.
-func (rt *Router) SetBackends(nodes []string) error {
+// checkBackends rejects an empty membership and any empty or duplicate
+// address.
+func checkBackends(nodes []string) error {
 	if len(nodes) == 0 {
 		return errors.New("fleet: no backends configured")
 	}
-	next := make(map[string]bool, len(nodes))
+	seen := make(map[string]bool, len(nodes))
 	for _, b := range nodes {
-		if b == "" || next[b] {
+		if b == "" || seen[b] {
 			return fmt.Errorf("fleet: empty or duplicate backend %q", b)
 		}
-		next[b] = true
-	}
-	rt.mu.Lock()
-	changed := false
-	current := make(map[string]bool, len(rt.backends))
-	for _, b := range rt.backends {
-		current[b] = true
-	}
-	for _, b := range nodes {
-		if current[b] {
-			continue
-		}
-		changed = true
-		if _, wasLeaving := rt.leaving[b]; wasLeaving {
-			// Re-added while draining: it was healthy in the ring moments
-			// ago, so it goes straight back in.
-			delete(rt.leaving, b)
-			rt.ring.Add(b)
-		} else {
-			rt.poller.Add(b)
-			rt.pending[b] = true
-		}
-		rt.backends = append(rt.backends, b)
-	}
-	keep := rt.backends[:0]
-	for _, b := range rt.backends {
-		if next[b] {
-			keep = append(keep, b)
-			continue
-		}
-		changed = true
-		if rt.pending[b] {
-			// Never served: no drain needed.
-			delete(rt.pending, b)
-			rt.poller.Remove(b)
-			continue
-		}
-		rt.ring.Remove(b)
-		rt.leaving[b] = time.Now().Add(rt.drainGrace)
-	}
-	rt.backends = keep
-	rt.mu.Unlock()
-	if changed {
-		rt.kickSweep()
+		seen[b] = true
 	}
 	return nil
 }
 
-// reconcile runs after every poll: pending backends that reached their
-// first healthy poll enter the ring (kicking a sweep so their share of
-// replicas migrates in), and leaving backends past their drain
-// deadline are forgotten.
-func (rt *Router) reconcile() {
-	rt.mu.Lock()
-	promoted := false
-	for b := range rt.pending {
-		if rt.poller.Health(b).State == StateHealthy {
-			delete(rt.pending, b)
-			rt.ring.Add(b)
-			promoted = true
-		}
+// SetBackends applies a new membership set to the poller's table
+// (Poller.SetBackends); data movement happens behind the table change,
+// via the anti-entropy sweep this call kicks.
+func (rt *Router) SetBackends(nodes []string) error {
+	if err := checkBackends(nodes); err != nil {
+		return err
 	}
-	now := time.Now()
-	for b, deadline := range rt.leaving {
-		if now.After(deadline) {
-			delete(rt.leaving, b)
-			rt.poller.Remove(b)
-		}
-	}
-	rt.mu.Unlock()
-	if promoted {
+	if rt.poller.SetBackends(nodes, rt.drainGrace) {
 		rt.kickSweep()
 	}
+	return nil
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -468,20 +373,6 @@ func newRouterMetrics(p *Poller, cache *respCache) *routerMetrics {
 	obs.RegisterRuntime(r, "szrouter")
 	return m
 }
-
-func (m *routerMetrics) replicationWrite(backend string) { m.replWrites.Inc(backend) }
-
-func (m *routerMetrics) replicationRepair(backend string) { m.replRepairs.Inc(backend) }
-
-func (m *routerMetrics) replicationFailover(backend string) { m.replFailovers.Inc(backend) }
-
-func (m *routerMetrics) cacheHitBytes(n int64) { m.hitBytes.Add(float64(n)) }
-
-func (m *routerMetrics) peerFill(backend string) { m.fills.Inc(backend) }
-
-func (m *routerMetrics) forward(backend, endpoint string) { m.forwards.Inc(backend, endpoint) }
-
-func (m *routerMetrics) failover(backend string) { m.failovers.Inc(backend) }
 
 // record counts one finished client request: it is the request
 // wrapper's Done hook, the only place the router writes its request

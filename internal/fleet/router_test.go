@@ -111,7 +111,7 @@ func payloadOwnedBy(t *testing.T, rt *Router, owner string) []byte {
 	for i := 0; i < 10000; i++ {
 		p := []byte(fmt.Sprintf("targeted-payload-%d", i))
 		digest := sha256.Sum256(p)
-		if rt.ring.Lookup(hex.EncodeToString(digest[:])) == owner {
+		if rt.ringOwner(hex.EncodeToString(digest[:])) == owner {
 			return p
 		}
 	}
@@ -365,7 +365,8 @@ func TestRouterHealthz(t *testing.T) {
 	ln.Close()
 	// Warming grace off: this half checks a confirmed-unreachable fleet,
 	// not the startup race the grace papers over.
-	rt2, ts2 := newRouter(t, Config{Backends: []string{dead}, WarmupGrace: -1})
+	rt2, ts2 := newRouter(t, Config{Backends: []string{dead}})
+	rt2.poller.grace = -1
 	rt2.poller.PollOnce(context.Background())
 	resp, err = http.Get(ts2.URL + "/healthz")
 	if err != nil {

@@ -177,7 +177,7 @@ func TestRouterPeerFill(t *testing.T) {
 	stream := localStream(t, "blocked", raw, p)
 	digest := streamDigest(stream)
 
-	owner := rt.ring.Lookup(digest)
+	owner := rt.ringOwner(digest)
 	other := backends[0]
 	if other == owner {
 		other = backends[1]

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -374,7 +375,7 @@ func (sr *syntheticReader) Read(p []byte) (int, error) {
 
 // TestBlockedStreamingMemoryBounded proves the blocked codec path never
 // buffers a request end-to-end: a 64 MiB field flows through /v1/compress
-// while the process heap grows by far less than the full-buffer cost
+// while the retained heap grows by far less than the full-buffer cost
 // (64 MiB raw + 128 MiB float64 array).
 func TestBlockedStreamingMemoryBounded(t *testing.T) {
 	_, ts := newTestDaemon(t, Config{MaxInflightBytes: 96 << 20, Workers: 4})
@@ -382,9 +383,17 @@ func TestBlockedStreamingMemoryBounded(t *testing.T) {
 	rawSize := int64(rows * rowCells * 4)
 	url := ts.URL + fmt.Sprintf("/v1/compress?codec=blocked&abs=1e-3&dtype=f32&dims=%d,64,64&slab=64&workers=4", rows)
 
-	runtime.GC()
-	var base runtime.MemStats
-	runtime.ReadMemStats(&base)
+	// The retained heap is what a GC finds live, so the sampler forces a
+	// cycle before each reading. HeapAlloc would also count garbage not
+	// yet collected, which under the race detector's slower GC swings by
+	// tens of MiB between runs.
+	live := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	retained := func() uint64 {
+		runtime.GC()
+		rtmetrics.Read(live)
+		return live[0].Value.Uint64()
+	}
+	base := retained()
 
 	var peak uint64
 	stop := make(chan struct{})
@@ -392,15 +401,13 @@ func TestBlockedStreamingMemoryBounded(t *testing.T) {
 	sampler.Add(1)
 	go func() {
 		defer sampler.Done()
-		var ms runtime.MemStats
 		for {
 			select {
 			case <-stop:
 				return
-			case <-time.After(5 * time.Millisecond):
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peak {
-					peak = ms.HeapAlloc
+			case <-time.After(10 * time.Millisecond):
+				if r := retained(); r > peak {
+					peak = r
 				}
 			}
 		}
@@ -422,15 +429,16 @@ func TestBlockedStreamingMemoryBounded(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no compressed output")
 	}
-	growth := int64(peak) - int64(base.HeapAlloc)
+	growth := int64(peak) - int64(base)
 	// Full buffering would pin >= 192 MiB (raw + float64 working set);
 	// slab streaming with 4 workers x 64-row slabs needs ~20 MiB. The
-	// 64 MiB threshold leaves generous slack for GC laziness while
-	// still catching any per-request full-buffer regression.
+	// 64 MiB threshold leaves generous slack for objects allocated
+	// during a sampling GC, which it counts live, while still catching
+	// any per-request full-buffer regression.
 	if growth > 64<<20 {
-		t.Errorf("heap grew %d MiB during streaming compress; blocked path is buffering (want < 64 MiB)", growth>>20)
+		t.Errorf("retained heap grew %d MiB during streaming compress; blocked path is buffering (want < 64 MiB)", growth>>20)
 	}
-	t.Logf("raw %d MiB, peak heap growth %d MiB, compressed %d bytes", rawSize>>20, growth>>20, n)
+	t.Logf("raw %d MiB, peak retained heap growth %d MiB, compressed %d bytes", rawSize>>20, growth>>20, n)
 }
 
 func TestDrain(t *testing.T) {
