@@ -25,14 +25,17 @@
 //
 //   - -membership-file names a watched backend list (one address per
 //     line, '#' comments); edits apply live — on SIGHUP or the mtime
-//     poll — through the add → warm-up → in-ring and drain-then-remove
+//     poll — through the add → joining → in-ring and drain-then-remove
 //     lifecycles. -backends is then only the seed used when the file
-//     does not exist yet.
+//     does not exist yet. Start-up backends join the same way: one that
+//     is down at start owns no keys until it answers a poll, and
+//     /healthz answers 503 until some backend has.
 //   - -replication R copies every validated container to its digest's
 //     ring owner and R-1 successors, and digest reads fail over from
 //     the owner through the replicas, so any single backend can die
 //     without data loss. An anti-entropy sweep re-replicates after
-//     membership changes.
+//     membership changes and whenever a backend turns healthy (at
+//     start, on a join, on a recovery).
 //   - -tls-cert/-tls-key/-tls-client-ca serve the client-facing
 //     listener over TLS (optionally mTLS); -backend-ca/-backend-cert/
 //     -backend-key dial the backends over TLS with a client
@@ -85,7 +88,7 @@ func main() {
 	flag.DurationVar(&o.poll, "poll", 2*time.Second, "health-poll interval")
 	flag.IntVar(&o.replication, "replication", 1, "container replication factor R: ring owner plus R-1 successors hold every validated container (1 = owner only)")
 	flag.DurationVar(&o.drainGrace, "drain-grace", 0, "how long a removed backend lingers as a drain/repair source (0 = 10s)")
-	flag.DurationVar(&o.antiEntropy, "anti-entropy", 0, "periodic anti-entropy sweep cadence (0 = sweep only on membership changes, < 0 disables)")
+	flag.DurationVar(&o.antiEntropy, "anti-entropy", 0, "periodic anti-entropy sweep cadence (0 = sweep only on membership changes and when a backend turns healthy, < 0 disables)")
 	flag.IntVar(&o.bufferLimit, "buffer-limit", 0, "replayable-body cap in bytes (0 = 4 MiB)")
 	flag.Int64Var(&o.cacheBytes, "cache-bytes", 0, "response-cache budget for decode endpoints; one response is cached up to a quarter of it (0 = 64 MiB)")
 	flag.Int64Var(&o.slowMS, "slow-ms", 0, "log requests slower than this many milliseconds with their stage breakdown (0 = disabled)")

@@ -190,7 +190,11 @@ func Compress(a *grid.Array, p Params) ([]byte, *Stats, error) {
 	// enforces the same absolute bound.
 	if p.Core.Mode != core.BoundAbs {
 		_, _, rng := a.Range()
-		p.Core.AbsBound = p.Core.EffectiveBound(rng)
+		eb, err := p.Core.EffectiveBound(rng)
+		if err != nil {
+			return nil, nil, err
+		}
+		p.Core.AbsBound = eb
 		p.Core.Mode = core.BoundAbs
 		p.Core.RelBound = 0
 	}

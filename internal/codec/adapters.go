@@ -60,10 +60,11 @@ func init() {
 	Register(&funcCodec{
 		name: "sz11",
 		encode: func(a *grid.Array, p Params) ([]byte, error) {
-			stream, _, err := sz11.Compress(a, sz11.Params{
-				AbsBound:   p.absBound(a),
-				OutputType: p.dtype(),
-			})
+			eb, err := p.absBound(a)
+			if err != nil {
+				return nil, err
+			}
+			stream, _, err := sz11.Compress(a, sz11.Params{AbsBound: eb, OutputType: p.dtype()})
 			return stream, err
 		},
 		decode: func(stream []byte, _ Params) (*grid.Array, grid.DType, error) {
@@ -85,8 +86,11 @@ func init() {
 				zp.Mode = zfp.FixedRate
 				zp.Rate = p.Rate
 			} else {
+				var err error
 				zp.Mode = zfp.FixedAccuracy
-				zp.Tolerance = p.absBound(a)
+				if zp.Tolerance, err = p.absBound(a); err != nil {
+					return nil, err
+				}
 			}
 			stream, _, err := zfp.Compress(a, zp)
 			return stream, err
@@ -105,10 +109,11 @@ func init() {
 	Register(&funcCodec{
 		name: "isabela",
 		encode: func(a *grid.Array, p Params) ([]byte, error) {
-			stream, _, err := isabela.Compress(a, isabela.Params{
-				AbsBound:   p.absBound(a),
-				OutputType: p.dtype(),
-			})
+			eb, err := p.absBound(a)
+			if err != nil {
+				return nil, err
+			}
+			stream, _, err := isabela.Compress(a, isabela.Params{AbsBound: eb, OutputType: p.dtype()})
 			return stream, err
 		},
 		decode: func(stream []byte, _ Params) (*grid.Array, grid.DType, error) {

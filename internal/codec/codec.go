@@ -134,7 +134,7 @@ func (p Params) dtype() grid.DType {
 // absBound resolves the effective absolute bound for codecs that only
 // understand absolute bounds (sz11, isabela, zfp fixed-accuracy),
 // mirroring how the paper's evaluation derives per-set bounds.
-func (p Params) absBound(a *grid.Array) float64 {
+func (p Params) absBound(a *grid.Array) (float64, error) {
 	cp := p.Core()
 	var rng float64
 	if cp.Mode != core.BoundAbs {

@@ -325,3 +325,47 @@ func TestGzipNeedsShapeToDecode(t *testing.T) {
 		t.Fatalf("inflated %d bytes, want %d", len(raw), a.Len()*4)
 	}
 }
+
+// TestRelBoundOverInfiniteRange: a value-range-relative bound over a
+// field holding +Inf or −Inf has no finite absolute bound, so every
+// registered codec either refuses it with core.ErrInfiniteRange or
+// round-trips every finite point within the bound taken over the finite
+// points' range.
+func TestRelBoundOverInfiniteRange(t *testing.T) {
+	const rel = 1e-4
+	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+		a := grid.New(8, 8, 8)
+		for i := range a.Data {
+			a.Data[i] = math.Sin(float64(i) * 0.05)
+		}
+		a.Data[77] = inf
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, v := range a.Data {
+			if !math.IsInf(v, 0) {
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+		bound := rel * (hi - lo)
+		p := Params{Mode: core.BoundRel, RelBound: rel, DType: grid.Float64, Dims: a.Dims}
+		for _, name := range Names() {
+			stream, err := Encode(name, a, p)
+			if err != nil {
+				if !errors.Is(err, core.ErrInfiniteRange) {
+					t.Errorf("%s over %v: refused with %q, want core.ErrInfiniteRange", name, inf, err)
+				}
+				continue
+			}
+			out, err := Decode(name, stream, p)
+			if err != nil {
+				t.Errorf("%s over %v: decode: %v", name, inf, err)
+				continue
+			}
+			for i, v := range a.Data {
+				if !math.IsInf(v, 0) && math.Abs(out.Data[i]-v) > bound {
+					t.Errorf("%s over %v: point %d decodes to %g, want within %g of %g", name, inf, i, out.Data[i], bound, v)
+					break
+				}
+			}
+		}
+	}
+}

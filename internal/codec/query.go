@@ -140,7 +140,7 @@ func ParamsFromValues(v url.Values) (Params, error) {
 			return 0, nil
 		}
 		f, err := strconv.ParseFloat(s, 64)
-		if err != nil || f < 0 {
+		if err != nil || !(f >= 0) { // negative or NaN
 			return 0, fmt.Errorf("bad %s %q", key, s)
 		}
 		return f, nil

@@ -104,3 +104,38 @@ func TestParamsFromValuesRejectsBad(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParamsFromValues: the parser every szd request's query goes
+// through never panics, and any Params it accepts comes back unchanged
+// through Values and a second parse.
+func FuzzParamsFromValues(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"codec=blocked&abs=1e-3&dims=25,125,125&dtype=f32&slab=5",
+		"mode=rel&rel=1e-4&layers=2&m=10&hitrate=0.9&dtype=float64",
+		"mode=absrel&abs=1&rel=0.5&streams=4&container=v3&sharedcb=true",
+		"zfprate=8&workers=2&container=2&dims=4x4x4&sharedcb=0",
+		"abs=NaN", "rel=nan", "hitrate=NaN", "zfprate=-NaN",
+		"abs=Inf", "abs=-0", "abs=0x1p-4", "rel=1e-400", "dims=1,%202",
+		"layers=+3", "m=-1", "streams=99999999999999999999", "sharedcb=maybe",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, query string) {
+		v, err := url.ParseQuery(query)
+		if err != nil {
+			return
+		}
+		p, err := ParamsFromValues(v)
+		if err != nil {
+			return
+		}
+		back, err := ParamsFromValues(p.Values())
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose Values %q are refused: %v", query, p, p.Values().Encode(), err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("%q: Params %+v came back through Values as %+v", query, p, back)
+		}
+	})
+}

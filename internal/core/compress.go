@@ -79,8 +79,10 @@ func analyze(a *grid.Array, p Params, kernels bool) (*Scan, error) {
 		// Only the relative modes consult the value range.
 		_, _, valueRange = a.Range()
 	}
-	eb := p.EffectiveBound(valueRange)
-
+	eb, err := p.EffectiveBound(valueRange)
+	if err != nil {
+		return nil, err
+	}
 	q, err := quant.New(eb, p.IntervalBits)
 	if err != nil {
 		return nil, err

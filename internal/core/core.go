@@ -189,18 +189,28 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// ErrInfiniteRange refuses a value-range-relative bound (BoundRel) over
+// a data set whose value range is infinite: it holds ±Inf, or its
+// extremes lie too far apart for a float64. No fraction of that range
+// bounds the error at any finite point.
+var ErrInfiniteRange = errors.New("core: relative bound over an infinite value range")
+
 // EffectiveBound resolves the absolute bound for a data set with the given
 // value range (consulted only in the relative modes). Constant data
 // (range 0) in relative mode degrades to the smallest positive bound,
 // which keeps the quantizer well-defined while the bound stays trivially
-// satisfied. It is the one place a bound mode becomes an absolute bound:
-// the blocked container and the absolute-only codecs resolve through it.
-func (p Params) EffectiveBound(valueRange float64) float64 {
+// satisfied; an infinite range in BoundRel is ErrInfiniteRange. It is
+// the one place a bound mode becomes an absolute bound: the blocked
+// container and the absolute-only codecs resolve through it.
+func (p Params) EffectiveBound(valueRange float64) (float64, error) {
 	var eb float64
 	switch p.Mode {
 	case BoundAbs:
 		eb = p.AbsBound
 	case BoundRel:
+		if math.IsInf(valueRange, 0) {
+			return 0, ErrInfiniteRange
+		}
 		eb = p.RelBound * valueRange
 	case BoundAbsAndRel:
 		eb = math.Min(p.AbsBound, p.RelBound*valueRange)
@@ -208,7 +218,7 @@ func (p Params) EffectiveBound(valueRange float64) float64 {
 	if eb <= 0 || math.IsNaN(eb) {
 		eb = math.SmallestNonzeroFloat64
 	}
-	return eb
+	return eb, nil
 }
 
 // Header describes a compressed stream.

@@ -19,6 +19,11 @@ func FuzzDecompress(f *testing.F) {
 		{Mode: BoundAbs, AbsBound: 1e-3},
 		{Mode: BoundAbs, AbsBound: 1e-6, Layers: 2, IntervalBits: 4},
 		{Mode: BoundAbs, AbsBound: 1e-2, OutputType: grid.Float32},
+		// VersionMulti streams, so mutation reaches the sub-stream
+		// length table.
+		{Mode: BoundAbs, AbsBound: 1e-3, Streams: 2},
+		{Mode: BoundAbs, AbsBound: 1e-3, Streams: 4},
+		{Mode: BoundAbs, AbsBound: 1e-4, Streams: 8, OutputType: grid.Float32},
 	} {
 		stream, _, err := Compress(a, p)
 		if err != nil {

@@ -298,7 +298,10 @@ func TestKernelSelection(t *testing.T) {
 	} {
 		a := grid.New(tc.dims...)
 		p := Params{Mode: BoundAbs, AbsBound: 0.01, Layers: tc.layers}.withDefaults()
-		eb := p.EffectiveBound(0)
+		eb, err := p.EffectiveBound(0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		q, err := quant.New(eb, p.IntervalBits)
 		if err != nil {
 			t.Fatal(err)

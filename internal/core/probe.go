@@ -31,7 +31,10 @@ func ProbeHitRates(a *grid.Array, p Params) (HitRates, error) {
 		return HitRates{}, err
 	}
 	_, _, valueRange := a.Range()
-	eb := p.EffectiveBound(valueRange)
+	eb, err := p.EffectiveBound(valueRange)
+	if err != nil {
+		return HitRates{}, err
+	}
 
 	pred, err := predictor.New(a.Dims, p.Layers)
 	if err != nil {

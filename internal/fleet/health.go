@@ -6,10 +6,10 @@ package fleet
 // answer is the node's health (draining when it says so) and its load
 // signals at once — the reserved in-flight bytes and the cumulative
 // admission rejections. The router consults the resulting state to
-// order candidates (dead and draining nodes are skipped, loaded nodes
-// deprioritized), serves the answers as its own /v1/limits, and feeds
-// observed connect failures back so a SIGKILLed backend stops receiving
-// traffic before the next poll tick.
+// order candidates (dead and draining nodes are tried last, loaded
+// nodes deprioritized), serves the answers as its own /v1/limits, and
+// feeds observed connect failures back so a SIGKILLed backend stops
+// receiving traffic before the next poll tick.
 
 import (
 	"context"
@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -45,13 +46,6 @@ const (
 	// StateDead backends are unreachable (connect error, timeout) or
 	// answer with a non-200 or a body that is not a Limits document.
 	StateDead
-	// StateWarming is a backend that has never answered /v1/limits and is
-	// still inside its startup grace window: probably booting, not dead.
-	// The router treats it like StateUnknown (routable, but a live
-	// connect failure still demotes it), except that it sends a stream
-	// there only when nothing else is routable. Declared after StateDead
-	// so the numeric values 0–3 stay the documented metric encoding.
-	StateWarming
 )
 
 func (s State) String() string {
@@ -62,16 +56,14 @@ func (s State) String() string {
 		return "draining"
 	case StateDead:
 		return "dead"
-	case StateWarming:
-		return "warming"
 	}
 	return "unknown"
 }
 
 // routable reports whether the router offers a backend in this state
-// traffic: healthy, not yet polled, or still warming up.
+// traffic: healthy, or not yet polled.
 func (s State) routable() bool {
-	return s == StateHealthy || s == StateUnknown || s == StateWarming
+	return s == StateHealthy || s == StateUnknown
 }
 
 // Health is one backend's polled status and load signals.
@@ -86,36 +78,25 @@ type Health struct {
 	// right now, not just that it shed load at some point.
 	ShedRecently bool
 
-	// everHealthy records a first healthy answer: the startup
-	// grace applies only before it, so a backend that was up and died
-	// goes straight to dead, never back to warming.
-	everHealthy bool
-	// added is when the poller started tracking this backend; the
-	// warming grace window is measured from it.
-	added time.Time
-	// joining: added after start; no keys until its first healthy answer.
+	// joining: no keys until its first healthy answer.
 	joining bool
 	// leaving: removed, and polled as a repair source until this time.
 	leaving time.Time
 }
 
-// DefaultWarmupGrace is how long a never-healthy backend reads as
-// warming instead of dead when no explicit grace is configured.
-const DefaultWarmupGrace = 15 * time.Second
-
 // Poller tracks the health and membership of a dynamic backend set.
 type Poller struct {
 	client   *http.Client
 	interval time.Duration
-	grace    time.Duration
 
 	// mu guards status, the membership table.
 	mu     sync.Mutex
 	status map[string]*Health
 
-	// onJoin, when set before the first poll, runs after a poll in which
-	// a joining backend answered healthy and so entered the ring.
-	onJoin func()
+	// onHealthy, when set before the first poll, runs after a poll in
+	// which some backend turned healthy: its first answer, a join, or a
+	// recovery from dead or draining.
+	onHealthy func()
 
 	stop chan struct{}
 	done chan struct{}
@@ -123,17 +104,12 @@ type Poller struct {
 
 // NewPoller builds a poller over backends (each "host:port", http://
 // assumed; full URLs pass through, so https:// backends work), all of
-// them in the ring from the start.
-// interval <= 0 defaults to 2s; grace is the startup window during
-// which an unreachable never-healthy backend reads as warming rather
-// than dead (0 = DefaultWarmupGrace, < 0 disables warming); hc nil
-// uses a client with a per-probe timeout of half the interval.
-func NewPoller(backends []string, interval, grace time.Duration, hc *http.Client) *Poller {
+// them joining: none owns keys before its first healthy answer.
+// interval <= 0 defaults to 2s; hc nil uses a client with a per-probe
+// timeout of half the interval.
+func NewPoller(backends []string, interval time.Duration, hc *http.Client) *Poller {
 	if interval <= 0 {
 		interval = 2 * time.Second
-	}
-	if grace == 0 {
-		grace = DefaultWarmupGrace
 	}
 	if hc == nil {
 		hc = &http.Client{Timeout: interval / 2}
@@ -141,14 +117,12 @@ func NewPoller(backends []string, interval, grace time.Duration, hc *http.Client
 	p := &Poller{
 		client:   hc,
 		interval: interval,
-		grace:    grace,
 		status:   make(map[string]*Health, len(backends)),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	now := time.Now()
 	for _, b := range backends {
-		p.status[b] = &Health{added: now}
+		p.status[b] = &Health{joining: true}
 	}
 	return p
 }
@@ -156,10 +130,9 @@ func NewPoller(backends []string, interval, grace time.Duration, hc *http.Client
 // SetBackends makes nodes the membership by applying the difference to
 // the table, and reports whether anything changed:
 //
-//   - A new backend joins: it is polled from now on and begins its
-//     warming grace window, but owns no keys until its first healthy
-//     answer, so ring ownership never points at a node that cannot
-//     serve yet.
+//   - A new backend joins: it is polled from now on, but owns no keys
+//     until its first healthy answer, so ring ownership never points at
+//     a node that cannot serve yet.
 //   - A leaving backend named again goes straight back into the ring:
 //     it was in it moments ago.
 //   - A removed backend in the ring leaves it at once — new traffic
@@ -167,7 +140,6 @@ func NewPoller(backends []string, interval, grace time.Duration, hc *http.Client
 //     drain grace; with drain <= 0 it is dropped at once.
 //   - A removed backend that never owned keys is dropped at once.
 func (p *Poller) SetBackends(nodes []string, drain time.Duration) bool {
-	now := time.Now()
 	named := make(map[string]bool, len(nodes))
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -175,7 +147,7 @@ func (p *Poller) SetBackends(nodes []string, drain time.Duration) bool {
 	for _, b := range nodes {
 		named[b] = true
 		if h := p.status[b]; h == nil {
-			p.status[b] = &Health{added: now, joining: true}
+			p.status[b] = &Health{joining: true}
 			changed = true
 		} else if !h.leaving.IsZero() {
 			h.leaving = time.Time{}
@@ -190,7 +162,7 @@ func (p *Poller) SetBackends(nodes []string, drain time.Duration) bool {
 		if h.joining || drain <= 0 {
 			delete(p.status, b)
 		} else {
-			h.leaving = now.Add(drain)
+			h.leaving = time.Now().Add(drain)
 		}
 	}
 	return changed
@@ -255,38 +227,42 @@ func (p *Poller) Stop() {
 
 // PollOnce probes every backend concurrently and updates states, then
 // moves the lifecycle on: a joining backend that answered healthy
-// enters the ring (and onJoin runs), and a leaving one past its drain
-// deadline is dropped.
+// enters the ring, and a leaving one past its drain deadline is
+// dropped. If any backend turned healthy, onHealthy runs last.
 func (p *Poller) PollOnce(ctx context.Context) {
 	var wg sync.WaitGroup
+	var turned atomic.Bool
 	for _, b := range p.Backends() {
 		wg.Add(1)
 		go func(b string) {
 			defer wg.Done()
-			p.probe(ctx, b)
+			if p.probe(ctx, b) {
+				turned.Store(true)
+			}
 		}(b)
 	}
 	wg.Wait()
-	now, joined := time.Now(), false
+	now := time.Now()
 	p.mu.Lock()
 	for b, h := range p.status {
 		switch {
 		case h.joining && h.State == StateHealthy:
-			h.joining, joined = false, true
+			h.joining = false
 		case !h.leaving.IsZero() && now.After(h.leaving):
 			delete(p.status, b)
 		}
 	}
 	p.mu.Unlock()
-	if joined && p.onJoin != nil {
-		p.onJoin()
+	if turned.Load() && p.onHealthy != nil {
+		p.onHealthy()
 	}
 }
 
 // probe classifies one backend from a single GET /v1/limits: a decoded
 // answer is healthy (draining if it says so); a connect failure, a
-// non-200 or a body that is not a Limits document is dead.
-func (p *Poller) probe(ctx context.Context, backend string) {
+// non-200 or a body that is not a Limits document is dead. It reports
+// whether the backend turned healthy.
+func (p *Poller) probe(ctx context.Context, backend string) bool {
 	var lim *api.Limits
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backendURL(backend)+api.PathLimits, nil)
 	if err == nil {
@@ -306,29 +282,19 @@ func (p *Poller) probe(ctx context.Context, backend string) {
 			state = StateDraining
 		}
 	}
-	now := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	h := p.status[backend]
 	if h == nil {
-		return
+		return false
 	}
-	if state == StateHealthy {
-		h.everHealthy = true
-	}
-	// Startup grace: an unreachable backend that has never been healthy
-	// is probably still booting. Keep it warming (routable) until the
-	// window expires — unless a live connect failure already marked it
-	// dead, which is decisive evidence over a guess.
-	if state == StateDead && !h.everHealthy && h.State != StateDead &&
-		p.grace > 0 && now.Sub(h.added) < p.grace {
-		state = StateWarming
-	}
+	turned := state == StateHealthy && h.State != StateHealthy
 	h.State = state
 	if lim != nil {
 		h.ShedRecently = lim.Sheds > h.Limits.Sheds
 		h.Limits = *lim
 	}
+	return turned
 }
 
 // backendURL normalizes a backend address to a base URL.

@@ -75,7 +75,7 @@ func TestPollerStateTransitions(t *testing.T) {
 	fb := newFakeBackend(t)
 	fb.inflight.Store(12345)
 	fb.shed.Store(0)
-	p := NewPoller([]string{fb.addr}, time.Second, 0, nil)
+	p := NewPoller([]string{fb.addr}, time.Second, nil)
 	ctx := context.Background()
 
 	p.PollOnce(ctx)
@@ -121,7 +121,7 @@ func TestPollerStateTransitions(t *testing.T) {
 // counter clears it.
 func TestPollerShedRecently(t *testing.T) {
 	fb := newFakeBackend(t)
-	p := NewPoller([]string{fb.addr}, time.Second, 0, nil)
+	p := NewPoller([]string{fb.addr}, time.Second, nil)
 	ctx := context.Background()
 
 	p.PollOnce(ctx)
@@ -138,7 +138,7 @@ func TestPollerShedRecently(t *testing.T) {
 
 func TestPollerMarkDead(t *testing.T) {
 	fb := newFakeBackend(t)
-	p := NewPoller([]string{fb.addr}, time.Second, 0, nil)
+	p := NewPoller([]string{fb.addr}, time.Second, nil)
 	p.PollOnce(context.Background())
 	p.MarkDead(fb.addr)
 	if h := p.Health(fb.addr); h.State != StateDead {
@@ -151,79 +151,41 @@ func TestPollerMarkDead(t *testing.T) {
 	}
 }
 
-// TestPollerWarmingGrace covers the router-start race: a backend that
-// has never answered /healthz reads as warming (routable) inside the
-// grace window, dead after it — and once it has been healthy, a
-// failure is dead immediately, never warming.
-func TestPollerWarmingGrace(t *testing.T) {
-	fb := newFakeBackend(t)
-	fb.stop() // not yet started from the poller's point of view
-	p := NewPoller([]string{fb.addr}, time.Second, 200*time.Millisecond, nil)
-	ctx := context.Background()
-
-	p.PollOnce(ctx)
-	if h := p.Health(fb.addr); h.State != StateWarming {
-		t.Fatalf("state = %v, want warming inside grace", h.State)
-	}
-	if !p.Routable(fb.addr) {
-		t.Error("warming backend not routable")
-	}
-
-	// The backend comes up inside the window: healthy.
-	fb.restart()
-	p.PollOnce(ctx)
-	if h := p.Health(fb.addr); h.State != StateHealthy {
-		t.Fatalf("state = %v, want healthy", h.State)
-	}
-
-	// Once it has been healthy, death is death — no warming grace.
-	fb.stop()
-	p.PollOnce(ctx)
-	if h := p.Health(fb.addr); h.State != StateDead {
-		t.Fatalf("state = %v, want dead after prior health", h.State)
-	}
-}
-
-// TestPollerWarmingDeadline: a backend that never comes up turns dead
-// when the grace window expires.
-func TestPollerWarmingDeadline(t *testing.T) {
-	fb := newFakeBackend(t)
-	fb.stop()
-	p := NewPoller([]string{fb.addr}, time.Second, 50*time.Millisecond, nil)
-	ctx := context.Background()
-	p.PollOnce(ctx)
-	if h := p.Health(fb.addr); h.State != StateWarming {
-		t.Fatalf("state = %v, want warming", h.State)
-	}
-	time.Sleep(60 * time.Millisecond)
-	p.PollOnce(ctx)
-	if h := p.Health(fb.addr); h.State != StateDead {
-		t.Fatalf("state = %v, want dead after deadline", h.State)
-	}
-}
-
-// TestPollerMarkDeadBeatsWarming: a live connect failure is decisive —
-// MarkDead during the grace window sticks through the next poll.
-func TestPollerMarkDeadBeatsWarming(t *testing.T) {
-	fb := newFakeBackend(t)
-	fb.stop()
-	p := NewPoller([]string{fb.addr}, time.Second, time.Hour, nil)
-	ctx := context.Background()
-	p.PollOnce(ctx)
-	if h := p.Health(fb.addr); h.State != StateWarming {
-		t.Fatalf("state = %v, want warming", h.State)
-	}
-	p.MarkDead(fb.addr)
-	p.PollOnce(ctx)
-	if h := p.Health(fb.addr); h.State != StateDead {
-		t.Fatalf("state = %v, want dead (observed failure beats grace)", h.State)
+// TestPollerOnHealthy: the hook runs after a poll in which some backend
+// turned healthy — its first answer, a recovery, a join — and not after
+// one in which no backend did.
+func TestPollerOnHealthy(t *testing.T) {
+	a, b := newFakeBackend(t), newFakeBackend(t)
+	p := NewPoller([]string{a.addr}, time.Second, nil)
+	kicks := 0
+	p.onHealthy = func() { kicks++ }
+	for _, step := range []struct {
+		name string
+		do   func()
+		want int
+	}{
+		{"first answer", func() {}, 1},
+		{"still healthy", func() {}, 0},
+		{"stopped", a.stop, 0},
+		{"restarted", a.restart, 1},
+		{"marked dead while up", func() { p.MarkDead(a.addr) }, 1},
+		{"joined", func() { p.SetBackends([]string{a.addr, b.addr}, 0) }, 1},
+		{"draining", func() { a.draining.Store(true) }, 0},
+		{"done draining", func() { a.draining.Store(false) }, 1},
+	} {
+		kicks = 0
+		step.do()
+		p.PollOnce(context.Background())
+		if kicks != step.want {
+			t.Errorf("%s: hook ran %d times, want %d", step.name, kicks, step.want)
+		}
 	}
 }
 
 // TestPollerAddRemove exercises dynamic membership on the poller.
 func TestPollerAddRemove(t *testing.T) {
 	fb := newFakeBackend(t)
-	p := NewPoller(nil, time.Second, 0, nil)
+	p := NewPoller(nil, time.Second, nil)
 	if got := p.Backends(); len(got) != 0 {
 		t.Fatalf("backends %v", got)
 	}
@@ -263,7 +225,7 @@ func TestPollerOneProbe(t *testing.T) {
 	}))
 	defer ts.Close()
 	addr := strings.TrimPrefix(ts.URL, "http://")
-	p := NewPoller([]string{addr}, time.Second, 0, nil)
+	p := NewPoller([]string{addr}, time.Second, nil)
 	for i := 1; i <= 3; i++ {
 		p.PollOnce(context.Background())
 		mu.Lock()
@@ -306,9 +268,8 @@ func TestPollerLimitsDocuments(t *testing.T) {
 	bigAddr := serve(big)
 	htmlAddr := serve([]byte("<!DOCTYPE html>\n<html><body><h1>200 OK</h1></body></html>\n"))
 	// A long interval gives the probe a generous timeout (half of it):
-	// the decode runs slowly under the race detector. No warming grace,
-	// so a failed probe reads dead at once.
-	p := NewPoller([]string{bigAddr, htmlAddr}, 20*time.Second, -1, nil)
+	// the decode runs slowly under the race detector.
+	p := NewPoller([]string{bigAddr, htmlAddr}, 20*time.Second, nil)
 	p.PollOnce(context.Background())
 	if h := p.Health(bigAddr); h.State != StateHealthy || len(h.Limits.Tenants) != 10000 {
 		t.Errorf("large document: state %v with %d tenants, want healthy with 10000", h.State, len(h.Limits.Tenants))

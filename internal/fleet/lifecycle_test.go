@@ -103,7 +103,7 @@ func ringHas(rt *Router, node string) bool {
 }
 
 // TestRouterSetBackendsLifecycle walks the two membership lifecycles:
-// add -> warm-up -> in-ring (a node joins the ring only at its first
+// add -> joining -> in-ring (a node joins the ring only at its first
 // healthy poll) and drain-then-remove (a removed node leaves the ring
 // at once but stays polled as a repair source for the drain grace).
 func TestRouterSetBackendsLifecycle(t *testing.T) {
@@ -127,8 +127,8 @@ func TestRouterSetBackendsLifecycle(t *testing.T) {
 		t.Fatal("healthy backend not promoted into the ring")
 	}
 
-	// Add a node that never comes up: it warms, serves as a last-resort
-	// candidate, but must not own keys.
+	// Add a node that never comes up: it reads dead, serves as a
+	// last-resort candidate, but must not own keys.
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
 	dead := ln.Addr().String()
 	ln.Close()
@@ -136,11 +136,11 @@ func TestRouterSetBackendsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.poller.PollOnce(ctx)
-	if st := rt.poller.Health(dead).State; st != StateWarming {
-		t.Fatalf("unreachable new backend state %v, want warming", st)
+	if st := rt.poller.Health(dead).State; st != StateDead {
+		t.Fatalf("unreachable new backend state %v, want dead", st)
 	}
 	if ringHas(rt, dead) {
-		t.Fatal("warming backend entered the ring")
+		t.Fatal("unreachable backend entered the ring")
 	}
 
 	// Remove b: out of the ring now, polled until the drain grace ends.
@@ -557,4 +557,185 @@ func TestFleetChaosKillAndLiveAdd(t *testing.T) {
 		}
 	}
 	rt.Stop()
+}
+
+// restartableSzd is a stored szd that stops and starts again at its
+// address on the same store directory, as a restarted process would.
+type restartableSzd struct {
+	t    *testing.T
+	dir  string
+	addr string
+	srv  *http.Server
+}
+
+// newRestartableSzd starts one listening on addr ("127.0.0.1:0" picks a
+// free port).
+func newRestartableSzd(t *testing.T, addr string) *restartableSzd {
+	t.Helper()
+	s := &restartableSzd{t: t, dir: t.TempDir(), addr: addr}
+	s.start()
+	t.Cleanup(s.stop)
+	return s
+}
+
+// start opens the store directory and listens at s.addr.
+func (s *restartableSzd) start() {
+	s.t.Helper()
+	st, err := store.Open(s.dir, 0)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", s.addr)
+	if err != nil {
+		s.t.Fatalf("listening on %s: %v", s.addr, err)
+	}
+	s.addr = ln.Addr().String()
+	s.srv = &http.Server{Handler: server.New(server.Config{Store: st}).Handler()}
+	go s.srv.Serve(ln)
+}
+
+// stop kills the daemon: connections are refused until start.
+func (s *restartableSzd) stop() { s.srv.Close() }
+
+// TestRouterRecoverySweepsMissedReplica: at R=2 a replica copy that
+// fails while its target is down lands once the target recovers, with
+// no membership change and no periodic sweep, so the container
+// survives its owner's later death. In one variant the router polls
+// while the target is down; in the other it never does, and only the
+// failed copy itself marks the target dead.
+func TestRouterRecoverySweepsMissedReplica(t *testing.T) {
+	for _, pollWhileDown := range []bool{true, false} {
+		t.Run(fmt.Sprintf("pollWhileDown=%v", pollWhileDown), func(t *testing.T) {
+			nodes := map[string]*restartableSzd{}
+			var addrs []string
+			for i := 0; i < 3; i++ {
+				s := newRestartableSzd(t, "127.0.0.1:0")
+				nodes[s.addr] = s
+				addrs = append(addrs, s.addr)
+			}
+			rt, ts := newRouter(t, Config{Backends: addrs, Replication: 2})
+			rt.Start()
+			defer rt.Stop()
+
+			raw := makeRaw(t, grid.Float32, 16, 8, 8)
+			p := codec.Params{AbsBound: 1e-3, DType: grid.Float32, Dims: []int{16, 8, 8}}
+			stream := localStream(t, "blocked", raw, p)
+			digest := streamDigest(stream)
+			targets := rt.ringSequence(digest, 2)
+			owner, second := nodes[targets[0]], nodes[targets[1]]
+
+			second.stop()
+			if pollWhileDown {
+				rt.poller.PollOnce(context.Background())
+			}
+			req, err := http.NewRequest(http.MethodPut, ts.URL+api.PathContainerPrefix+digest, bytes.NewReader(stream))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if body := readAllClose(t, resp); resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("PUT through the router: status %d: %s", resp.StatusCode, body)
+			}
+			rt.replWG.Wait() // the fan-out copy to the stopped target has failed
+
+			second.start()
+			rt.poller.PollOnce(context.Background())
+			for end := time.Now().Add(5 * time.Second); !hasContainer(second.addr, digest) && time.Now().Before(end); {
+				time.Sleep(20 * time.Millisecond)
+			}
+
+			owner.stop()
+			resp, err = http.Get(ts.URL + api.PathDecompress + "?" + api.QueryDigest + "=" + digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if body := readAllClose(t, resp); resp.StatusCode != http.StatusOK {
+				t.Fatalf("digest read after the owner died: status %d: %s", resp.StatusCode, body)
+			}
+		})
+	}
+}
+
+// TestRouterStartRace: a backend that is down at the router's first
+// poll owns no keys, and the router's /healthz answers 503. Once it
+// listens, a request reaches it before any further poll, because
+// candidates tries dead backends last instead of dropping them; the
+// next poll puts it in the ring.
+func TestRouterStartRace(t *testing.T) {
+	addr := closedAddr(t)
+	rt, ts := newRouter(t, Config{Backends: []string{addr}})
+	if ringHas(rt, addr) {
+		t.Fatal("a backend down at the first poll is in the ring")
+	}
+	healthz := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + api.PathHealthz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAllClose(t, resp)
+		return resp.StatusCode
+	}
+	if code := healthz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz = %d before any backend answered, want 503", code)
+	}
+
+	newRestartableSzd(t, addr)
+	resp := post(t, ts.URL+api.PathCompress+"?codec=gzip", []byte("the first request after the backend came up"))
+	if body := readAllClose(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compress before the next poll: status %d: %s", resp.StatusCode, body)
+	}
+	rt.poller.PollOnce(context.Background())
+	if !ringHas(rt, addr) {
+		t.Fatal("backend not in the ring after answering a poll")
+	}
+	if code := healthz(); code != http.StatusOK {
+		t.Fatalf("healthz = %d with a healthy backend, want 200", code)
+	}
+}
+
+// TestRouterSweepLargeListing: a backend's container listing past 8 MiB
+// is read whole. The fake lists 130,000 digest-length entries that are
+// not valid digests, which the sweep skips without a copy attempt each,
+// and then one container it really serves: the sweep must copy that one
+// to the real backend.
+func TestRouterSweepLargeListing(t *testing.T) {
+	raw := makeRaw(t, grid.Float32, 16, 8, 8)
+	stream := localStream(t, "blocked", raw, codec.Params{AbsBound: 1e-3, DType: grid.Float32, Dims: []int{16, 8, 8}})
+	digest := streamDigest(stream)
+	var listing bytes.Buffer
+	listing.WriteString(`{"digests":[`)
+	for i := 0; i < 130000; i++ {
+		fmt.Fprintf(&listing, `"X%063x",`, i)
+	}
+	fmt.Fprintf(&listing, `"%s"]}`, digest)
+	if listing.Len() != 8710080 {
+		t.Fatalf("listing is %d bytes, want 8,710,080", listing.Len())
+	}
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case api.PathLimits:
+			io.WriteString(w, "{}\n")
+		case api.PathContainers:
+			w.Write(listing.Bytes())
+		case api.PathContainerPrefix + digest:
+			w.Write(stream)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(fake.Close)
+	szd := newSzdWithStore(t)
+	rt, _ := newRouter(t, Config{
+		Backends:            []string{strings.TrimPrefix(fake.URL, "http://"), szd},
+		Replication:         2,
+		AntiEntropyInterval: -1,
+	})
+	rt.SweepOnce(context.Background())
+	if !hasContainer(szd, digest) {
+		t.Fatal("the sweep did not copy the container listed past 8 MiB")
+	}
 }

@@ -59,7 +59,11 @@ func (rt *Router) peerFill(r *http.Request, digest, target string, cands []strin
 // content-addressed surface: GET /v1/container from src, PUT to dst,
 // digest-verified on arrival. The copy streams through — the router
 // never buffers the container. Any failure (src lacks it, either side
-// unreachable, digest mismatch) is false.
+// unreachable, digest mismatch) is false. A transport error marks that
+// side dead, as it does in forward (unless ctx ended, which is no fault
+// of the backend's), so even an outage shorter than a poll interval
+// ends in a recovery the poller sees, and the sweep that recovery kicks
+// lands the copy that failed here.
 func (rt *Router) copyContainer(ctx context.Context, digest, src, dst string) bool {
 	greq, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		backendURL(src)+api.PathContainerPrefix+digest, nil)
@@ -68,6 +72,9 @@ func (rt *Router) copyContainer(ctx context.Context, digest, src, dst string) bo
 	}
 	gresp, err := rt.client.Do(greq)
 	if err != nil {
+		if ctx.Err() == nil {
+			rt.poller.MarkDead(src)
+		}
 		return false
 	}
 	if gresp.StatusCode != http.StatusOK {
@@ -87,6 +94,9 @@ func (rt *Router) copyContainer(ctx context.Context, digest, src, dst string) bo
 	presp, err := rt.client.Do(preq)
 	gresp.Body.Close()
 	if err != nil {
+		if ctx.Err() == nil {
+			rt.poller.MarkDead(dst)
+		}
 		return false
 	}
 	io.Copy(io.Discard, presp.Body)
@@ -184,8 +194,9 @@ func (rt *Router) kickSweep() {
 	}
 }
 
-// sweepLoop runs anti-entropy sweeps on membership kicks and (when an
-// interval is configured) on a timer.
+// sweepLoop runs anti-entropy sweeps on kicks (a membership change, a
+// backend turning healthy) and, when an interval is configured, on a
+// timer.
 func (rt *Router) sweepLoop() {
 	defer close(rt.sweepDone)
 	var tick <-chan time.Time
@@ -210,7 +221,7 @@ func (rt *Router) sweepLoop() {
 // grace exists exactly so their data can be pulled before they vanish —
 // and copies each under-replicated digest to the ring targets that lack
 // it. Safe to call directly (tests, debugging); the sweep loop calls it
-// on membership changes.
+// on every kick.
 func (rt *Router) SweepOnce(ctx context.Context) {
 	holders := map[string][]string{}
 	for _, src := range rt.poller.Backends() {
@@ -223,20 +234,11 @@ func (rt *Router) SweepOnce(ctx context.Context) {
 		if err != nil {
 			continue
 		}
-		var inv struct {
-			Digests []string `json:"digests"`
+		if resp.StatusCode == http.StatusOK {
+			eachListed(resp.Body, func(d string) { holders[d] = append(holders[d], src) })
 		}
-		derr := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&inv)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || derr != nil {
-			continue
-		}
-		for _, d := range inv.Digests {
-			if store.ValidDigest(d) {
-				holders[d] = append(holders[d], src)
-			}
-		}
 	}
 	for digest, srcs := range holders {
 		if ctx.Err() != nil {
@@ -256,6 +258,28 @@ func (rt *Router) SweepOnce(ctx context.Context) {
 					break
 				}
 			}
+		}
+	}
+}
+
+// eachListed reads a GET /v1/containers answer, {"digests": [...]}, one
+// array element at a time, so the listing's size never caps the sweep,
+// and calls fn with each entry that is a valid digest. A malformed
+// document ends the walk: the entries before it still count.
+func eachListed(r io.Reader, fn func(digest string)) {
+	dec := json.NewDecoder(r)
+	for _, want := range []json.Token{json.Delim('{'), "digests", json.Delim('[')} {
+		if t, err := dec.Token(); err != nil || t != want {
+			return
+		}
+	}
+	for dec.More() {
+		var d string
+		if dec.Decode(&d) != nil {
+			return
+		}
+		if store.ValidDigest(d) {
+			fn(d)
 		}
 	}
 }

@@ -66,9 +66,11 @@ func copyHeaders(dst, src http.Header) {
 // Sequence order is preserved within each tier so the owner stays first.
 // Joining backends not yet in the ring trail the sequence: they cannot
 // own keys, but when the whole ring is down a booting node is the last
-// resort that may still answer. The tiers come from the same read of the
-// table as the sequence, so a concurrent probe cannot flip a state
-// mid-sort.
+// resort that may still answer. That closes the router-start race: a
+// backend still booting at the first poll reads dead and joining, and
+// once it listens it takes requests before the next poll puts it in the
+// ring. The tiers come from the same read of the table as the sequence,
+// so a concurrent probe cannot flip a state mid-sort.
 func (rt *Router) candidates(key string) []string {
 	ring, serving := rt.poller.view()
 	seq := ring.Sequence(key, len(serving))
@@ -91,18 +93,6 @@ func (rt *Router) candidates(key string) []string {
 	}
 	sort.SliceStable(seq, func(i, j int) bool { return tier(seq[i]) < tier(seq[j]) })
 	return seq
-}
-
-// streamCandidate narrows cands to the one backend a stream gets: it
-// cannot be replayed, so it goes to the first candidate known to
-// answer, and to a warming one only when no other is routable.
-func (rt *Router) streamCandidate(cands []string) []string {
-	for i, b := range cands {
-		if s := rt.poller.Health(b).State; s == StateHealthy || s == StateUnknown {
-			return cands[i : i+1]
-		}
-	}
-	return cands[:1]
 }
 
 // ringOwner is the in-ring owner for key ("" on an empty ring).
@@ -204,7 +194,7 @@ func (rt *Router) proxyBody(endpoint string) http.HandlerFunc {
 			// panics.
 			http.NewResponseController(w).EnableFullDuplex()
 			defer r.Body.Close()
-			cands = rt.streamCandidate(cands)
+			cands = cands[:1]
 		}
 		sp.End()
 		rt.forward(w, r, endpoint, cands, fillDigest, id, head)

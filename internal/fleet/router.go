@@ -11,7 +11,7 @@ package fleet
 //   - Bodies beyond the buffer limit cannot be replayed, so they take
 //     the same candidates and attempt loop with exactly one candidate:
 //     a container PUT's digest owner, or for any other stream the first
-//     candidate known to answer for a rotating key.
+//     candidate for a rotating key.
 //   - Backend rejections that exhaust every candidate are relayed to
 //     the client unchanged — status, body, and Retry-After header — so
 //     client backoff works exactly as it does against a single daemon.
@@ -88,7 +88,8 @@ type Config struct {
 	// anti-entropy source before being forgotten (0 = 10s).
 	DrainGrace time.Duration
 	// AntiEntropyInterval is the periodic anti-entropy sweep cadence.
-	// 0 means sweeps run only when membership changes; < 0 disables
+	// 0 means sweeps run only when membership changes or a backend
+	// turns healthy (at start, on a join, on a recovery); < 0 disables
 	// the sweep loop entirely (SweepOnce still works for tests).
 	AntiEntropyInterval time.Duration
 }
@@ -107,7 +108,7 @@ type Router struct {
 
 	// Background replication: replSeen dedups per-digest kicks, replWG
 	// tracks in-flight copies, and the sweep goroutine re-replicates
-	// under-replicated digests after membership changes.
+	// under-replicated digests after membership changes and recoveries.
 	replSeen  recentDigests
 	replWG    sync.WaitGroup
 	sweepKick chan struct{}
@@ -149,7 +150,7 @@ func New(cfg Config) (*Router, error) {
 		cacheBytes = defaultCacheBytes
 	}
 	rt := &Router{
-		poller:      NewPoller(cfg.Backends, cfg.PollInterval, 0, nil),
+		poller:      NewPoller(cfg.Backends, cfg.PollInterval, nil),
 		client:      hc,
 		bufferLimit: limit,
 		replication: replication,
@@ -165,9 +166,10 @@ func New(cfg Config) (*Router, error) {
 	// lives, and probing an mTLS backend in plaintext would read every
 	// node as dead.
 	rt.poller.client.Transport = hc.Transport
-	// A joining backend's first healthy answer puts it in the ring: sweep
-	// so its share of replicas migrates in.
-	rt.poller.onJoin = rt.kickSweep
+	// A backend that turns healthy (joins the ring, or recovers) may lack
+	// replicas: its share migrates in, and copies that failed while it
+	// was down land now.
+	rt.poller.onHealthy = rt.kickSweep
 	rt.met = newRouterMetrics(rt.poller, rt.cache)
 	wrap := &obs.Wrapper{
 		Rec:    obs.NewRecorder(cfg.TraceRingSize, cfg.SlowThreshold, nil),
@@ -329,7 +331,7 @@ func newRouterMetrics(p *Poller, cache *respCache) *routerMetrics {
 	}
 	// Backend gauges read the poller's live membership at exposition
 	// time, so added and removed nodes appear and vanish with the set.
-	r.Func("szrouter_backend_state", "Backend health (0 unknown, 1 healthy, 2 draining, 3 dead, 4 warming).",
+	r.Func("szrouter_backend_state", "Backend health (0 unknown, 1 healthy, 2 draining, 3 dead).",
 		"gauge", []string{"backend"}, func(emit func(float64, ...string)) {
 			for _, bk := range p.Backends() {
 				emit(float64(p.Health(bk).State), bk)

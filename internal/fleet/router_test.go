@@ -250,15 +250,12 @@ func TestRouterRelaysRetryAfterUnchanged(t *testing.T) {
 // TestRouterConnectFailover: a request owned by an unreachable backend
 // fails over, and the observation marks the backend dead immediately.
 func TestRouterConnectFailover(t *testing.T) {
-	// Reserve a port, then close it: connections will be refused.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ln.Addr().String()
-	ln.Close()
+	// The owner answers the first poll, so it is in the ring, then dies:
+	// connections are refused from here on.
+	dead, srv := newKillableSzd(t)
 	healthy := newSzd(t)
 	rt, ts := newRouter(t, Config{Backends: []string{dead, healthy}})
+	srv.Close()
 
 	payload := payloadOwnedBy(t, rt, dead)
 	resp := post(t, ts.URL+"/v1/compress?codec=gzip", payload)
@@ -363,10 +360,7 @@ func TestRouterHealthz(t *testing.T) {
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
 	dead := ln.Addr().String()
 	ln.Close()
-	// Warming grace off: this half checks a confirmed-unreachable fleet,
-	// not the startup race the grace papers over.
 	rt2, ts2 := newRouter(t, Config{Backends: []string{dead}})
-	rt2.poller.grace = -1
 	rt2.poller.PollOnce(context.Background())
 	resp, err = http.Get(ts2.URL + "/healthz")
 	if err != nil {

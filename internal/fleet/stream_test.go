@@ -82,14 +82,15 @@ func TestRouterStreamsIgnoreInflightBytes(t *testing.T) {
 }
 
 // TestRouterStreamSkipsWarmingBackend: a stream gets one attempt, so it
-// never goes to a warming backend while another backend answers, even
-// when the warming one owns the rotating key.
+// never goes to a backend that has not yet answered a poll while another
+// backend answers: that backend is out of the ring and trails the
+// candidates, and no stream fails over from it.
 func TestRouterStreamSkipsWarmingBackend(t *testing.T) {
-	warming := closedAddr(t)
+	booting := closedAddr(t)
 	healthy := newTenantBackend(t, &api.Limits{})
-	rt, ts := newRouter(t, Config{Backends: []string{warming, healthy.addr()}, BufferLimit: 1024})
-	if st := rt.poller.Health(warming).State; st != StateWarming {
-		t.Fatalf("unreachable new backend state %v, want warming", st)
+	rt, ts := newRouter(t, Config{Backends: []string{booting, healthy.addr()}, BufferLimit: 1024})
+	if ringHas(rt, booting) {
+		t.Fatal("a backend that never answered a poll is in the ring")
 	}
 
 	body := bytes.Repeat([]byte("x"), 4096)
@@ -103,10 +104,8 @@ func TestRouterStreamSkipsWarmingBackend(t *testing.T) {
 			t.Fatalf("stream %d went to %s, want the healthy %s", i, b, healthy.addr())
 		}
 	}
-	// No attempt reached the warming backend: a refused connect would
-	// have marked it dead.
-	if st := rt.poller.Health(warming).State; st != StateWarming {
-		t.Fatalf("warming backend state %v after the streams, want warming", st)
+	if n := metricSum(t, ts.URL, "szrouter_failovers_total"); n != 0 {
+		t.Fatalf("%v failovers counted, want 0: no stream tried the booting backend", n)
 	}
 }
 

@@ -321,7 +321,7 @@ func TestPollerTenantFlood(t *testing.T) {
 			t.Fatalf("batch compress %d = %d, want 429", i, resp.StatusCode)
 		}
 	}
-	p := NewPoller([]string{addr}, 20*time.Second, -1, nil)
+	p := NewPoller([]string{addr}, 20*time.Second, nil)
 	p.PollOnce(context.Background())
 	if h := p.Health(addr); h.State != StateHealthy || len(h.Limits.Tenants) > api.MaxTenants {
 		t.Errorf("after %d keys: state %v with %d tenants, want healthy with at most %d",

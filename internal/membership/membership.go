@@ -12,9 +12,10 @@
 // forces a re-read regardless of mtime, which is what the SIGHUP
 // handler calls.
 //
-// The package only detects and parses; lifecycle (warm-up before a
-// new node takes ring ownership, drain before a removed one stops
-// serving) belongs to the router, which owns the health state.
+// The package only detects and parses; lifecycle (joining until a new
+// node's first healthy answer gives it ring ownership, drain before a
+// removed one stops serving) belongs to the router, which owns the
+// health state.
 package membership
 
 import (
