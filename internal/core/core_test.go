@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -9,7 +10,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitstream"
 	"repro/internal/grid"
+	"repro/internal/huffman"
 	"repro/internal/metrics"
 	"repro/internal/quant"
 )
@@ -110,14 +113,20 @@ func TestRoundTrip3D(t *testing.T) {
 }
 
 func TestRoundTrip1D(t *testing.T) {
-	n := 2000
-	a := grid.New(n)
-	for i := range a.Data {
-		a.Data[i] = math.Sin(float64(i) * 0.01)
+	// The longer array is past the 2^20 codes whose escape marks the
+	// decoder keeps on the stack, and every 37th sample of it escapes.
+	for _, n := range []int{2000, 1<<20 + 4097} {
+		a := grid.New(n)
+		for i := range a.Data {
+			a.Data[i] = math.Sin(float64(i) * 0.01)
+			if n > 1<<20 && i%37 == 0 {
+				a.Data[i] *= 1e3
+			}
+		}
+		p := Params{Mode: BoundAbs, AbsBound: 1e-5}
+		out, _, h := compressDecompress(t, a, p)
+		assertBound(t, a, out, h.AbsBound)
 	}
-	p := Params{Mode: BoundAbs, AbsBound: 1e-5}
-	out, _, h := compressDecompress(t, a, p)
-	assertBound(t, a, out, h.AbsBound)
 }
 
 func TestLayers2Through4(t *testing.T) {
@@ -409,6 +418,61 @@ func TestCorruptOutlierSection(t *testing.T) {
 				t.Errorf("streams=%d (%d outliers in %d bits) %s: err = %v, want ErrCorrupt",
 					streams, h.NumOutliers, st.OutlierBits, name, err)
 			}
+		}
+	}
+}
+
+// TestAlphabetBoundVersion1: a Version-1 stream whose codebook codes a
+// symbol ≥ 2^m fails with ErrCorrupt whether or not its codes use that
+// symbol. The streams are re-framed with a valid header and CRC, so only
+// the alphabet check can catch them; re-framed with the scan's own
+// codebook, the stream is byte-identical to Compress's.
+func TestAlphabetBoundVersion1(t *testing.T) {
+	a := smooth2D(16, 16, 13)
+	p := Params{Mode: BoundAbs, AbsBound: 1e-3}
+	want, _, err := Compress(a, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Analyze(a, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+	// frame codes under a codebook built from freqs, with the scan's
+	// outliers, as a Version-1 stream.
+	frame := func(freqs []uint64, codes []int) []byte {
+		cb, err := huffman.New(freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := bitstream.NewWriter(0)
+		cb.Serialize(w)
+		if err := cb.Encode(w, codes); err != nil {
+			t.Fatal(err)
+		}
+		w.AppendStream(s.outW.Bytes(), s.outW.Len())
+		h := Header{Version: Version, DType: s.p.OutputType, Dims: s.dims, AbsBound: s.eb,
+			Layers: s.p.Layers, IntervalBits: s.p.IntervalBits, NumOutliers: s.numOutliers,
+			PayloadBits: w.Len(), Streams: 1}
+		out := append(appendHeader(nil, &h), w.Bytes()...)
+		return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+	}
+	if !bytes.Equal(frame(s.hist, s.codes), want) {
+		t.Fatal("re-framed stream differs from Compress's")
+	}
+	numCodes := 1 << s.p.IntervalBits
+	wide := append(append([]uint64(nil), s.hist...), 1) // symbol 2^m gets a code
+	used := append([]int(nil), s.codes...)
+	for i, c := range used {
+		if c != quant.UnpredictableCode {
+			used[i] = numCodes
+			break
+		}
+	}
+	for name, codes := range map[string][]int{"unused": s.codes, "used": used} {
+		if _, _, err := Decompress(frame(wide, codes)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s symbol %d: err = %v, want ErrCorrupt", name, numCodes, err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 
 	"repro/internal/binrep"
 	"repro/internal/bitstream"
@@ -73,6 +74,15 @@ func decompress(stream []byte, kernels bool, data []float64, ext *huffman.Codebo
 	}
 	payload := stream[off : off+payloadBytes]
 
+	q, err := quant.New(h.AbsBound, h.IntervalBits)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	pred, err := predictor.New(h.Dims, h.Layers)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+
 	r := bitstream.NewReaderBits(payload, h.PayloadBits)
 	var cb *huffman.Codebook
 	if h.SharedCodebook {
@@ -91,9 +101,33 @@ func decompress(stream []byte, kernels bool, data []float64, ext *huffman.Codebo
 			r.Align()
 		}
 	}
+	// Every encoder emits an alphabet of exactly 2^m, but a corrupt stream
+	// can smuggle in a larger one; the generic Reconstruct rejects codes
+	// past 2^m, so the kernels must too. The decoder can only produce
+	// symbols the codebook assigns codes to, so bounding the alphabet here
+	// bounds every decoded code — O(alphabet) instead of O(n) — and keeps
+	// the per-point loops branch-free.
+	if m := cb.MaxSymbol(); m >= q.NumCodes() {
+		return nil, nil, fmt.Errorf("%w: code %d out of range [0,%d)", ErrCorrupt, m, q.NumCodes())
+	}
 	n := h.N()
-	codes := scratch.Ints(n) // DecodeInto assigns every entry
+	codes := scratch.Ints(n) // the decode assigns every entry
 	defer scratch.PutInts(codes)
+	// marks flags each 64-code block holding an escape, so readOutliers
+	// visits only those; the decode clears and sets it. Arrays of up to
+	// 2^20 codes keep it on the stack (2 KiB). Drawn from the pools it is
+	// one more buffer per slab in flight, and sync.Pool rebuilds a per-P
+	// chain for it after every GC: 1–4 more allocations per blocked
+	// decompress.
+	var markArr [256]uint64
+	var marks []uint64
+	if w := huffman.MarkWords(n); w <= len(markArr) {
+		marks = markArr[:w]
+	} else {
+		pooled := scratch.Uint64s(w)
+		defer scratch.PutUint64s(pooled)
+		marks = pooled
+	}
 	if h.Version == VersionMulti {
 		// Byte-aligned sections: a uvarint sub-stream length table, then
 		// the sub-streams themselves. Each gets an independent cursor so
@@ -120,43 +154,14 @@ func decompress(stream []byte, kernels bool, data []float64, ext *huffman.Codebo
 			subs[j] = bitstream.NewReaderAt(payload, start, lens[j])
 			start += lens[j]
 		}
-		if err := cb.DecodeNInto(subs, codes); err != nil {
+		if err := cb.DecodeNInto(subs, codes, marks); err != nil {
 			return nil, nil, fmt.Errorf("%w: codes: %v", ErrCorrupt, err)
 		}
 		// The outlier section begins at the next byte boundary after the
 		// last sub-stream; move the main cursor there for the scan.
 		r.SetPos(uint64(start) * 8)
-	} else if err := cb.DecodeInto(r, codes); err != nil {
+	} else if err := cb.DecodeInto(r, codes, marks); err != nil {
 		return nil, nil, fmt.Errorf("%w: codes: %v", ErrCorrupt, err)
-	}
-
-	q, err := quant.New(h.AbsBound, h.IntervalBits)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	pred, err := predictor.New(h.Dims, h.Layers)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-
-	// A well-formed codebook only emits codes < 2^m, but a corrupt stream
-	// can smuggle in a larger alphabet; the generic Reconstruct rejects
-	// such codes, so the kernels must too. Checking here keeps the
-	// per-point loops branch-free. The decoder can only produce symbols
-	// the codebook assigns codes to, so bounding the alphabet bounds every
-	// decoded value — O(alphabet) instead of O(n). Version 1 predates
-	// that invariant being load-bearing, so its streams keep the
-	// exhaustive per-code sweep.
-	if h.Version == VersionMulti {
-		if m := cb.MaxSymbol(); m >= q.NumCodes() {
-			return nil, nil, fmt.Errorf("%w: code %d out of range [0,%d)", ErrCorrupt, m, q.NumCodes())
-		}
-	} else {
-		for _, c := range codes {
-			if c < 0 || c >= q.NumCodes() {
-				return nil, nil, fmt.Errorf("%w: code %d out of range [0,%d)", ErrCorrupt, c, q.NumCodes())
-			}
-		}
 	}
 
 	var out *grid.Array
@@ -167,7 +172,7 @@ func decompress(stream []byte, kernels bool, data []float64, ext *huffman.Codebo
 	} else {
 		out = grid.New(h.Dims...)
 	}
-	if err := readOutliers(r, codes, out.Data, h.DType, h.NumOutliers); err != nil {
+	if err := readOutliers(r, codes, marks, out.Data, h.DType, h.NumOutliers); err != nil {
 		return nil, nil, err
 	}
 	scan := &decompressState{
@@ -181,20 +186,27 @@ func decompress(stream []byte, kernels bool, data []float64, ext *huffman.Codebo
 
 // readOutliers decodes every escape's value from r, in code order, into
 // recon ahead of the reconstruction scan, which leaves escapes alone. It
-// stops at the first outlier that fails to decode.
-func readOutliers(r *bitstream.Reader, codes []int, recon []float64, t grid.DType, want int) error {
+// visits only the 64-code blocks the Huffman decode marked as holding an
+// escape (huffman.MarkBlock), and stops at the first outlier that fails
+// to decode.
+func readOutliers(r *bitstream.Reader, codes []int, marks []uint64, recon []float64, t grid.DType, want int) error {
 	dec := binrep.NewDecoder(r)
 	got := 0
-	for idx, c := range codes {
-		if c != quant.UnpredictableCode {
-			continue
+	for w, word := range marks {
+		for ; word != 0; word &= word - 1 {
+			lo := (w*64 + bits.TrailingZeros64(word)) * huffman.MarkBlock
+			for idx := lo; idx < min(lo+huffman.MarkBlock, len(codes)); idx++ {
+				if codes[idx] != quant.UnpredictableCode {
+					continue
+				}
+				v, err := decodeOutlier(dec, r, t)
+				if err != nil {
+					return fmt.Errorf("%w: outlier %d: %v", ErrCorrupt, got, err)
+				}
+				recon[idx] = v
+				got++
+			}
 		}
-		v, err := decodeOutlier(dec, r, t)
-		if err != nil {
-			return fmt.Errorf("%w: outlier %d: %v", ErrCorrupt, got, err)
-		}
-		recon[idx] = v
-		got++
 	}
 	if got != want {
 		return fmt.Errorf("%w: outlier count %d, header says %d", ErrCorrupt, got, want)

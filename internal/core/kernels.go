@@ -44,7 +44,8 @@ import (
 // its float32 twin, outlierValue), and writeOutliers writes the bits
 // afterwards in one pass over the codes, in scan order; decompression
 // reads every outlier into the reconstruction before the scan
-// (readOutliers), and the scan leaves escapes alone.
+// (readOutliers, which visits only the 64-code blocks the Huffman decode
+// marked as holding an escape), and the scan leaves escapes alone.
 //
 // kernels_test.go asserts byte-for-byte equivalence on randomized
 // geometries and on the pair loop's edge geometries; the golden-stream

@@ -17,8 +17,9 @@ import (
 	"repro/internal/scratch"
 )
 
-// MaxSymbols bounds the alphabet size (quantization uses up to 2^16 codes).
-const MaxSymbols = 1 << 20
+// MaxSymbols bounds the alphabet size: quantization uses up to 2^16 codes,
+// and the packed decode table holds each symbol in 16 bits.
+const MaxSymbols = 1 << 16
 
 // maxCodeLen is the maximum admissible code length. Canonical codes from
 // realistic frequency tables stay far below this; the serialization format
@@ -44,10 +45,10 @@ type Codebook struct {
 	countByLen []int    // number of codes of each length
 	symByCode  []uint32 // symbols sorted by (length, code)
 
-	// One-shot decode acceleration: table[next tableBits of the stream]
-	// is symbol<<6 | codeLen for codes of length ≤ tableBits, 0 otherwise.
+	// Packed decode table, indexed by the next tableBits of the stream
+	// (see buildDecodeTable); nil for codebooks built by New.
 	tableBits uint
-	table     []uint32
+	table     []uint64
 }
 
 // node is a Huffman tree node used during construction.
@@ -304,17 +305,30 @@ func (cb *Codebook) Release() {
 	scratch.PutInts(cb.firstIndex)
 	scratch.PutInts(cb.countByLen)
 	scratch.PutUint32s(cb.symByCode)
-	scratch.PutUint32s(cb.table)
+	scratch.PutUint64s(cb.table)
 	*cb = Codebook{}
 }
 
-// decodeTableBits caps the fast decode table at 2^12 entries (16 KiB).
+// decodeTableBits caps the packed decode table at 2^12 entries (32 KiB).
 const decodeTableBits = 12
 
-// buildDecodeTable fills the one-shot prefix table: entry i (the next
-// tableBits of the stream) holds symbol<<6 | codeLen for every code of
-// length ≤ tableBits, replicated across all suffixes. Zero means "no short
-// code with this prefix" — the bit-by-bit path handles it.
+// A packed decode-table entry describes the whole codes the entry's
+// tableBits-bit prefix resolves on its own, read greedily from its top
+// bit: up to three, each symbol in a 16-bit lane (MaxSymbols is 2^16).
+// A zero entry means the prefix starts a code longer than tableBits.
+const (
+	entryUsedMask   = 0xf     // bits 0–3: total length of the resolved codes
+	entryLen1Shift  = 4       // bits 4–7: length of the first code
+	entryCountShift = 8       // bits 8–9: number of codes resolved, 1–3
+	entryZero       = 1 << 10 // bit 10: symbol 0 is among them
+	entrySymShift   = 16      // bits 16–63: the symbols, first in the lowest lane
+)
+
+// buildDecodeTable fills the packed decode table. A first pass stores
+// every code of length ≤ tableBits as a one-code entry, replicated
+// across all suffixes of its prefix; a second pass extends each entry
+// with the codes that follow within the same prefix, reading only the
+// first-code fields of other entries, which the extension never changes.
 //
 // Only Deserialize builds the table: codebooks built by New sit on the
 // encode side (the decoder always reconstructs its own from the stream),
@@ -328,18 +342,43 @@ func (cb *Codebook) buildDecodeTable() {
 	cb.tableBits = tb
 	// Sized to min(maxLen, decodeTableBits): a tiny alphabet gets a tiny
 	// table (a 3-symbol codebook needs 4 entries, not 4096).
-	cb.table = scratch.Uint32sZeroed(1 << tb)
+	table := scratch.Uint64sZeroed(1 << tb)
 	for s, l := range cb.lengths {
 		if l == 0 || uint(l) > tb {
 			continue
 		}
 		base := cb.codes[s] << (tb - uint(l))
-		fill := uint64(1) << (tb - uint(l))
-		e := uint32(s)<<6 | uint32(l)
-		for p := uint64(0); p < fill; p++ {
-			cb.table[base+p] = e
+		e := uint64(s)<<entrySymShift | 1<<entryCountShift | uint64(l)<<entryLen1Shift | uint64(l)
+		if s == 0 {
+			e |= entryZero
+		}
+		for p := uint64(0); p < 1<<(tb-uint(l)); p++ {
+			table[base+p] = e
 		}
 	}
+	mask := uint64(1)<<tb - 1
+	for i, e := range table {
+		if e == 0 {
+			continue
+		}
+		used := uint(e & entryUsedMask)
+		for c := uint(1); c < 3; c++ {
+			f := table[uint64(i)<<used&mask]
+			l := uint(f >> entryLen1Shift & 0xf)
+			if f == 0 || used+l > tb {
+				break
+			}
+			sym := f >> entrySymShift & 0xffff
+			e += 1<<entryCountShift + uint64(l)
+			e |= sym << (entrySymShift + 16*c)
+			if sym == 0 {
+				e |= entryZero
+			}
+			used += l
+		}
+		table[i] = e
+	}
+	cb.table = table
 }
 
 // NumSymbols returns the alphabet size.
@@ -438,40 +477,27 @@ func (cb *Codebook) DecodeSymbol(r *bitstream.Reader) (int, error) {
 // Decode reads exactly count symbols from r.
 func (cb *Codebook) Decode(r *bitstream.Reader, count int) ([]int, error) {
 	out := make([]int, count)
-	if err := cb.DecodeInto(r, out); err != nil {
+	if err := cb.DecodeInto(r, out, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// DecodeInto fills out with len(out) decoded symbols. The table fast path
-// is inlined here so the per-symbol cost in the bulk decode is one peek,
-// one table load and one skip.
-func (cb *Codebook) DecodeInto(r *bitstream.Reader, out []int) error {
-	tb, table := cb.tableBits, cb.table
-	for i := range out {
-		if table != nil && r.Remaining() >= uint64(tb) {
-			if e := table[r.Peek(tb)]; e != 0 {
-				r.Skip(uint(e & 63))
-				out[i] = int(e >> 6)
-				continue
-			}
-		}
-		s, err := cb.decodeSlow(r)
-		if err != nil {
-			return err
-		}
-		out[i] = s
-	}
-	return nil
+// DecodeInto fills out with len(out) decoded symbols and, when marks is
+// not nil, marks the blocks of out that hold symbol 0 (see DecodeNInto).
+// It is DecodeNInto over one stream.
+func (cb *Codebook) DecodeInto(r *bitstream.Reader, out []int, marks []uint64) error {
+	rs := [1]*bitstream.Reader{r}
+	return cb.DecodeNInto(rs[:], out, marks)
 }
 
+// decodeOne reads one symbol, through the first code of the packed
+// table's entry when the whole prefix lies inside the stream.
 func (cb *Codebook) decodeOne(r *bitstream.Reader) (int, error) {
-	// Fast path: resolve codes of length ≤ tableBits with one peek.
 	if cb.table != nil && r.Remaining() >= uint64(cb.tableBits) {
 		if e := cb.table[r.Peek(cb.tableBits)]; e != 0 {
-			r.Skip(uint(e & 63))
-			return int(e >> 6), nil
+			r.Skip(uint(e >> entryLen1Shift & 0xf))
+			return int(e >> entrySymShift & 0xffff), nil
 		}
 	}
 	return cb.decodeSlow(r)

@@ -1,6 +1,7 @@
 package huffman
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -229,6 +230,15 @@ func TestDeserializeCorrupt(t *testing.T) {
 	if _, err := Deserialize(bitstream.NewReaderBits(w.Bytes(), w.Len())); err == nil {
 		t.Fatal("Kraft violation should fail")
 	}
+	// An alphabet past MaxSymbols, whose symbols the packed table's 16-bit
+	// lanes could not hold.
+	w = bitstream.NewWriter(0)
+	w.WriteEliasGamma(MaxSymbols + 1)
+	w.WriteEliasGamma(MaxSymbols) // one run covering it
+	w.WriteBits(17, 6)
+	if _, err := Deserialize(bitstream.NewReaderBits(w.Bytes(), w.Len())); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("65,537-symbol alphabet: err = %v, want ErrCorrupt", err)
+	}
 }
 
 func TestRoundTripQuick(t *testing.T) {
@@ -312,9 +322,11 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkDecode(b *testing.B) {
+// benchSymbols draws n symbols from the 256-symbol distribution the
+// encode and decode benchmarks share: most mass near symbol 128, like
+// quantization codes.
+func benchSymbols(n int) []int {
 	rng := rand.New(rand.NewSource(1))
-	n := 1 << 18
 	syms := make([]int, n)
 	for i := range syms {
 		v := 128 + int(rng.NormFloat64()*10)
@@ -326,19 +338,51 @@ func BenchmarkDecode(b *testing.B) {
 		}
 		syms[i] = v
 	}
-	freqs, _ := CountFrequencies(syms, 256)
-	cb, _ := New(freqs)
-	w := bitstream.NewWriter(n / 2)
-	if err := cb.Encode(w, syms); err != nil {
+	return syms
+}
+
+// benchDecodeSetup encodes syms into k sub-streams laid end to end
+// (encodeStreams) and returns them with the codebook a decoder rebuilds,
+// which carries the packed table every production decoder uses.
+func benchDecodeSetup(b *testing.B, syms []int, k int) ([]byte, []int, *Codebook) {
+	freqs, err := CountFrequencies(syms, 256)
+	if err != nil {
 		b.Fatal(err)
 	}
-	buf := w.Bytes()
-	out := make([]int, n)
-	b.SetBytes(int64(n))
+	enc, err := New(freqs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload, lens := encodeStreams(b, enc, syms, k)
+	return payload, lens, deserialized(b, enc)
+}
+
+func BenchmarkDecode(b *testing.B) {
+	syms := benchSymbols(1 << 18)
+	payload, _, cb := benchDecodeSetup(b, syms, 1)
+	out := make([]int, len(syms))
+	marks := make([]uint64, MarkWords(len(syms)))
+	b.SetBytes(int64(len(syms)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := bitstream.NewReaderBits(buf, w.Len())
-		if err := cb.DecodeInto(r, out); err != nil {
+		if err := cb.DecodeInto(bitstream.NewReader(payload), out, marks); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeN times the interleaved decode of one Hurricane slab's
+// worth of codes (625,000) over core's default four sub-streams.
+func BenchmarkDecodeN(b *testing.B) {
+	const k = 4
+	syms := benchSymbols(625000)
+	payload, lens, cb := benchDecodeSetup(b, syms, k)
+	out := make([]int, len(syms))
+	marks := make([]uint64, MarkWords(len(syms)))
+	b.SetBytes(int64(len(syms)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cb.DecodeNInto(readers(payload, lens), out, marks); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -63,155 +63,165 @@ func (cb *Codebook) EncodeN(ws []*bitstream.Writer, symbols []int) error {
 	return nil
 }
 
+// MarkBlock is the number of consecutive output symbols one bit of a
+// decode's zero-symbol bitmap covers.
+const MarkBlock = 64
+
+// MarkWords returns the length of the bitmap that marks an n-symbol
+// decode: one bit per MarkBlock-symbol block of the output.
+func MarkWords(n int) int { return (n + 64*MarkBlock - 1) / (64 * MarkBlock) }
+
 // DecodeNInto decodes len(out) symbols from len(rs) sub-streams written
-// by EncodeN, interleaving one symbol per stream per round so the N
-// decode chains overlap in the CPU pipeline. Stream j fills the range
-// StreamBounds(len(out), len(rs), j) of out.
+// by EncodeN, stepping the streams in turn so their decode chains overlap
+// in the CPU pipeline. Stream j fills the range
+// StreamBounds(len(out), len(rs), j) of out, and no write lands outside
+// it. Each reader is left at the end of its stream's codes.
 //
-// The fast path lifts every reader's cursor into locals (Window/SetPos)
-// and resolves codes of length ≤ tableBits with a single 8-byte
-// big-endian load, shift, and table lookup — no per-symbol calls. Codes
-// longer than tableBits, cursors within 8 bytes of the buffer end, and
-// codebooks without a decode table fall back to the generic per-symbol
-// path for that symbol.
-func (cb *Codebook) DecodeNInto(rs []*bitstream.Reader, out []int) error {
+// When marks is not nil it must hold at least MarkWords(len(out)) words.
+// On success, bit b of marks[w] is set exactly when block 64w+b of out
+// (symbols [MarkBlock·(64w+b), MarkBlock·(64w+b+1))) holds symbol 0, so a
+// caller whose symbol 0 is rare visits only the marked blocks.
+//
+// The fast path lifts every reader's cursor into locals (Window), and
+// each step loads 8 stream bytes big-endian and resolves from them up to
+// two packed-table entries of up to three codes each, or one code longer
+// than tableBits (decodeLong). Between bound checks the streams run as
+// many steps as every stream has output slots and stream bits for; a
+// stream with none left finishes one symbol at a time through its
+// reader (decodeOne) and drops out of the rotation. Codebooks without a
+// table decode every symbol that way.
+func (cb *Codebook) DecodeNInto(rs []*bitstream.Reader, out []int, marks []uint64) error {
 	k := len(rs)
 	if k < 1 || k > MaxStreams {
 		return fmt.Errorf("huffman: stream count %d out of range [1,%d]", k, MaxStreams)
 	}
-	if k == 1 {
-		return cb.DecodeInto(rs[0], out)
-	}
 	n := len(out)
+	if marks != nil {
+		clear(marks[:MarkWords(n)])
+	}
+	// A step looks at and consumes at most stepBits bits: two entries of
+	// at most tableBits each, or one code of at most maxLen bits. With the
+	// cursor's byte offset that stays inside the 64-bit word it loads.
+	// It writes at most stepSyms symbols.
+	const stepSyms = 6
+	tb := cb.tableBits
+	stepBits := max(int64(cb.maxLen), 2*int64(tb))
 	var (
-		bufs       [MaxStreams][]byte
-		pos, end   [MaxStreams]uint64
-		base, cnt  [MaxStreams]int
-		safeByte   [MaxStreams]int // last byte index with 8 loadable bytes (may be negative)
-		maxRounds  int
-		haveTables = cb.table != nil
+		id       [MaxStreams]int // the stream's index; live streams come first
+		bufs     [MaxStreams][]byte
+		pos      [MaxStreams]uint64
+		last     [MaxStreams]int64 // last cursor a step may start from
+		next, hi [MaxStreams]int   // next output index and end of the stream's range
 	)
 	for j := 0; j < k; j++ {
-		lo, hi := StreamBounds(n, k, j)
-		base[j], cnt[j] = lo, hi-lo
-		if cnt[j] > maxRounds {
-			maxRounds = cnt[j]
+		id[j] = j
+		next[j], hi[j] = StreamBounds(n, k, j)
+		var end uint64
+		bufs[j], pos[j], end = rs[j].Window()
+		last[j] = min(int64(end)-stepBits, int64(len(bufs[j])-8)*8+7)
+		if cb.table == nil {
+			last[j] = -1
 		}
-		bufs[j], pos[j], end[j] = rs[j].Window()
-		safeByte[j] = len(bufs[j]) - 8
 	}
-	if !haveTables {
-		// Encode-side codebooks carry no prefix table; interleaving buys
-		// nothing without the table load to overlap, so decode each
-		// partition with the generic path.
-		for j := 0; j < k; j++ {
-			if err := cb.DecodeInto(rs[j], out[base[j]:base[j]+cnt[j]]); err != nil {
-				return err
-			}
+	// steps is how many steps stream j can take before its next bound
+	// check: as many as its output slots and its stream bits cover.
+	steps := func(j int) int {
+		if int64(pos[j]) > last[j] {
+			return 0
 		}
-		return nil
+		return min((hi[j]-next[j])/stepSyms, int((last[j]-int64(pos[j]))/stepBits)+1)
 	}
-	tb := uint(cb.tableBits)
-	tb64 := uint64(tb)
 	table := cb.table
-	// minRounds is the round count every stream participates in; inside
-	// it the grouped loop needs no per-stream count checks.
-	minRounds := cnt[0]
-	for j := 1; j < k; j++ {
-		if cnt[j] < minRounds {
-			minRounds = cnt[j]
+	for live := k; live > 0; {
+		run := steps(0)
+		for j := 1; j < live; j++ {
+			run = min(run, steps(j))
 		}
-	}
-	round := 0
-	// Grouped fast path: one 8-byte load per stream feeds a group of
-	// four table lookups. Short codes are at most tableBits ≤ 12 bits,
-	// so the worst-case bit span of a group is 7 (byte misalignment) +
-	// 4×12 = 55 bits — always inside the loaded word. This quarters the
-	// load traffic while the per-round interleave across streams keeps
-	// the four dependency chains overlapped.
-	ml64 := uint64(cb.maxLen)
-	for ; round+4 <= minRounds; round += 4 {
-		for j := 0; j < k; j++ {
-			p := pos[j]
-			g := 0
-			if int(p>>3) <= safeByte[j] && p+4*tb64 <= end[j] {
-				v := binary.BigEndian.Uint64(bufs[j][p>>3:])
-				sh := p & 7
-				o := base[j] + round
-				for g < 4 {
-					e := table[v<<sh>>(64-tb)]
-					if e == 0 {
+		for ; run > 0; run-- {
+			for j := 0; j < live; j++ {
+				p, o := pos[j], next[j]
+				w := binary.BigEndian.Uint64(bufs[j][p>>3:]) << (p & 7)
+				e := table[w>>(64-tb)]
+				if e == 0 {
+					s, l := cb.decodeLong(w)
+					if l == 0 {
+						return fmt.Errorf("huffman: stream %d/%d symbol %d: %w: no code matches after %d bits",
+							id[j], k, o, ErrCorrupt, cb.maxLen)
+					}
+					out[o] = s
+					if s == 0 {
+						markBlock(marks, o)
+					}
+					pos[j], next[j] = p+l, o+1
+					continue
+				}
+				for g := 0; ; g++ {
+					// All three lanes are written; slots past the
+					// entry's count are rewritten by the stream's next
+					// codes.
+					d := out[o : o+3]
+					d[0] = int(e >> entrySymShift & 0xffff)
+					d[1] = int(e >> (entrySymShift + 16) & 0xffff)
+					d[2] = int(e >> (entrySymShift + 32))
+					c := int(e >> entryCountShift & 3)
+					if e&entryZero != 0 {
+						markZeros(marks, d[:c], o)
+					}
+					o += c
+					u := e & entryUsedMask
+					p += u
+					if g == 1 {
 						break
 					}
-					out[o+g] = int(e >> 6)
-					sh += uint64(e & 63)
-					g++
-				}
-				pos[j] = p&^7 + sh
-				if g == 4 {
-					continue
-				}
-			}
-			// Long code or buffer tail mid-group: finish the group one
-			// symbol at a time. A reload at the current position is
-			// byte-aligned (shift ≤ 7), so even a maxLen-bit code fits
-			// the loaded word and resolves without touching the reader.
-			for ; g < 4; g++ {
-				p = pos[j]
-				if int(p>>3) <= safeByte[j] && p+ml64 <= end[j] {
-					v := binary.BigEndian.Uint64(bufs[j][p>>3:])
-					w := v << (p & 7)
-					if e := table[w>>(64-tb)]; e != 0 {
-						pos[j] = p + uint64(e&63)
-						out[base[j]+round+g] = int(e >> 6)
-						continue
-					}
-					if s, l := cb.decodeLong(w); l != 0 {
-						pos[j] = p + l
-						out[base[j]+round+g] = s
-						continue
+					w <<= u
+					if e = table[w>>(64-tb)]; e == 0 {
+						break
 					}
 				}
-				rs[j].SetPos(pos[j])
-				s, err := cb.decodeOne(rs[j])
-				if err != nil {
-					return fmt.Errorf("huffman: stream %d/%d symbol %d: %w", j, k, round+g, err)
-				}
-				pos[j] = rs[j].Pos()
-				out[base[j]+round+g] = s
+				pos[j], next[j] = p, o
 			}
 		}
-	}
-	// Tail: remaining rounds (group remainder plus any count skew between
-	// streams), one symbol per stream per round.
-	for ; round < maxRounds; round++ {
-		for j := 0; j < k; j++ {
-			if round >= cnt[j] {
+		// Finish the streams that have no step left, and drop them.
+		for j := 0; j < live; {
+			if steps(j) > 0 {
+				j++
 				continue
 			}
-			p := pos[j]
-			if int(p>>3) <= safeByte[j] && p+tb64 <= end[j] {
-				v := binary.BigEndian.Uint64(bufs[j][p>>3:])
-				e := table[v<<(p&7)>>(64-tb)]
-				if e != 0 {
-					pos[j] = p + uint64(e&63)
-					out[base[j]+round] = int(e >> 6)
-					continue
+			r := rs[id[j]]
+			r.SetPos(pos[j])
+			for o := next[j]; o < hi[j]; o++ {
+				s, err := cb.decodeOne(r)
+				if err != nil {
+					return fmt.Errorf("huffman: stream %d/%d symbol %d: %w", id[j], k, o, err)
+				}
+				out[o] = s
+				if s == 0 {
+					markBlock(marks, o)
 				}
 			}
-			rs[j].SetPos(p)
-			s, err := cb.decodeOne(rs[j])
-			if err != nil {
-				return fmt.Errorf("huffman: stream %d/%d symbol %d: %w", j, k, round, err)
-			}
-			pos[j] = rs[j].Pos()
-			out[base[j]+round] = s
+			live--
+			id[j], bufs[j], pos[j], last[j], next[j], hi[j] = id[live], bufs[live], pos[live], last[live], next[live], hi[live]
 		}
 	}
-	for j := 0; j < k; j++ {
-		rs[j].SetPos(pos[j])
-	}
 	return nil
+}
+
+// markZeros marks the block of every symbol 0 in syms, which start at
+// output index base.
+func markZeros(marks []uint64, syms []int, base int) {
+	for i, s := range syms {
+		if s == 0 {
+			markBlock(marks, base+i)
+		}
+	}
+}
+
+// markBlock sets the bit of output index i's block in marks, if any.
+func markBlock(marks []uint64, i int) {
+	if marks != nil {
+		b := i / MarkBlock
+		marks[b/64] |= 1 << (b % 64)
+	}
 }
 
 // decodeLong resolves a code longer than tableBits from the top bits of

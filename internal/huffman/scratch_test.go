@@ -8,9 +8,11 @@ import (
 	"repro/internal/bitstream"
 )
 
-// TestDecodeTableSizedToAlphabet: the one-shot decode table must be
-// sized min(maxLen, decodeTableBits) — a tiny alphabet gets a tiny
-// table, not the full 2^decodeTableBits fill.
+// TestDecodeTableSizedToAlphabet: the packed decode table must be sized
+// min(maxLen, decodeTableBits) — a tiny alphabet gets a tiny table, not
+// the full 2^decodeTableBits fill — and every entry must hold what greedy
+// decoding of its prefix gives (checkPackedTable), for the small
+// alphabets here and for the decode tests' codebooks.
 func TestDecodeTableSizedToAlphabet(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -21,17 +23,13 @@ func TestDecodeTableSizedToAlphabet(t *testing.T) {
 		{"three", []uint64{10, 3, 2}},
 		{"eight-uniform", []uint64{1, 1, 1, 1, 1, 1, 1, 1}},
 	}
+	cases = append(cases, decodeCodebooks()...)
 	for _, tc := range cases {
 		cb, err := New(tc.freqs)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		w := bitstream.NewWriter(64)
-		cb.Serialize(w)
-		dec, err := Deserialize(bitstream.NewReaderBits(w.Bytes(), w.Len()))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		dec := deserialized(t, cb)
 		wantBits := uint(dec.maxLen)
 		if wantBits > decodeTableBits {
 			wantBits = decodeTableBits
@@ -42,6 +40,42 @@ func TestDecodeTableSizedToAlphabet(t *testing.T) {
 		}
 		if len(dec.table) > 1<<decodeTableBits {
 			t.Errorf("%s: table exceeds the 2^%d cap", tc.name, decodeTableBits)
+		}
+		checkPackedTable(t, tc.name, dec)
+	}
+}
+
+// checkPackedTable fails t unless every entry of cb's packed table is what
+// decodeSlow gives on the entry's tableBits-bit prefix alone: up to three
+// whole codes read from its top bit, their symbols, count and total
+// length, the first code's length, and the flag for symbol 0 among them;
+// zero when no whole code starts the prefix.
+func checkPackedTable(t *testing.T, name string, cb *Codebook) {
+	t.Helper()
+	tb := cb.tableBits
+	for i, e := range cb.table {
+		w := bitstream.NewWriter(2)
+		w.WriteBits(uint64(i), tb)
+		r := bitstream.NewReaderBits(w.Bytes(), uint64(tb))
+		var want uint64
+		for c := 0; c < 3; c++ {
+			before := r.Pos()
+			s, err := cb.decodeSlow(r)
+			if err != nil {
+				break
+			}
+			l := r.Pos() - before
+			if c == 0 {
+				want |= l << entryLen1Shift
+			}
+			want += 1<<entryCountShift + l
+			want |= uint64(s) << (entrySymShift + 16*c)
+			if s == 0 {
+				want |= entryZero
+			}
+		}
+		if e != want {
+			t.Fatalf("%s: entry %0*b = %#x, greedy decode of the prefix gives %#x", name, tb, i, e, want)
 		}
 	}
 }

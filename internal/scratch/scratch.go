@@ -198,12 +198,5 @@ func PutUint64s(s []uint64) { uint64Pool.Put(s) }
 // contents.
 func Uint32s(n int) []uint32 { return uint32Pool.Get(n) }
 
-// Uint32sZeroed returns a recycled []uint32 of length n, cleared.
-func Uint32sZeroed(n int) []uint32 {
-	s := uint32Pool.Get(n)
-	clear(s)
-	return s
-}
-
 // PutUint32s recycles a uint32 slice.
 func PutUint32s(s []uint32) { uint32Pool.Put(s) }

@@ -78,19 +78,6 @@ func TestZeroedVariants(t *testing.T) {
 		}
 	}
 	PutUint64s(z)
-
-	u := Uint32s(300)
-	for i := range u {
-		u[i] = 7
-	}
-	PutUint32s(u)
-	z32 := Uint32sZeroed(300)
-	for i, v := range z32 {
-		if v != 0 {
-			t.Fatalf("Uint32sZeroed[%d] = %d", i, v)
-		}
-	}
-	PutUint32s(z32)
 }
 
 func TestGrownSliceRefilesByCapacity(t *testing.T) {

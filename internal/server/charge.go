@@ -76,8 +76,9 @@ const (
 	blockedDecompressBytesPerCell = 48
 
 	// blockedSharedCodebookCharge covers a v3 shared codebook held for
-	// the life of the decode: the 2^12-entry prefix table (16 KiB) plus
-	// canonical arrays for a full 2^16-symbol alphabet, with headroom.
+	// the life of the decode: for the default 2^8-symbol alphabet, the
+	// 2^12-entry packed decode table (32 KiB) plus canonical arrays, with
+	// headroom. A full 2^16-symbol alphabet holds ~870 KiB.
 	blockedSharedCodebookCharge = 64 << 10
 
 	// blockedStreamStateBytes covers one interleaved sub-stream's decode
