@@ -96,6 +96,11 @@ func analyze(a *grid.Array, p Params, kernels bool) (*Scan, error) {
 	codes := scratch.Ints(n)     // every entry assigned by the scan
 	recon := scratch.Float64s(n) // every entry assigned by the scan
 	hist := scratch.Uint64sZeroed(q.NumCodes())
+	// marks flags each 64-code block holding an escape, so writeOutliers
+	// visits only those; the scan's escape path sets it.
+	var markArr escapeMarks
+	marks, pooled := markArr.get(n)
+	defer scratch.PutUint64s(pooled)
 	scan := &compressState{
 		qparams: newQParams(q, p.OutputType),
 		data:    a.Data,
@@ -103,6 +108,7 @@ func analyze(a *grid.Array, p Params, kernels bool) (*Scan, error) {
 		codes:   codes,
 		hist:    hist,
 		enc:     binrep.NewEncoder(nil, eb),
+		marks:   marks,
 	}
 	scan.scan(a.Dims, p.Layers, pred, kernels)
 	// The reconstruction is dead once the scan finishes (only the codes

@@ -14,6 +14,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/huffman"
 	"repro/internal/metrics"
+	"repro/internal/predictor"
 	"repro/internal/quant"
 )
 
@@ -114,7 +115,8 @@ func TestRoundTrip3D(t *testing.T) {
 
 func TestRoundTrip1D(t *testing.T) {
 	// The longer array is past the 2^20 codes whose escape marks the
-	// decoder keeps on the stack, and every 37th sample of it escapes.
+	// compressor and the decoder keep on the stack, and every 37th sample
+	// of it escapes.
 	for _, n := range []int{2000, 1<<20 + 4097} {
 		a := grid.New(n)
 		for i := range a.Data {
@@ -126,6 +128,47 @@ func TestRoundTrip1D(t *testing.T) {
 		p := Params{Mode: BoundAbs, AbsBound: 1e-5}
 		out, _, h := compressDecompress(t, a, p)
 		assertBound(t, a, out, h.AbsBound)
+	}
+}
+
+// TestEscapeMarksAcrossWords round-trips a 3D slab whose 8,192 codes span
+// two words of the escape bitmap, with escapes forced at the first and
+// last code of a 64-code block, of a bitmap word and of the array. eb is
+// a power of two and every sample is float32-exact, so each hit
+// reconstructs exactly and an escape stores its raw pattern: the data
+// equal their own reconstruction, and exactly the forced samples escape.
+func TestEscapeMarksAcrossWords(t *testing.T) {
+	dims := []int{2, 64, 64}
+	const eb = 1.0 / 1024
+	forced := map[int]bool{0: true, 63: true, 64: true, 4095: true, 4096: true, 8191: true}
+	a := grid.New(dims...)
+	pred, err := predictor.New(dims, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := make([]int, len(dims))
+	rng := rand.New(rand.NewSource(7))
+	for idx := range a.Data {
+		k := rng.Intn(7) - 3
+		if forced[idx] {
+			k = 1000 // past the radius of 127 intervals at m = 8
+		}
+		a.Data[idx] = pred.Predict(a.Data, idx, coord) + float64(k)*2*eb
+		advanceCoord(coord, dims)
+	}
+	for _, streams := range []int{1, 4} {
+		p := Params{Mode: BoundAbs, AbsBound: eb, OutputType: grid.Float32, Streams: streams}
+		out, st, h := compressDecompress(t, a, p)
+		assertBound(t, a, out, h.AbsBound)
+		if h.NumOutliers != len(forced) || st.N-st.Predictable != len(forced) {
+			t.Fatalf("streams=%d: header outliers %d, stats %d, want %d",
+				streams, h.NumOutliers, st.N-st.Predictable, len(forced))
+		}
+		for idx := range forced {
+			if out.Data[idx] != a.Data[idx] {
+				t.Fatalf("streams=%d: escape at %d decoded %v, want %v", streams, idx, out.Data[idx], a.Data[idx])
+			}
+		}
 	}
 }
 

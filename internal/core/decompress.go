@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"math/bits"
 
 	"repro/internal/binrep"
 	"repro/internal/bitstream"
@@ -114,20 +113,10 @@ func decompress(stream []byte, kernels bool, data []float64, ext *huffman.Codebo
 	codes := scratch.Ints(n) // the decode assigns every entry
 	defer scratch.PutInts(codes)
 	// marks flags each 64-code block holding an escape, so readOutliers
-	// visits only those; the decode clears and sets it. Arrays of up to
-	// 2^20 codes keep it on the stack (2 KiB). Drawn from the pools it is
-	// one more buffer per slab in flight, and sync.Pool rebuilds a per-P
-	// chain for it after every GC: 1–4 more allocations per blocked
-	// decompress.
-	var markArr [256]uint64
-	var marks []uint64
-	if w := huffman.MarkWords(n); w <= len(markArr) {
-		marks = markArr[:w]
-	} else {
-		pooled := scratch.Uint64s(w)
-		defer scratch.PutUint64s(pooled)
-		marks = pooled
-	}
+	// visits only those; the decode sets it.
+	var markArr escapeMarks
+	marks, pooled := markArr.get(n)
+	defer scratch.PutUint64s(pooled)
 	if h.Version == VersionMulti {
 		// Byte-aligned sections: a uvarint sub-stream length table, then
 		// the sub-streams themselves. Each gets an independent cursor so
@@ -192,21 +181,22 @@ func decompress(stream []byte, kernels bool, data []float64, ext *huffman.Codebo
 func readOutliers(r *bitstream.Reader, codes []int, marks []uint64, recon []float64, t grid.DType, want int) error {
 	dec := binrep.NewDecoder(r)
 	got := 0
-	for w, word := range marks {
-		for ; word != 0; word &= word - 1 {
-			lo := (w*64 + bits.TrailingZeros64(word)) * huffman.MarkBlock
-			for idx := lo; idx < min(lo+huffman.MarkBlock, len(codes)); idx++ {
-				if codes[idx] != quant.UnpredictableCode {
-					continue
-				}
-				v, err := decodeOutlier(dec, r, t)
-				if err != nil {
-					return fmt.Errorf("%w: outlier %d: %v", ErrCorrupt, got, err)
-				}
-				recon[idx] = v
-				got++
+	err := forEachMarkedBlock(marks, len(codes), func(lo, hi int) error {
+		for idx := lo; idx < hi; idx++ {
+			if codes[idx] != quant.UnpredictableCode {
+				continue
 			}
+			v, err := decodeOutlier(dec, r, t)
+			if err != nil {
+				return fmt.Errorf("%w: outlier %d: %v", ErrCorrupt, got, err)
+			}
+			recon[idx] = v
+			got++
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if got != want {
 		return fmt.Errorf("%w: outlier count %d, header says %d", ErrCorrupt, got, want)

@@ -1,13 +1,15 @@
 package core
 
 import (
-	"math"
+	"math/bits"
 
 	"repro/internal/binrep"
 	"repro/internal/bitstream"
 	"repro/internal/grid"
+	"repro/internal/huffman"
 	"repro/internal/predictor"
 	"repro/internal/quant"
+	"repro/internal/scratch"
 )
 
 // This file holds the fused fast-path kernels for the dominant geometries:
@@ -27,11 +29,15 @@ import (
 //     identically; the 3D Layers=2 kernel walks the FlatStencil, which
 //     preserves that order by construction;
 //   - the fused quantize in (*compressState).point mirrors quant.Quantize
-//     operation for operation (see the comment there).
+//     operation for operation (see the comment there), rounding through
+//     the same quant.Round.
 //
 // Each point's prediction starts from the reconstruction just before it,
 // so a row is one serial dependency chain (a divide, a round and the f32
 // snap per point), and the term order cannot be changed to shorten it.
+// The round is quant.Round, which inlines to one ROUNDSD and a compare
+// that only a tie takes, where math.Round branches on the exponent of its
+// argument (README, "Fast-path kernels", has the measurements).
 // But the Lorenzo stencil never reads a point right of the current column
 // in an earlier row: (j−1, k+1) is not among its terms. So row j+1 can
 // run one column behind row j, and the 2D and 3D Layers=1 kernels scan a
@@ -41,11 +47,12 @@ import (
 //
 // A pair visits escapes out of scan order, so outlier I/O stays out of
 // every scan: compression reconstructs an escape with binrep's Value (or
-// its float32 twin, outlierValue), and writeOutliers writes the bits
-// afterwards in one pass over the codes, in scan order; decompression
+// its float32 twin, outlierValue) and marks its 64-code block, and
+// writeOutliers writes the bits afterwards, in scan order; decompression
 // reads every outlier into the reconstruction before the scan
-// (readOutliers, which visits only the 64-code blocks the Huffman decode
-// marked as holding an escape), and the scan leaves escapes alone.
+// (readOutliers), and the scan leaves escapes alone. Both walk only the
+// marked blocks (forEachMarkedBlock): the compress side's marks come from
+// the scan's escape path, the decode side's from the Huffman decode.
 //
 // kernels_test.go asserts byte-for-byte equivalence on randomized
 // geometries and on the pair loop's edge geometries; the golden-stream
@@ -92,22 +99,27 @@ type compressState struct {
 	// enc reconstructs escapes during the scan (Value); writeOutliers
 	// writes their bits through it afterwards.
 	enc *binrep.Encoder
+	// marks flags each huffman.MarkBlock-code block holding an escape
+	// (huffman.Mark); it must start zeroed and hold
+	// huffman.MarkWords(len(codes)) words.
+	marks []uint64
 }
 
 // point quantizes the value at idx against prediction pv, mirroring the
 // generic quant.Quantize + snap + bound-recheck sequence decision for
 // decision: escape on non-finite residual (a NaN/Inf residual yields a
 // NaN/Inf interval index, which the range compares reject — no separate
-// IsNaN/IsInf tests needed), round to the nearest interval, reject rounding
-// that lands outside the radius or the bound, snap to the output precision,
-// and re-reject if the snap pushed the reconstruction across the bound.
+// IsNaN/IsInf tests needed), round to the nearest interval (quant.Round,
+// ties away from zero), reject rounding that lands outside the radius or
+// the bound, snap to the output precision, and re-reject if the snap
+// pushed the reconstruction across the bound.
 // The f64 path skips the post-snap recheck: the snap is the identity there,
 // so the check can never fire.
 func (s *compressState) point(idx int, pv float64) {
 	x := s.data[idx]
 	fi := (x - pv) / s.twoEB
 	if fi <= s.lim && fi >= -s.lim {
-		ri := math.Round(fi)
+		ri := quant.Round(fi)
 		if ri <= s.fradius && ri >= -s.fradius {
 			rv := pv + s.twoEB*ri
 			if d := x - rv; d <= s.eb && d >= -s.eb {
@@ -130,24 +142,65 @@ func (s *compressState) point(idx int, pv float64) {
 }
 
 // escape routes the value at idx through the unpredictable-point path: it
-// sets the reconstruction the decoder will read back. The bits are
-// written after the scan, by writeOutliers.
+// sets the reconstruction the decoder will read back and marks idx's
+// block. The bits are written after the scan, by writeOutliers.
 func (s *compressState) escape(idx int, x float64) {
 	s.codes[idx] = quant.UnpredictableCode
 	s.recon[idx] = outlierValue(s.enc, x, s.eb, s.dtype)
 	s.hist[quant.UnpredictableCode]++
+	huffman.Mark(s.marks, idx)
 }
 
-// writeOutliers writes the escapes' bits into w in scan order, in one
-// pass over the codes. It reads only the codes and the data, so the
-// reconstruction may be gone by then.
+// writeOutliers writes the escapes' bits into w in scan order, visiting
+// only the blocks the scan marked. It reads only the codes and the data,
+// so the reconstruction may be gone by then.
 func (s *compressState) writeOutliers(w *bitstream.Writer) {
 	s.enc.W = w
-	for idx, c := range s.codes {
-		if c == quant.UnpredictableCode {
-			encodeOutlier(s.enc, s.data[idx], s.eb, s.dtype)
+	_ = forEachMarkedBlock(s.marks, len(s.codes), func(lo, hi int) error { // never fails
+		for idx := lo; idx < hi; idx++ {
+			if s.codes[idx] == quant.UnpredictableCode {
+				encodeOutlier(s.enc, s.data[idx], s.eb, s.dtype)
+			}
+		}
+		return nil
+	})
+}
+
+// forEachMarkedBlock calls f with the code range [lo, hi) of every block
+// marks flags, for n codes, in code order, and returns f's first error.
+// A caller whose marks cover every escape finds them all in those ranges.
+// The walk and a caller's f inline into the caller; a callback per escape
+// instead of per block did not, and cost a compress with half its points
+// escaping about 4%.
+func forEachMarkedBlock(marks []uint64, n int, f func(lo, hi int) error) error {
+	for w, word := range marks {
+		for ; word != 0; word &= word - 1 {
+			lo := (w*64 + bits.TrailingZeros64(word)) * huffman.MarkBlock
+			if err := f(lo, min(lo+huffman.MarkBlock, n)); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// escapeMarks is the bitmap array a scan of up to 2^20 codes keeps on
+// its caller's stack (2 KiB). Drawn from the pools the bitmap is one more
+// buffer per slab in flight, and sync.Pool rebuilds a per-P chain for it
+// after every GC: 1–4 more allocations per blocked compress or
+// decompress.
+type escapeMarks [256]uint64
+
+// get returns a zeroed bitmap for n codes. It is a prefix of a, which
+// must be zero, when it fits; else it comes from the pools, and pooled
+// holds it for scratch.PutUint64s (which drops a nil slice).
+func (a *escapeMarks) get(n int) (marks, pooled []uint64) {
+	w := huffman.MarkWords(n)
+	if w <= len(a) {
+		return a[:w], nil
+	}
+	pooled = scratch.Uint64sZeroed(w)
+	return pooled, pooled
 }
 
 // scanGeneric is the reference path: per-point coordinate odometer and
@@ -234,7 +287,7 @@ func (s *compressState) compress2DL1(h, w int) {
 			xa, xb := data[ia], data[ib]
 			hit := false
 			if fi := (xa - pa) / twoEB; fi <= lim && fi >= -lim {
-				ri := math.Round(fi)
+				ri := quant.Round(fi)
 				if ri <= fradius && ri >= -fradius {
 					rv := pa + twoEB*ri
 					if d := xa - rv; d <= eb && d >= -eb {
@@ -255,7 +308,7 @@ func (s *compressState) compress2DL1(h, w int) {
 				s.escape(ia, xa)
 			}
 			if fi := (xb - pb) / twoEB; fi <= lim && fi >= -lim {
-				ri := math.Round(fi)
+				ri := quant.Round(fi)
 				if ri <= fradius && ri >= -fradius {
 					rv := pb + twoEB*ri
 					if d := xb - rv; d <= eb && d >= -eb {
@@ -320,7 +373,7 @@ func (s *compressState) compress3DL1(d, h, w int) {
 				xa, xb := data[ia], data[ib]
 				hit := false
 				if fi := (xa - pa) / twoEB; fi <= lim && fi >= -lim {
-					ri := math.Round(fi)
+					ri := quant.Round(fi)
 					if ri <= fradius && ri >= -fradius {
 						rv := pa + twoEB*ri
 						if d := xa - rv; d <= eb && d >= -eb {
@@ -341,7 +394,7 @@ func (s *compressState) compress3DL1(d, h, w int) {
 					s.escape(ia, xa)
 				}
 				if fi := (xb - pb) / twoEB; fi <= lim && fi >= -lim {
-					ri := math.Round(fi)
+					ri := quant.Round(fi)
 					if ri <= fradius && ri >= -fradius {
 						rv := pb + twoEB*ri
 						if d := xb - rv; d <= eb && d >= -eb {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -40,8 +41,21 @@ func BenchmarkCoreKernels(b *testing.B) {
 	// as its blocked container does (abs 1e-3, 4 sub-streams).
 	field := datagen.Hurricane(50, 250, 250, 1000004)
 	slab := &grid.Array{Dims: []int{10, 250, 250}, Data: field.Data[:10*250*250]}
-	cases = append(cases, benchCase{"3D-L1-hurricane-slab", slab,
-		Params{Mode: BoundAbs, AbsBound: 1e-3, OutputType: grid.Float32, Streams: 4}})
+	slabParams := Params{Mode: BoundAbs, AbsBound: 1e-3, OutputType: grid.Float32, Streams: 4}
+	cases = append(cases, benchCase{"3D-L1-hurricane-slab", slab, slabParams})
+	// The same slab with every 37th sample ×1e3 and a NaN every 1009th, so
+	// nearly every 64-code block holds an escape: the worst case for the
+	// escape marks, which let writeOutliers and readOutliers skip blocks.
+	heavy := &grid.Array{Dims: slab.Dims, Data: append([]float64(nil), slab.Data...)}
+	for i := range heavy.Data {
+		if i%37 == 0 {
+			heavy.Data[i] *= 1e3
+		}
+		if i%1009 == 0 {
+			heavy.Data[i] = math.NaN()
+		}
+	}
+	cases = append(cases, benchCase{"3D-L1-escape-heavy-slab", heavy, slabParams})
 
 	for _, tc := range cases {
 		a, p := tc.a, tc.p

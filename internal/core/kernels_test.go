@@ -5,11 +5,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/binrep"
 	"repro/internal/grid"
+	"repro/internal/huffman"
 	"repro/internal/predictor"
 	"repro/internal/quant"
 )
@@ -210,6 +214,88 @@ func TestKernelEquivalenceEdges(t *testing.T) {
 	t.Logf("checked %d fixed cases", cases)
 }
 
+// TestKernelRoundsTiesAway pins the rounding of residuals that land
+// exactly on a half interval: away from zero, as math.Round rounds and
+// as every stream so far was written. eb is a power of two, so the
+// division by 2eb is exact, and each sample steps (k+½)·2eb from the
+// Lorenzo prediction on its reconstructed neighbours, so every point is a
+// tie. The kernel's and the generic scan's codes must both equal a
+// reference made with math.Round.
+func TestKernelRoundsTiesAway(t *testing.T) {
+	const eb = 1.0 / 1024
+	for _, dims := range [][]int{{4096}, {37, 53}, {5, 19, 23}} {
+		a := grid.New(dims...)
+		pred, err := predictor.New(dims, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := make([]float64, a.Len()) // the reference reconstruction
+		want := make([]int, a.Len())
+		coord := make([]int, len(dims))
+		rng := rand.New(rand.NewSource(int64(len(dims))))
+		const center = 1 << 7 // the default m = 8
+		for idx := range a.Data {
+			pv := pred.Predict(ref, idx, coord)
+			fi := float64(rng.Intn(200)-100) + 0.5
+			a.Data[idx] = pv + fi*2*eb
+			ri := math.Round(fi)
+			want[idx] = center + int(ri)
+			ref[idx] = pv + 2*eb*ri
+			advanceCoord(coord, dims)
+		}
+		for _, dtype := range []grid.DType{grid.Float64, grid.Float32} {
+			p := Params{Mode: BoundAbs, AbsBound: eb, OutputType: dtype}
+			for _, kernels := range []bool{true, false} {
+				s, err := analyze(a, p, kernels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for idx, c := range s.codes {
+					if c != want[idx] {
+						t.Fatalf("dims %v %v kernels=%v: code %d at %d, want %d",
+							dims, dtype, kernels, c, idx, want[idx])
+					}
+				}
+				s.Release()
+			}
+		}
+	}
+}
+
+// TestRoundOnlyThroughQuant fails on any math.Round call in the non-test
+// sources of internal/core and internal/quant: a fused kernel that rounds
+// with its own math.Round call is slower, and one that rounds otherwise
+// may differ from quant.Round on ties.
+func TestRoundOnlyThroughQuant(t *testing.T) {
+	var offenders []string
+	for _, dir := range []string{".", filepath.Join("..", "quant")} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) == 0 {
+			t.Fatalf("no Go sources in %s", dir)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(data), "\n") {
+				if strings.Contains(line, "math.Round(") {
+					offenders = append(offenders, fmt.Sprintf("%s:%d: %s", path, i+1, strings.TrimSpace(line)))
+				}
+			}
+		}
+	}
+	if len(offenders) > 0 {
+		t.Errorf("math.Round calls in core or quant (use quant.Round):\n  %s", strings.Join(offenders, "\n  "))
+	}
+}
+
 // TestPointMatchesQuantizer pins the fused point() quantize against the
 // independent quant.Quantize + snap + bound-recheck reference on randomized
 // (x, pv, eb, m, dtype). The equivalence tests compare kernels against
@@ -261,6 +347,7 @@ func TestPointMatchesQuantizer(t *testing.T) {
 			codes:   make([]int, 1),
 			hist:    make([]uint64, q.NumCodes()),
 			enc:     binrep.NewEncoder(nil, eb),
+			marks:   make([]uint64, 1),
 		}
 		s.point(0, pv)
 
@@ -317,6 +404,7 @@ func TestKernelSelection(t *testing.T) {
 			codes:   make([]int, a.Len()),
 			hist:    make([]uint64, q.NumCodes()),
 			enc:     binrep.NewEncoder(nil, eb),
+			marks:   make([]uint64, huffman.MarkWords(a.Len())),
 		}
 		if got := s.scan(a.Dims, p.Layers, pred, true); got != tc.want {
 			t.Errorf("dims=%v layers=%d: kernel used = %v, want %v", tc.dims, tc.layers, got, tc.want)

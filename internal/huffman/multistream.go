@@ -71,6 +71,14 @@ const MarkBlock = 64
 // decode: one bit per MarkBlock-symbol block of the output.
 func MarkWords(n int) int { return (n + 64*MarkBlock - 1) / (64 * MarkBlock) }
 
+// Mark sets the bit of symbol index i's block in marks, as DecodeNInto
+// does for each symbol 0, so an encoder's caller can mark its symbols 0
+// the same way.
+func Mark(marks []uint64, i int) {
+	b := i / MarkBlock
+	marks[b/64] |= 1 << (b % 64)
+}
+
 // DecodeNInto decodes len(out) symbols from len(rs) sub-streams written
 // by EncodeN, stepping the streams in turn so their decode chains overlap
 // in the CPU pipeline. Stream j fills the range
@@ -219,8 +227,7 @@ func markZeros(marks []uint64, syms []int, base int) {
 // markBlock sets the bit of output index i's block in marks, if any.
 func markBlock(marks []uint64, i int) {
 	if marks != nil {
-		b := i / MarkBlock
-		marks[b/64] |= 1 << (b % 64)
+		Mark(marks, i)
 	}
 }
 

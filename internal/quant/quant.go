@@ -70,6 +70,10 @@ func (q *Quantizer) CenterCode() int { return q.center }
 // the reconstructed (decompressed) value. ok reports whether x was
 // predictable; when ok is false the code is UnpredictableCode and recon is
 // undefined (the caller must store x via binary-representation analysis).
+//
+// The interval index rounds (x − pred)/2eb half away from zero, through
+// Round; core's fused kernels spell out the same operations in the same
+// order, so both produce the same codes.
 func (q *Quantizer) Quantize(x, pred float64) (code int, recon float64, ok bool) {
 	diff := x - pred
 	if math.IsNaN(diff) || math.IsInf(diff, 0) {
@@ -80,7 +84,7 @@ func (q *Quantizer) Quantize(x, pred float64) (code int, recon float64, ok bool)
 	if fi > float64(q.radius)+0.5 || fi < -(float64(q.radius)+0.5) {
 		return UnpredictableCode, 0, false
 	}
-	i := int(math.Round(fi))
+	i := int(Round(fi))
 	if i > q.radius || i < -q.radius {
 		return UnpredictableCode, 0, false
 	}
@@ -91,6 +95,24 @@ func (q *Quantizer) Quantize(x, pred float64) (code int, recon float64, ok bool)
 		return UnpredictableCode, 0, false
 	}
 	return q.center + i, recon, true
+}
+
+// Round returns x rounded to the nearest integer, halves away from zero:
+// math.Round bit for bit on every float64, NaN, ±Inf, ±0, ties and
+// |x| ≥ 2^52 included. On amd64, math.Round is integer bit manipulation
+// that branches on the exponent of x, while math.RoundToEven is an
+// intrinsic (one ROUNDSD where the CPU has SSE4.1), and Round inlines.
+// The two roundings differ only on a tie whose even neighbour lies toward
+// zero.
+// x − RoundToEven(x) is exact (the rounded value is 0 or within a factor
+// of two of x), so a tie shows as a difference of exactly ±0.5, and
+// x ± 0.5 is then the exact integer away from zero.
+func Round(x float64) float64 {
+	r := math.RoundToEven(x)
+	if math.Abs(x-r) == 0.5 {
+		r = x + math.Copysign(0.5, x)
+	}
+	return r
 }
 
 // Reconstruct maps a predictable code back to its value given the same

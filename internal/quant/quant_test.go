@@ -287,6 +287,57 @@ func TestAdviceString(t *testing.T) {
 	}
 }
 
+// TestRoundMatchesMathRound pins Round to math.Round bit for bit (NaN
+// matching NaN) on the edge values, on every half-integer within 2^20 of
+// zero and both its neighbours, on a grid over binary exponents −60…60,
+// and on random bit patterns.
+func TestRoundMatchesMathRound(t *testing.T) {
+	checked := 0
+	check := func(x float64) {
+		checked++
+		got, want := Round(x), math.Round(x)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("Round(%v) [%#016x] = %v [%#016x], math.Round gives %v [%#016x]",
+				x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	both := func(x float64) {
+		check(x)
+		check(-x)
+	}
+	for _, x := range []float64{
+		0, 0.5, 1.5, 2.5, 0.49999999999999994,
+		1<<51 + 0.5, 1 << 52, 1 << 53, math.MaxFloat64, math.Inf(1),
+		math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff),
+		math.Float64frombits(0x0008000000000000),
+	} {
+		both(x)
+	}
+	check(math.NaN())
+	check(math.Float64frombits(0xfff8000000000001)) // a negative NaN
+
+	for k := -1 << 20; k <= 1<<20; k++ {
+		h := float64(k) + 0.5
+		check(h)
+		check(math.Nextafter(h, math.Inf(-1)))
+		check(math.Nextafter(h, math.Inf(1)))
+	}
+	for e := -60; e <= 60; e++ {
+		p := math.Ldexp(1, e)
+		for _, f := range []float64{1, 1.25, 1.5, 1.75, 1.9999999999999998} {
+			x := f * p
+			both(x)
+			both(math.Nextafter(x, 0))
+			both(math.Nextafter(x, math.Inf(1)))
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 10_000_000; i++ {
+		check(math.Float64frombits(rng.Uint64()))
+	}
+	t.Logf("checked %d values", checked)
+}
+
 func BenchmarkQuantize(b *testing.B) {
 	q, _ := New(1e-4, 8)
 	rng := rand.New(rand.NewSource(1))
