@@ -3,9 +3,10 @@
 // endpoints across the backends by rendezvous hashing on stream
 // identity, and fails over to the next node in the key's order when a
 // backend sheds (429), drains (503), or is unreachable. A body too large
-// to buffer streams in one attempt: a container PUT to its digest's
-// owner, any other stream to a rotating pick among the nodes known to
-// answer. It learns each backend's health and load from one GET
+// to buffer (a declared Content-Length over -buffer-limit, forwarded
+// from its first byte, or a chunked body that outgrows it) streams in
+// one attempt: a container PUT to its digest's owner, any other stream
+// to a rotating pick among the nodes known to answer. It learns each backend's health and load from one GET
 // /v1/limits per -poll interval.
 //
 //	szrouter -addr :7070 -backends host1:7071,host2:7071,host3:7071

@@ -10,8 +10,11 @@
 // code, message, and the server's retry_after_ms hint. Requests whose
 // bodies fit the client's buffer limit are replayable and are retried
 // with exponential backoff that honors the server hint; larger bodies
-// stream chunked in one attempt and surface the error instead, so the
-// caller decides whether re-generating the stream is worth it.
+// stream in one attempt and surface the error instead, so the caller
+// decides whether re-generating the stream is worth it. A body whose
+// declared length is over the limit streams from its first byte; only
+// a body of unknown length is buffered up to the limit to find out
+// which kind it is.
 package client
 
 import (
@@ -95,7 +98,8 @@ func WithPriority(p api.Priority) Option { return func(c *Client) { c.priority =
 
 // WithBufferLimit sets how many body bytes the client will buffer to
 // keep a request replayable for retry (default 4 MiB). Bodies beyond it
-// stream chunked in a single attempt.
+// stream in a single attempt, from the first byte when their length is
+// declared.
 func WithBufferLimit(n int) Option { return func(c *Client) { c.bufferLimit = n } }
 
 // WithTiming installs a callback receiving each response's Server-Timing
@@ -358,19 +362,24 @@ func (c *Client) Inspect(ctx context.Context, stream io.Reader, size int64) (*co
 // bodyRequest POSTs src as the body of path. Bodies within the buffer
 // limit go replayable-with-retry; larger ones stream chunked once, with
 // size (when >= 0) forwarded as the X-Sz-Content-Length admission hint.
+// A size over the limit streams from the first byte; an unknown size
+// (-1) reads up to the limit first to learn which kind the body is.
 func (c *Client) bodyRequest(ctx context.Context, path string, q url.Values, src io.Reader, size int64) (*http.Response, error) {
-	head, err := io.ReadAll(io.LimitReader(src, int64(c.bufferLimit)+1))
-	if err != nil {
-		return nil, err
-	}
 	u := c.url(path, q)
-	if len(head) <= c.bufferLimit {
-		return c.do(ctx, func() (*http.Request, error) {
-			return http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(head))
-		})
+	body := src
+	if size <= int64(c.bufferLimit) {
+		head, err := io.ReadAll(io.LimitReader(src, int64(c.bufferLimit)+1))
+		if err != nil {
+			return nil, err
+		}
+		if len(head) <= c.bufferLimit {
+			return c.do(ctx, func() (*http.Request, error) {
+				return http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(head))
+			})
+		}
+		body = io.MultiReader(bytes.NewReader(head), src)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u,
-		io.MultiReader(bytes.NewReader(head), src))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, body)
 	if err != nil {
 		return nil, err
 	}
@@ -468,20 +477,24 @@ func (c *Client) NewWriter(ctx context.Context, dst io.Writer, codecName string,
 		}
 		rawSize *= sz
 	}
-	return &remoteWriter{
+	rw := &remoteWriter{
 		c:       c,
 		ctx:     ctx,
 		dst:     dst,
 		url:     c.url(api.PathCompress, q),
 		rawSize: rawSize,
-		buf:     &bytes.Buffer{},
-	}, nil
+	}
+	if rawSize <= int64(c.bufferLimit) {
+		rw.buf = &bytes.Buffer{}
+	}
+	return rw, nil
 }
 
 // remoteWriter buffers raw samples up to the client's buffer limit so
 // small requests stay replayable (retry on 429/503); beyond the limit
-// it flips into a single chunked streaming request whose response is
-// copied to dst concurrently.
+// it flips into a single streaming request whose response is copied to
+// dst concurrently. When the dims declare a raw size over the limit,
+// the request starts at the first Write with nothing buffered.
 type remoteWriter struct {
 	c       *Client
 	ctx     context.Context
@@ -489,8 +502,8 @@ type remoteWriter struct {
 	url     string
 	rawSize int64 // expected total raw bytes from dims/dtype; -1 unknown
 
-	buf    *bytes.Buffer // buffering phase; nil once streaming
-	pw     *io.PipeWriter
+	buf    *bytes.Buffer  // replayable prefix; nil for a declared stream
+	pw     *io.PipeWriter // set once streaming
 	done   chan error
 	closed bool
 	digest string // container content address from the response ETag
@@ -507,24 +520,26 @@ func (rw *remoteWriter) Write(b []byte) (int, error) {
 	if rw.closed {
 		return 0, errors.New("client: write after Close")
 	}
-	if rw.buf != nil {
-		rw.buf.Write(b)
-		if rw.buf.Len() <= rw.c.bufferLimit {
+	if rw.pw == nil {
+		if rw.buf != nil && rw.buf.Len()+len(b) <= rw.c.bufferLimit {
+			rw.buf.Write(b)
 			return len(b), nil
 		}
 		if err := rw.startStreaming(); err != nil {
 			return 0, err
 		}
-		return len(b), nil
 	}
 	return rw.pw.Write(b)
 }
 
-// startStreaming launches the chunked request, seeded with everything
-// buffered so far; subsequent writes feed the pipe.
+// startStreaming launches the streaming request, seeded with anything
+// buffered so far; this and every later write feed the pipe.
 func (rw *remoteWriter) startStreaming() error {
 	pr, pw := io.Pipe()
-	body := io.MultiReader(bytes.NewReader(rw.buf.Bytes()), pr)
+	var body io.Reader = pr
+	if rw.buf != nil {
+		body = io.MultiReader(bytes.NewReader(rw.buf.Bytes()), pr)
+	}
 	req, err := http.NewRequestWithContext(rw.ctx, http.MethodPost, rw.url, body)
 	if err != nil {
 		pw.Close()
@@ -572,7 +587,7 @@ func (rw *remoteWriter) Abort() error {
 		return nil
 	}
 	rw.closed = true
-	if rw.buf != nil {
+	if rw.pw == nil {
 		rw.buf = nil
 		return nil
 	}
@@ -586,9 +601,13 @@ func (rw *remoteWriter) Close() error {
 		return nil
 	}
 	rw.closed = true
-	if rw.buf != nil {
-		// Replayable one-shot with retry.
-		payload := rw.buf.Bytes()
+	if rw.pw == nil {
+		// Replayable one-shot with retry (empty when a declared stream
+		// got no Write: the daemon answers the size mismatch).
+		var payload []byte
+		if rw.buf != nil {
+			payload = rw.buf.Bytes()
+		}
 		resp, err := rw.c.do(rw.ctx, func() (*http.Request, error) {
 			return http.NewRequestWithContext(rw.ctx, http.MethodPost, rw.url, bytes.NewReader(payload))
 		})

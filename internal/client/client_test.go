@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -455,5 +456,116 @@ func TestRetryAfterHintHonored(t *testing.T) {
 	}
 	if wait := time.Since(start); wait > 250*time.Millisecond {
 		t.Errorf("IgnoreRetryAfter still waited %v", wait)
+	}
+}
+
+// firstByteServer is a daemon stand-in for one request: its handler
+// signals reached as soon as the request arrives, then records the
+// request's declared lengths and drains its body.
+type firstByteServer struct {
+	ts      *httptest.Server
+	reached chan struct{}
+
+	mu     sync.Mutex
+	length int64
+	hint   string
+	got    int64
+}
+
+func newFirstByteServer(t *testing.T) *firstByteServer {
+	t.Helper()
+	fs := &firstByteServer{reached: make(chan struct{})}
+	fs.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(fs.reached)
+		n, _ := io.Copy(io.Discard, r.Body)
+		fs.mu.Lock()
+		fs.length, fs.hint, fs.got = r.ContentLength, r.Header.Get(api.HeaderContentLength), n
+		fs.mu.Unlock()
+		io.WriteString(w, "ok")
+	}))
+	t.Cleanup(fs.ts.Close)
+	return fs
+}
+
+// TestDeclaredStreamFromFirstByte: a body whose declared size is over
+// the buffer limit reaches the daemon's handler after its first 64 KiB,
+// where a replayable prefix would hold it back until 4 MiB. The writer
+// declares the dims' raw size as its Content-Length; a body request
+// stays chunked with the size as the X-Sz-Content-Length hint.
+func TestDeclaredStreamFromFirstByte(t *testing.T) {
+	const size = 8 << 20 // over the default 4 MiB limit
+	t.Run("writer", func(t *testing.T) {
+		fs := newFirstByteServer(t)
+		cl, err := New(fs.ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zw, err := cl.NewWriter(context.Background(), io.Discard, "sz14",
+			codec.Params{AbsBound: 1e-3, DType: grid.Float32, Dims: []int{2, 1024, 1024}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.send(t, zw, size, zw.Close)
+		fs.check(t, size, "", size)
+	})
+	t.Run("body", func(t *testing.T) {
+		fs := newFirstByteServer(t)
+		cl, err := New(fs.ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, pw := io.Pipe()
+		done := make(chan error, 1)
+		go func() {
+			zr, err := cl.NewReader(context.Background(), pr, size, "", codec.Params{})
+			if err == nil {
+				_, err = io.Copy(io.Discard, zr)
+				zr.Close()
+			}
+			done <- err
+		}()
+		fs.send(t, pw, size, func() error { pw.Close(); return <-done })
+		fs.check(t, -1, "8388608", size)
+	})
+}
+
+// send writes size bytes to w in 64 KiB chunks, requiring the handler to
+// be reached after the first, then calls finish.
+func (fs *firstByteServer) send(t *testing.T, w io.Writer, size int, finish func() error) {
+	t.Helper()
+	const first = 64 << 10
+	chunk := bytes.Repeat([]byte{1}, first)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := w.Write(chunk)
+		wrote <- err
+	}()
+	select {
+	case <-fs.reached:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler was not reached after the first 64 KiB of a declared 8 MiB body")
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	for sent := first; sent < size; sent += first {
+		if _, err := w.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// check compares what the handler saw with the declared Content-Length,
+// the X-Sz-Content-Length hint and the body size wanted.
+func (fs *firstByteServer) check(t *testing.T, length int64, hint string, size int64) {
+	t.Helper()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.length != length || fs.hint != hint || fs.got != size {
+		t.Fatalf("handler saw Content-Length %d, hint %q and %d bytes; want %d, %q and %d",
+			fs.length, fs.hint, fs.got, length, hint, size)
 	}
 }

@@ -111,7 +111,8 @@ type Fig10Result struct {
 }
 
 // Fig10 evaluates the I/O model using a measured compression factor and
-// single-worker rate on ATM-like data at eb_rel = 1e-4.
+// single-worker rate (the fastest of timedRuns runs) on ATM-like data at
+// eb_rel = 1e-4.
 func Fig10(cfg Config) (*Fig10Result, error) {
 	cfg = cfg.withDefaults()
 	set, err := cfg.setByName("ATM")
@@ -119,7 +120,7 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 		return nil, err
 	}
 	a := set.Gen()
-	rr := runCompressor(SZ14, a, absBoundFor(a, 1e-4), set.DType)
+	rr := runCompressorTimed(SZ14, a, absBoundFor(a, 1e-4), set.DType)
 	if rr.Failed {
 		return nil, rr.Err
 	}

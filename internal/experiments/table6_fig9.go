@@ -18,7 +18,8 @@ type Table6Result struct {
 	Speeds map[string]map[string][][2]float64
 }
 
-// Table6 measures single-goroutine throughput.
+// Table6 measures single-goroutine throughput, each cell the fastest
+// of timedRuns runs.
 func Table6(cfg Config) (*Table6Result, error) {
 	cfg = cfg.withDefaults()
 	res := &Table6Result{
@@ -32,7 +33,7 @@ func Table6(cfg Config) (*Table6Result, error) {
 		for _, comp := range []string{SZ14, ZFP} {
 			var rows [][2]float64
 			for _, rel := range cfg.RelBounds {
-				rr := runCompressor(comp, a, absBoundFor(a, rel), set.DType)
+				rr := runCompressorTimed(comp, a, absBoundFor(a, rel), set.DType)
 				if rr.Failed {
 					return nil, fmt.Errorf("table6: %s failed: %w", comp, rr.Err)
 				}

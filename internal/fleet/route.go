@@ -146,7 +146,10 @@ func requestDigestParam(r *http.Request, endpoint string) string {
 // response cache when the endpoint is decode-side and the identity is
 // cached. Larger bodies stream to one candidate: a container PUT to its
 // digest's owner, so the write-path fan-out reaches its replicas, and
-// any other stream to a rotating pick, as bodyless requests are.
+// any other stream to a rotating pick, as bodyless requests are. A
+// declared Content-Length over the limit is a stream from its first
+// byte, forwarded unread with that length; only a body of unknown
+// length is read up to the limit to learn which kind it is.
 // Digest-referenced requests (no body, content address in the query,
 // header, or container path) ring-route by the digest itself, which is
 // exactly where earlier body-carrying reads of the same container
@@ -154,14 +157,19 @@ func requestDigestParam(r *http.Request, endpoint string) string {
 func (rt *Router) proxyBody(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := obs.FromContext(r.Context())
-		rd := tr.StartSpan("read_body")
-		head, err := io.ReadAll(io.LimitReader(r.Body, int64(rt.bufferLimit)+1))
-		rd.End()
-		if err != nil {
-			api.WriteError(w, api.Wrap(http.StatusBadRequest, fmt.Errorf("reading request body: %w", err)))
-			return
+		stream := r.ContentLength > int64(rt.bufferLimit)
+		var head []byte
+		if !stream {
+			rd := tr.StartSpan("read_body")
+			var err error
+			head, err = io.ReadAll(io.LimitReader(r.Body, int64(rt.bufferLimit)+1))
+			rd.End()
+			if err != nil {
+				api.WriteError(w, api.Wrap(http.StatusBadRequest, fmt.Errorf("reading request body: %w", err)))
+				return
+			}
+			stream = len(head) > rt.bufferLimit
 		}
-		stream := len(head) > rt.bufferLimit
 		key, fillDigest, id := requestDigestParam(r, endpoint), "", ""
 		switch {
 		case stream && endpoint == "container" && r.Method == http.MethodPut:
@@ -197,7 +205,7 @@ func (rt *Router) proxyBody(endpoint string) http.HandlerFunc {
 			cands = cands[:1]
 		}
 		sp.End()
-		rt.forward(w, r, endpoint, cands, fillDigest, id, head)
+		rt.forward(w, r, endpoint, cands, fillDigest, id, head, stream)
 	}
 }
 
@@ -280,14 +288,16 @@ func (rt *Router) serveCached(w http.ResponseWriter, r *http.Request, id string)
 func (rt *Router) proxyBodyless(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		key := strconv.FormatUint(rt.rr.Add(1), 10)
-		rt.forward(w, r, endpoint, rt.candidates(key), "", "", nil)
+		rt.forward(w, r, endpoint, rt.candidates(key), "", "", nil, false)
 	}
 }
 
 // forward is the attempt loop: candidates in order, a fresh copy of
-// body per attempt. A body over the buffer limit is a stream's
-// buffered prefix: the rest of the client body follows it, so the
-// caller passes exactly one candidate.
+// body per attempt. For a stream, body is the prefix read so far (none
+// when the length was declared) and the rest of the client body
+// follows it, so the caller passes exactly one candidate; a declared
+// length goes out as the backend request's Content-Length, an unknown
+// one chunked.
 //
 //   - A transport error or a shed status (429/503) fails over to the
 //     next candidate.
@@ -298,7 +308,7 @@ func (rt *Router) proxyBodyless(endpoint string) http.HandlerFunc {
 //
 // When no candidate answers, the last rejection is relayed (a digest
 // 404 from every candidate becomes no_replica), or a 502 if none.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint string, cands []string, fillDigest, id string, body []byte) {
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint string, cands []string, fillDigest, id string, body []byte, stream bool) {
 	tr := obs.FromContext(r.Context())
 	var last *cacheEntry
 	fillTried := false
@@ -313,13 +323,16 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint strin
 		}
 		attempt := time.Now()
 		var rd io.Reader = bytes.NewReader(body)
-		if len(body) > rt.bufferLimit {
-			rd = io.MultiReader(rd, r.Body) // length unknown: sent chunked
+		if stream {
+			rd = io.MultiReader(rd, r.Body)
 		}
 		req, err := rt.buildRequest(r, backend, rd)
 		if err != nil {
 			api.WriteError(w, api.Wrap(http.StatusInternalServerError, err))
 			return
+		}
+		if stream {
+			req.ContentLength = r.ContentLength // -1 (unknown) goes chunked
 		}
 		resp, err := rt.client.Do(req)
 		if err != nil {

@@ -227,6 +227,36 @@ func TestRouterFailoverOn429(t *testing.T) {
 	}
 }
 
+// TestRouterFailoverOn503: a body within the buffer limit stays
+// replayable, so an owner that answers 503 (draining) fails over to the
+// next node, as a shed does.
+func TestRouterFailoverOn503(t *testing.T) {
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == api.PathLimits {
+			fmt.Fprintln(w, "{}")
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		api.WriteError(w, &api.Error{Status: http.StatusServiceUnavailable, Code: api.CodeDraining, Message: "draining"})
+	}))
+	t.Cleanup(draining.Close)
+	owner := strings.TrimPrefix(draining.URL, "http://")
+	healthy := newSzd(t)
+	rt, ts := newRouter(t, Config{Backends: []string{owner, healthy}})
+
+	payload := payloadOwnedBy(t, rt, owner)
+	resp := post(t, ts.URL+"/v1/compress?codec=gzip", payload)
+	if body := readAllClose(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200 via failover: %s", resp.StatusCode, body)
+	}
+	if b := resp.Header.Get(api.HeaderBackend); b != healthy {
+		t.Errorf("served by %q, want the healthy backend %q", b, healthy)
+	}
+	if n := metricSum(t, ts.URL, "szrouter_failovers_total"); n != 1 {
+		t.Errorf("%v failovers counted, want 1", n)
+	}
+}
+
 // TestRouterRelaysRetryAfterUnchanged: when the whole fleet sheds, the
 // client must see the backend's own 429 — Retry-After header intact,
 // not rewritten by the router.

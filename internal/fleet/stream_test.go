@@ -1,15 +1,20 @@
 package fleet
 
 // Streams: bodies over the buffer limit take the same candidates and
-// attempt loop as every other request, with exactly one candidate.
+// attempt loop as every other request, with exactly one candidate. A
+// declared length over the limit streams from its first byte; a chunked
+// body is read up to the limit first.
 
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +23,125 @@ import (
 	"repro/internal/codec"
 	"repro/internal/grid"
 )
+
+// streamBackend is a szd stand-in for one proxied request: it signals
+// once it has read the first firstBytes of the body, and records the
+// length and transfer encoding the router declared for it.
+type streamBackend struct {
+	ts    *httptest.Server
+	first chan struct{} // closed once firstBytes have been read
+
+	mu       sync.Mutex
+	length   int64
+	encoding []string
+	got      int64
+}
+
+const firstBytes = 64 << 10
+
+func newStreamBackend(t *testing.T) *streamBackend {
+	t.Helper()
+	sb := &streamBackend{first: make(chan struct{})}
+	sb.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == api.PathLimits {
+			fmt.Fprintln(w, "{}")
+			return
+		}
+		n, _ := io.ReadFull(r.Body, make([]byte, firstBytes))
+		if n == firstBytes {
+			close(sb.first)
+		}
+		rest, _ := io.Copy(io.Discard, r.Body)
+		sb.mu.Lock()
+		sb.length, sb.encoding, sb.got = r.ContentLength, r.TransferEncoding, int64(n)+rest
+		sb.mu.Unlock()
+		io.WriteString(w, "ok")
+	}))
+	t.Cleanup(sb.ts.Close)
+	return sb
+}
+
+func (sb *streamBackend) addr() string { return strings.TrimPrefix(sb.ts.URL, "http://") }
+
+// TestRouterDeclaredStreamFromFirstByte: a body whose declared
+// Content-Length is over the buffer limit reaches the backend as the
+// client sends it — its first 64 KiB arrive while the client still
+// holds the rest — and with the same Content-Length, not chunked.
+func TestRouterDeclaredStreamFromFirstByte(t *testing.T) {
+	sb := newStreamBackend(t)
+	_, ts := newRouter(t, Config{Backends: []string{sb.addr()}}) // 4 MiB limit
+	const size = 8 << 20
+
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+api.PathCompress+"?codec=gzip", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = size
+	type result struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		done <- result{resp, err}
+	}()
+	chunk := bytes.Repeat([]byte("s"), firstBytes)
+	if _, err := pw.Write(chunk); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sb.first:
+	case <-time.After(5 * time.Second):
+		pw.CloseWithError(fmt.Errorf("test timed out"))
+		t.Fatal("the backend did not get the first 64 KiB of a declared 8 MiB stream while the client held the rest")
+	}
+	for sent := firstBytes; sent < size; sent += firstBytes {
+		if _, err := pw.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pw.Close()
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if body := readAllClose(t, res.resp); res.resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", res.resp.StatusCode, body)
+	}
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	if sb.length != size || len(sb.encoding) != 0 || sb.got != size {
+		t.Fatalf("backend saw Content-Length %d, Transfer-Encoding %v and %d bytes; want %d, none and %d",
+			sb.length, sb.encoding, sb.got, size, size)
+	}
+}
+
+// TestRouterChunkedStreamOverLimit: a chunked body over the limit is
+// read up to the limit to learn its kind, then streams on chunked, with
+// every byte reaching the one backend.
+func TestRouterChunkedStreamOverLimit(t *testing.T) {
+	sb := newStreamBackend(t)
+	_, ts := newRouter(t, Config{Backends: []string{sb.addr()}, BufferLimit: 1024})
+	const size = 4 * firstBytes
+
+	// A plain io.Reader hides the length, so the client sends it chunked.
+	body := struct{ io.Reader }{bytes.NewReader(bytes.Repeat([]byte("c"), size))}
+	resp, err := http.Post(ts.URL+api.PathCompress+"?codec=gzip", "application/octet-stream", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readAllClose(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	if sb.length != -1 || len(sb.encoding) != 1 || sb.encoding[0] != "chunked" || sb.got != size {
+		t.Fatalf("backend saw Content-Length %d, Transfer-Encoding %v and %d bytes; want -1, chunked and %d",
+			sb.length, sb.encoding, sb.got, size)
+	}
+}
 
 // TestRouterStreamedContainerPutReplicates: a container PUT too large to
 // buffer lands on its digest's ring owner, and the write-path fan-out

@@ -548,16 +548,31 @@ func (cb *Codebook) Serialize(w *bitstream.Writer) {
 	}
 }
 
+// AlphabetSize reads the alphabet size a serialized codebook declares,
+// its first field, without deserializing the rest: what Deserialize
+// will hold grows with it. Five bytes always suffice (the largest
+// alphabet's gamma code is 33 bits).
+func AlphabetSize(serialized []byte) (int, error) {
+	return readAlphabet(bitstream.NewReader(serialized))
+}
+
+func readAlphabet(r *bitstream.Reader) (int, error) {
+	ns, err := r.ReadEliasGamma()
+	if err != nil {
+		return 0, err
+	}
+	if ns == 0 || ns > MaxSymbols {
+		return 0, fmt.Errorf("%w: alphabet size %d", ErrCorrupt, ns)
+	}
+	return int(ns), nil
+}
+
 // Deserialize reads a codebook written by Serialize.
 func Deserialize(r *bitstream.Reader) (*Codebook, error) {
-	ns, err := r.ReadEliasGamma()
+	n, err := readAlphabet(r)
 	if err != nil {
 		return nil, err
 	}
-	if ns == 0 || ns > MaxSymbols {
-		return nil, fmt.Errorf("%w: alphabet size %d", ErrCorrupt, ns)
-	}
-	n := int(ns)
 	// Every position is assigned by the run decoding below (the loop only
 	// terminates at i == n), so the recycled buffer needs no clearing.
 	lengths := scratch.Bytes(n)

@@ -18,6 +18,8 @@ package server
 //	                   measured 36.5-40.0 B/cell (charged 32)
 //	decompress sz14    measured 27.9 B/element       (charged 24+esz)
 //	decompress gzip    measured 0.10 MiB             (charged 0.19 MiB)
+//	shared codebook    2^8 symbols:  39.2 KB (charged 44.3 KB)
+//	                   2^16 symbols: 887.9 KB (charged 892.9 KB)
 //	decompress blocked 1 worker:  10.7 MB, one slab decode's working set
 //	                              (charged 28.3 MB = 2 slabs x 48 B/cell;
 //	                              what szd runs)
@@ -31,6 +33,7 @@ import (
 	"repro/internal/blocked"
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/huffman"
 )
 
 const (
@@ -75,11 +78,13 @@ const (
 	// asserted one-sided in the calibration test.
 	blockedDecompressBytesPerCell = 48
 
-	// blockedSharedCodebookCharge covers a v3 shared codebook held for
-	// the life of the decode: for the default 2^8-symbol alphabet, the
-	// 2^12-entry packed decode table (32 KiB) plus canonical arrays, with
-	// headroom. A full 2^16-symbol alphabet holds ~870 KiB.
-	blockedSharedCodebookCharge = 64 << 10
+	// A v3 shared codebook is held for the life of a decode: its packed
+	// decode table (2^12 entries, 32 KiB, at most), the per-length
+	// canonical arrays and the codebook itself (3.1 KB measured, 8 KiB
+	// allowed), and per declared symbol its code length (1 B), canonical
+	// code (8 B) and decode slot (4 B). See sharedCodebookCharge.
+	sharedCodebookFixedBytes     = 40 << 10
+	sharedCodebookBytesPerSymbol = 13
 
 	// blockedStreamStateBytes covers one interleaved sub-stream's decode
 	// state per slab (reader cursor plus framing slack) — tiny, charged
@@ -190,7 +195,7 @@ func (s *Server) decompressCharge(name string, declared int64, header []byte, p 
 				c := satMul(slabs, slab)
 				// The shared codebook lives for the whole decode.
 				if ci.CodebookLen > 0 {
-					c += blockedSharedCodebookCharge
+					c += sharedCodebookCharge(header[ci.HeaderLen:])
 				}
 				if c > charge {
 					charge = c
@@ -217,4 +222,21 @@ func (s *Server) decompressCharge(name string, declared int64, header []byte, p 
 		return s.unknownCharge(), false
 	}
 	return satMul(declared, bufferedDecompressFallbackMult), false
+}
+
+// containerPeekLen is how much of a blocked container admission peeks:
+// the longest fixed header and the first field of a shared codebook
+// section behind it, whose gamma code is up to 33 bits.
+const containerPeekLen = blocked.MaxHeaderLen + 5
+
+// sharedCodebookCharge is what a v3 container's shared codebook holds
+// for the life of a decode, from the alphabet its section declares (the
+// section's first field). A section too short to declare one, or one
+// Deserialize would refuse, is charged the largest alphabet.
+func sharedCodebookCharge(section []byte) int64 {
+	n, err := huffman.AlphabetSize(section)
+	if err != nil {
+		n = huffman.MaxSymbols
+	}
+	return sharedCodebookFixedBytes + int64(n)*sharedCodebookBytesPerSymbol
 }

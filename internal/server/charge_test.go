@@ -9,10 +9,13 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/bitstream"
+	"repro/internal/blocked"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/grid"
+	"repro/internal/huffman"
 )
 
 // measureAllocated returns the bytes op allocates, with the collector
@@ -214,6 +217,102 @@ func TestAdmissionChargeCalibration(t *testing.T) {
 			t.Errorf("%s: %d slabs at the one-worker figure %d (%d bytes) exceed the adversarial charge %d",
 				path, workers+1, perSlab, window, charge)
 		}
+	}
+}
+
+// TestSharedCodebookChargeCalibration: the charge for a v3 shared
+// codebook follows the alphabet its section declares. Deserialize of the
+// default 2^8-symbol alphabet (a Hurricane field's shared codebook) and
+// of a full 2^16-symbol one (every symbol coded) must each allocate
+// within the charge and at least half of it. Both decompress and slab
+// reads add the charge for a shared-codebook container.
+func TestSharedCodebookChargeCalibration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("memory calibration is slow")
+	}
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation accounting; run without -race")
+	}
+	a := datagen.Hurricane(32, 192, 192, 7)
+	var raw bytes.Buffer
+	if err := a.WriteRaw(&raw, grid.Float32); err != nil {
+		t.Fatal(err)
+	}
+	container := func(shared bool) []byte {
+		t.Helper()
+		c, _ := codec.Lookup("blocked")
+		var out bytes.Buffer
+		zw, err := c.NewWriter(&out, codec.Params{Dims: []int{32, 192, 192}, DType: grid.Float32,
+			Mode: core.BoundAbs, AbsBound: 1e-3, SlabRows: 8, Streams: 4, SharedCodebook: shared})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := zw.Write(raw.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	shared, plain := container(true), container(false)
+	ix, err := blocked.Inspect(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hurricane := shared[ix.HeaderLen-ix.CodebookLen : ix.HeaderLen]
+
+	freqs := make([]uint64, huffman.MaxSymbols)
+	for i := range freqs {
+		freqs[i] = uint64(1 + i*7919%1000)
+	}
+	full, err := huffman.New(freqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bitstream.NewWriter(0)
+	full.Serialize(w)
+
+	for _, tc := range []struct {
+		name    string
+		section []byte
+		symbols int
+	}{
+		{"2^8", hurricane, 1 << 8},
+		{"2^16", w.Bytes(), 1 << 16},
+	} {
+		var cb *huffman.Codebook
+		measured := measureAllocated(t, func() {
+			cb, err = huffman.Deserialize(bitstream.NewReader(tc.section))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cb.NumSymbols() != tc.symbols {
+			t.Fatalf("%s: codebook has %d symbols", tc.name, cb.NumSymbols())
+		}
+		charge := sharedCodebookCharge(tc.section)
+		t.Logf("shared codebook %-5s charge %8d  measured %8d  ratio %.2f", tc.name, charge, measured, float64(charge)/float64(measured))
+		if measured > charge || charge > 2*measured {
+			t.Errorf("%s: measured %d against charge %d, want within the charge and at least half of it", tc.name, measured, charge)
+		}
+	}
+
+	// Both read paths add the codebook's charge to what the same
+	// geometry costs without one.
+	cbCharge := sharedCodebookCharge(hurricane)
+	s := New(Config{})
+	p := codec.Params{Workers: 1}
+	withCB, _ := s.decompressCharge("blocked", int64(len(shared)), shared[:containerPeekLen], p)
+	without, _ := s.decompressCharge("blocked", int64(len(plain)), plain[:containerPeekLen], p)
+	if withCB-without != cbCharge {
+		t.Errorf("decompress charge %d with a shared codebook, %d without; want a difference of %d", withCB, without, cbCharge)
+	}
+	if d := slabCharge(0, shared, 1, 2, false) - slabCharge(0, plain, 1, 2, false); d != cbCharge {
+		t.Errorf("slab charge differs by %d with a shared codebook, want %d", d, cbCharge)
+	}
+	if c := slabCharge(0, shared, 1, 2, true); c != slabCharge(0, shared, 1, 2, false) {
+		t.Errorf("extent read of a shared-codebook container charged %d, want the decode's %d", c, slabCharge(0, shared, 1, 2, false))
 	}
 }
 

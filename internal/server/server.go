@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/blocked"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -653,7 +652,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	var header []byte
 	switch name {
 	case "blocked":
-		header, _ = br.Peek(blocked.MaxHeaderLen)
+		header, _ = br.Peek(containerPeekLen)
 	case "sz14":
 		header, _ = br.Peek(core.MaxHeaderLen)
 	}

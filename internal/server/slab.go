@@ -35,11 +35,12 @@ import (
 // buffered upload, or mmapReadCharge for a store entry, which pins page
 // cache rather than heap) plus the decoded slabs lo..hi — one float64
 // working copy and the raw output per cell, with headroom for the
-// per-worker slab reconstructions (24 B/cell total). An empty range
-// (hi < lo) or a compressed-extent read decodes nothing, unless the
-// container shares one codebook and so has no self-contained extent.
-// The geometry comes from the attacker-supplied header, so every
-// product saturates.
+// per-worker slab reconstructions (24 B/cell total) — plus a shared
+// codebook, which every decode of its container deserializes. An empty
+// range (hi < lo) or a compressed-extent read decodes nothing, unless
+// the container shares one codebook and so has no self-contained
+// extent. The geometry comes from the attacker-supplied header, so
+// every product saturates.
 func slabCharge(base int64, header []byte, lo, hi int, extent bool) int64 {
 	ci, err := blocked.ParseContainerHeader(header)
 	if err != nil || hi < lo || (extent && ci.CodebookLen == 0) {
@@ -53,7 +54,11 @@ func slabCharge(base int64, header []byte, lo, hi int, extent bool) int64 {
 	if rows > int64(ci.Dims[0]) {
 		rows = int64(ci.Dims[0])
 	}
-	return base + satMul(satMul(rows, rowCells), 24)
+	c := base + satMul(satMul(rows, rowCells), 24)
+	if ci.CodebookLen > 0 {
+		c += sharedCodebookCharge(header[ci.HeaderLen:])
+	}
+	return c
 }
 
 // container is a resolved container read: the bytes — a buffered,
@@ -109,7 +114,7 @@ func (s *Server) openContainer(w http.ResponseWriter, r *http.Request, lo, hi in
 			base = s.unknownCharge()
 		}
 		br := newPeekReader(r.Body)
-		header, _ := br.Peek(blocked.MaxHeaderLen)
+		header, _ := br.Peek(containerPeekLen)
 		charge := slabCharge(base, header, lo, hi, extent)
 		gr, status, err := s.admit(r.Context(), charge, 1)
 		if err != nil {

@@ -42,7 +42,8 @@ const SlabContentType = api.MediaTypeSlabExtent
 const (
 	// mmapReadCharge is the admission charge for responses served as
 	// slices of an mmap'd store entry: the copy buffer and response
-	// plumbing, not the payload (which pins page cache, not heap).
+	// plumbing, not the payload, which pins page cache, not heap, and
+	// only while the read holds the entry (its last Release unmaps it).
 	mmapReadCharge = 256 << 10
 	// storePutCharge covers the streaming disk write of a PUT
 	// /v1/container body: one copy buffer; the payload goes to disk.

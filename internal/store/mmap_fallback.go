@@ -9,7 +9,8 @@ import (
 )
 
 // mapEntry reads the whole entry file into heap on platforms without a
-// usable mmap. The store still works; only the zero-copy win is lost.
+// usable mmap. The store still works; only the zero-copy win is lost,
+// and the copy lives only until the last Release drops it.
 func mapEntry(e *entry) error {
 	f, err := os.Open(e.path)
 	if err != nil {

@@ -9,9 +9,10 @@ import (
 	"syscall"
 )
 
-// mapEntry maps the whole entry file read-only. The mapping is the
-// serving path's only copy of the payload: responses slice straight
-// into it, so a store hit pins page cache rather than heap.
+// mapEntry maps the whole entry file read-only for the pin Get is about
+// to take. The mapping is the serving path's only copy of the payload:
+// responses slice straight into it, so a store hit pins page cache
+// rather than heap, and only until the last Release unmaps it.
 func mapEntry(e *entry) error {
 	f, err := os.Open(e.path)
 	if err != nil {

@@ -2,9 +2,12 @@
 // store: finished compressed streams persisted under their payload
 // SHA-256 so repeat readers become a read-mostly path. One entry is one
 // file named by the digest, written crash-safely (tmp file in the same
-// directory, fsync, rename) and served back as a zero-copy mmap — a
-// stored container costs the daemon page cache, not heap, and an
-// admission budget of ~nothing.
+// directory, fsync, rename) and served back as a zero-copy mmap that
+// lives exactly as long as a handle pins the entry: Get maps an entry
+// no reader holds, and the last Release unmaps it. A stored container
+// costs the daemon page cache, not heap, and only the reads in flight
+// hold mappings, so the daemon's resident set follows its concurrent
+// reads rather than every container it has ever served.
 //
 // # Entry layout
 //
@@ -22,7 +25,7 @@
 //
 // Eviction is LRU by access time against a byte budget. Hits touch the
 // file's timestamps, so the recency order survives a restart; entries
-// pinned by in-flight readers are skipped and reaped when released.
+// pinned by in-flight readers are passed over.
 package store
 
 import (
@@ -83,16 +86,14 @@ type Store struct {
 	hits, misses, puts, evictions int64
 }
 
-// entry is one stored container. refs and dead are guarded by the
-// store mutex; data is written once (under the mutex) and read-only
-// afterwards.
+// entry is one stored container. refs, data and mapped are guarded by
+// the store mutex; the bytes data holds are read-only.
 type entry struct {
 	digest string
 	path   string
 	size   int64 // payload bytes
 	refs   int
-	dead   bool   // evicted while pinned; unmap at last release
-	data   []byte // whole-file mapping, nil until first Get
+	data   []byte // whole file while refs > 0, nil otherwise
 	mapped bool   // data came from mmap (vs heap fallback)
 }
 
@@ -112,8 +113,8 @@ func (h *Entry) Size() int64 { return h.e.size }
 // Digest returns the payload's hex SHA-256.
 func (h *Entry) Digest() string { return h.e.digest }
 
-// Release unpins the entry; the mapping of an entry evicted while
-// pinned is torn down at the last release.
+// Release unpins the entry. The last release drops its mapping (or
+// heap copy), so Bytes must not be read after Release.
 func (h *Entry) Release() {
 	s, e := h.s, h.e
 	if s == nil {
@@ -122,11 +123,10 @@ func (h *Entry) Release() {
 	h.s, h.e = nil, nil
 	s.mu.Lock()
 	e.refs--
-	reap := e.dead && e.refs == 0
-	s.mu.Unlock()
-	if reap {
+	if e.refs == 0 {
 		unmapEntry(e)
 	}
+	s.mu.Unlock()
 }
 
 // ValidDigest reports whether s is a well-formed entry name: 64
@@ -263,9 +263,10 @@ func loadEntry(path, name string) (*entry, time.Time, error) {
 	return &entry{digest: name, path: path, size: length}, atime, nil
 }
 
-// Get pins and returns the entry for digest, mapping it on first use.
-// The handle must be Released. A hit refreshes the entry's recency in
-// memory and on disk (so LRU order survives restarts).
+// Get pins and returns the entry for digest, mapping it unless another
+// reader already holds it. The handle must be Released. A hit refreshes
+// the entry's recency in memory and on disk (so LRU order survives
+// restarts).
 func (s *Store) Get(digest string) (*Entry, error) {
 	if !ValidDigest(digest) {
 		return nil, fmt.Errorf("store: bad digest %q", digest)
@@ -278,7 +279,7 @@ func (s *Store) Get(digest string) (*Entry, error) {
 		return nil, ErrNotFound
 	}
 	e := el.Value.(*entry)
-	if e.data == nil {
+	if e.refs == 0 {
 		if err := mapEntry(e); err != nil {
 			// The file vanished or cannot map: drop the entry so the
 			// index stays truthful.
@@ -348,18 +349,13 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// removeLocked drops an entry from the index and disk. Pinned entries
-// are marked dead and unmapped at their last Release.
+// removeLocked drops an unpinned entry, which holds no mapping, from
+// the index and disk.
 func (s *Store) removeLocked(el *list.Element, e *entry) {
 	s.ll.Remove(el)
 	delete(s.items, e.digest)
 	s.bytes -= e.size
 	os.Remove(e.path)
-	if e.refs == 0 {
-		unmapEntry(e)
-	} else {
-		e.dead = true
-	}
 }
 
 // evictLocked trims least-recently-used entries until the byte budget

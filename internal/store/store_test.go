@@ -264,9 +264,11 @@ func TestEvictionLRU(t *testing.T) {
 
 // TestEvictionSkipsPinned: an entry being served concurrently cannot be
 // unmapped out from under the reader; eviction passes over it and its
-// resources go at the final Release.
+// resources go at the final Release, after which the next eviction
+// takes it.
 func TestEvictionSkipsPinned(t *testing.T) {
-	s, err := Open(t.TempDir(), 30)
+	dir := t.TempDir()
+	s, err := Open(dir, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +285,99 @@ func TestEvictionSkipsPinned(t *testing.T) {
 	if _, err := s.Put(bytes.Repeat([]byte("y"), 25)); err != nil {
 		t.Fatal(err)
 	}
-	// The pinned bytes must still be readable even though the entry may
-	// have been condemned.
+	// The pinned bytes must still be readable even though the entry was
+	// the eviction's first choice.
 	if !bytes.Equal(h.Bytes(), big) {
 		t.Fatal("pinned entry unreadable after over-budget put")
 	}
 	h.Release()
+	if n := heldEntries(s); n != 0 {
+		t.Fatalf("%d entries still hold their bytes after the last Release", n)
+	}
+	// Unpinned, the stalest entry is the next put's victim.
+	if _, err := s.Put(bytes.Repeat([]byte("z"), 25)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Contains(d) {
+		t.Fatal("released entry survived the next over-budget put")
+	}
+	if _, err := os.Stat(filepath.Join(dir, d)); !os.IsNotExist(err) {
+		t.Fatalf("evicted entry's file still on disk: %v", err)
+	}
+}
+
+// TestReleaseDropsMapping: a read maps an entry only while it pins it,
+// so after each of many entries is read once, none holds its bytes.
+func TestReleaseDropsMapping(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	for i := 0; i < n; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, 4096+i)
+		d, err := s.Put(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := s.Get(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(h.Bytes(), payload) {
+			t.Fatalf("entry %d: payload mismatch", i)
+		}
+		h.Release()
+	}
+	if held := heldEntries(s); held != 0 {
+		t.Fatalf("%d of %d entries still hold their bytes after Get and Release", held, n)
+	}
+	if st := s.Stats(); st.Entries != n || st.Hits != n {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestOverlappingHandles: two readers of one entry share its mapping;
+// the first Release leaves the second's bytes readable, and the last
+// Release drops the mapping.
+func TestOverlappingHandles(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("overlap"), 1000)
+	d, err := s.Put(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, err := s.Get(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := s.Get(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1.Release()
+	if !bytes.Equal(h2.Bytes(), payload) {
+		t.Fatal("second handle unreadable after the first Release")
+	}
+	if heldEntries(s) != 1 {
+		t.Fatal("a pinned entry holds no bytes")
+	}
+	h2.Release()
+	if n := heldEntries(s); n != 0 {
+		t.Fatal("the last Release left the mapping in place")
+	}
+	// A later read maps the entry afresh.
+	h3, err := s.Get(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h3.Release()
+	if !bytes.Equal(h3.Bytes(), payload) {
+		t.Fatal("re-mapped entry differs")
+	}
 }
 
 func TestLRUOrderSurvivesReopen(t *testing.T) {
@@ -366,6 +455,44 @@ func TestConcurrentGetPutEvict(t *testing.T) {
 	}
 }
 
+// TestConcurrentPinsOfOneEntry: readers of one entry pin and release it
+// from several goroutines at once, so its mapping is made and dropped
+// many times over while others still read it; every read sees the
+// payload, and none holds the mapping afterwards.
+func TestConcurrentPinsOfOneEntry(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("shared entry "), 512)
+	d, err := s.Put(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				h, err := s.Get(d)
+				if err != nil {
+					t.Errorf("get: %v", err)
+					return
+				}
+				if !bytes.Equal(h.Bytes(), payload) {
+					t.Error("pinned entry read wrong bytes")
+				}
+				h.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := heldEntries(s); n != 0 {
+		t.Fatalf("%d entries hold their bytes after every reader released", n)
+	}
+}
+
 func TestEntryHeaderRoundTrip(t *testing.T) {
 	var d [sha256.Size]byte
 	for i := range d {
@@ -404,6 +531,20 @@ func TestValidDigest(t *testing.T) {
 			t.Fatalf("accepted %q", bad)
 		}
 	}
+}
+
+// heldEntries counts the entries holding their bytes: a mapping, or the
+// heap copy where mmap is unavailable.
+func heldEntries(s *Store) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, el := range s.items {
+		if el.Value.(*entry).data != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // buildEntryFile assembles a well-formed entry file image for payload.
