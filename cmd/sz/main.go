@@ -208,7 +208,8 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// inputSize stats a path for the remote admission hint; -1 for pipes.
+// inputSize stats a path for the size a remote upload declares (its
+// Content-Length once over the client's buffer limit); -1 for pipes.
 func inputSize(path string) int64 {
 	if path == "" || path == "-" {
 		return -1

@@ -11,10 +11,12 @@
 // bodies fit the client's buffer limit are replayable and are retried
 // with exponential backoff that honors the server hint; larger bodies
 // stream in one attempt and surface the error instead, so the caller
-// decides whether re-generating the stream is worth it. A body whose
-// declared length is over the limit streams from its first byte; only
-// a body of unknown length is buffered up to the limit to find out
-// which kind it is.
+// decides whether re-generating the stream is worth it. Every upload,
+// the writer's included, takes one path (bodyRequest): a body whose
+// known size is over the limit streams from its first byte with that
+// size as its Content-Length; only a body of unknown size is buffered
+// up to the limit to find out which kind it is, and one over it streams
+// on chunked.
 package client
 
 import (
@@ -105,8 +107,9 @@ func WithBufferLimit(n int) Option { return func(c *Client) { c.bufferLimit = n 
 // WithTiming installs a callback receiving each response's Server-Timing
 // breakdown — the daemon's stage spans, plus any backend stages a router
 // merged under "be-". For streamed responses (decompress, slab reads)
-// the breakdown travels as an HTTP trailer, so the callback fires when
-// the caller drains or closes the body, not when it is opened.
+// the breakdown travels as an HTTP trailer, so the callback fires once
+// the caller drains the body, not when it is opened; a body closed
+// before its end never got the trailer, and reports nothing.
 func WithTiming(fn func(endpoint string, entries []obs.TimingEntry)) Option {
 	return func(c *Client) { c.timing = fn }
 }
@@ -343,8 +346,8 @@ func mustRequest(ctx context.Context, method, url string, body io.Reader) *http.
 
 // Inspect sends a compressed stream and returns the daemon's parsed
 // metadata (codec, geometry, bounds, slab layout). size is the stream
-// length when known (it becomes the admission hint for streams too big
-// to buffer), -1 otherwise.
+// length when known (a stream too big to buffer declares it as its
+// Content-Length), -1 otherwise.
 func (c *Client) Inspect(ctx context.Context, stream io.Reader, size int64) (*codec.StreamInfo, error) {
 	resp, err := c.bodyRequest(ctx, api.PathInspect, nil, stream, size)
 	if err != nil {
@@ -359,14 +362,16 @@ func (c *Client) Inspect(ctx context.Context, stream io.Reader, size int64) (*co
 	return si, nil
 }
 
-// bodyRequest POSTs src as the body of path. Bodies within the buffer
-// limit go replayable-with-retry; larger ones stream chunked once, with
-// size (when >= 0) forwarded as the X-Sz-Content-Length admission hint.
-// A size over the limit streams from the first byte; an unknown size
-// (-1) reads up to the limit first to learn which kind the body is.
+// bodyRequest POSTs src as the body of path, the one path every upload
+// takes. A body within the buffer limit is read whole and sent
+// replayable, retried on a shed. A size over the limit (size >= 0 is
+// the body's length when known) streams once from the first byte, with
+// size as its Content-Length. An unknown size (-1), or one that
+// understated the body, reads up to the limit first to learn which kind
+// the body is, and one over it streams on chunked.
 func (c *Client) bodyRequest(ctx context.Context, path string, q url.Values, src io.Reader, size int64) (*http.Response, error) {
 	u := c.url(path, q)
-	body := src
+	body, length := src, size
 	if size <= int64(c.bufferLimit) {
 		head, err := io.ReadAll(io.LimitReader(src, int64(c.bufferLimit)+1))
 		if err != nil {
@@ -377,17 +382,15 @@ func (c *Client) bodyRequest(ctx context.Context, path string, q url.Values, src
 				return http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(head))
 			})
 		}
-		body = io.MultiReader(bytes.NewReader(head), src)
+		body, length = io.MultiReader(bytes.NewReader(head), src), -1
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, body)
 	if err != nil {
 		return nil, err
 	}
+	req.ContentLength = length
 	req.Header.Set("Traceparent", obs.NewTraceparent())
 	c.applyHeaders(req.Header)
-	if size >= 0 {
-		req.Header.Set(api.HeaderContentLength, fmt.Sprint(size))
-	}
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, err
@@ -454,6 +457,13 @@ func (c *Client) NewReader(ctx context.Context, src io.Reader, size int64, force
 // the compressed stream lands in dst. The stream is complete only after
 // Close returns nil. p.Dims is required for every codec but gzip.
 //
+// The writer is a pipe into the request, which runs on a goroutine of
+// its own from NewWriter on, through the path every upload takes (see
+// bodyRequest): the dims' raw size, when over the buffer limit, is the
+// request's Content-Length and the body streams from its first byte;
+// otherwise it is buffered up to the limit and sent replayable at
+// Close. Either way the caller must Close or Abort the writer.
+//
 // The returned writer additionally implements interface{ Abort() error }:
 // a caller whose input failed mid-way should Abort instead of Close, so
 // the buffered partial payload is dropped (Close would send it to the
@@ -477,34 +487,30 @@ func (c *Client) NewWriter(ctx context.Context, dst io.Writer, codecName string,
 		}
 		rawSize *= sz
 	}
-	rw := &remoteWriter{
-		c:       c,
-		ctx:     ctx,
-		dst:     dst,
-		url:     c.url(api.PathCompress, q),
-		rawSize: rawSize,
-	}
-	if rawSize <= int64(c.bufferLimit) {
-		rw.buf = &bytes.Buffer{}
-	}
+	pr, pw := io.Pipe()
+	rw := &remoteWriter{pw: pw, done: make(chan error, 1)}
+	go func() {
+		resp, err := c.bodyRequest(ctx, api.PathCompress, q, pr, rawSize)
+		if err == nil {
+			_, err = io.Copy(dst, resp.Body)
+			resp.Body.Close()
+			if err == nil {
+				rw.digest = etagOf(resp) // trailer, populated once the body drained
+				c.reportTiming("compress", resp)
+			}
+		}
+		// A Write the request will no longer read fails instead of
+		// blocking.
+		pr.CloseWithError(err)
+		rw.done <- err
+	}()
 	return rw, nil
 }
 
-// remoteWriter buffers raw samples up to the client's buffer limit so
-// small requests stay replayable (retry on 429/503); beyond the limit
-// it flips into a single streaming request whose response is copied to
-// dst concurrently. When the dims declare a raw size over the limit,
-// the request starts at the first Write with nothing buffered.
+// remoteWriter is the write end of the pipe NewWriter's request reads.
 type remoteWriter struct {
-	c       *Client
-	ctx     context.Context
-	dst     io.Writer
-	url     string
-	rawSize int64 // expected total raw bytes from dims/dtype; -1 unknown
-
-	buf    *bytes.Buffer  // replayable prefix; nil for a declared stream
-	pw     *io.PipeWriter // set once streaming
-	done   chan error
+	pw     *io.PipeWriter
+	done   chan error // the request's outcome
 	closed bool
 	digest string // container content address from the response ETag
 }
@@ -516,112 +522,25 @@ type remoteWriter struct {
 // ReadSlabAt) instead of re-uploading it.
 func (rw *remoteWriter) Digest() string { return rw.digest }
 
-func (rw *remoteWriter) Write(b []byte) (int, error) {
-	if rw.closed {
-		return 0, errors.New("client: write after Close")
-	}
-	if rw.pw == nil {
-		if rw.buf != nil && rw.buf.Len()+len(b) <= rw.c.bufferLimit {
-			rw.buf.Write(b)
-			return len(b), nil
-		}
-		if err := rw.startStreaming(); err != nil {
-			return 0, err
-		}
-	}
-	return rw.pw.Write(b)
-}
+func (rw *remoteWriter) Write(b []byte) (int, error) { return rw.pw.Write(b) }
 
-// startStreaming launches the streaming request, seeded with anything
-// buffered so far; this and every later write feed the pipe.
-func (rw *remoteWriter) startStreaming() error {
-	pr, pw := io.Pipe()
-	var body io.Reader = pr
-	if rw.buf != nil {
-		body = io.MultiReader(bytes.NewReader(rw.buf.Bytes()), pr)
-	}
-	req, err := http.NewRequestWithContext(rw.ctx, http.MethodPost, rw.url, body)
-	if err != nil {
-		pw.Close()
-		return err
-	}
-	req.Header.Set("Traceparent", obs.NewTraceparent())
-	rw.c.applyHeaders(req.Header)
-	if rw.rawSize >= 0 {
-		req.ContentLength = rw.rawSize
-	}
-	rw.buf = nil
-	rw.pw = pw
-	rw.done = make(chan error, 1)
-	go func() {
-		resp, err := rw.c.http.Do(req)
-		if err != nil {
-			pr.CloseWithError(err)
-			rw.done <- err
-			return
-		}
-		if resp.StatusCode >= 300 {
-			err := statusError(resp)
-			pr.CloseWithError(err)
-			rw.done <- err
-			return
-		}
-		_, err = io.Copy(rw.dst, resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			pr.CloseWithError(err)
-		} else {
-			rw.digest = etagOf(resp) // trailer, populated once the body drained
-			rw.c.reportTiming("compress", resp)
-		}
-		rw.done <- err
-	}()
-	return nil
-}
-
-// Abort discards the writer without completing the request: buffered
-// state is dropped unsent; an in-flight streaming request is cancelled
+// Abort discards the writer without completing the request: a buffered
+// body is dropped unsent; an in-flight streaming request is cancelled
 // and awaited. Idempotent, and a later Close is a no-op.
 func (rw *remoteWriter) Abort() error {
-	if rw.closed {
-		return nil
-	}
-	rw.closed = true
-	if rw.pw == nil {
-		rw.buf = nil
-		return nil
-	}
-	rw.pw.CloseWithError(errors.New("client: request aborted"))
-	<-rw.done
+	rw.finish(errors.New("client: request aborted"))
 	return nil
 }
 
-func (rw *remoteWriter) Close() error {
+func (rw *remoteWriter) Close() error { return rw.finish(nil) }
+
+// finish ends the body (with cause, when not nil) and waits for the
+// request; only the first call does either.
+func (rw *remoteWriter) finish(cause error) error {
 	if rw.closed {
 		return nil
 	}
 	rw.closed = true
-	if rw.pw == nil {
-		// Replayable one-shot with retry (empty when a declared stream
-		// got no Write: the daemon answers the size mismatch).
-		var payload []byte
-		if rw.buf != nil {
-			payload = rw.buf.Bytes()
-		}
-		resp, err := rw.c.do(rw.ctx, func() (*http.Request, error) {
-			return http.NewRequestWithContext(rw.ctx, http.MethodPost, rw.url, bytes.NewReader(payload))
-		})
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if _, err = io.Copy(rw.dst, resp.Body); err != nil {
-			return err
-		}
-		rw.digest = etagOf(resp)
-		rw.c.reportTiming("compress", resp)
-		return nil
-	}
-	rw.pw.Close()
+	rw.pw.CloseWithError(cause)
 	return <-rw.done
 }

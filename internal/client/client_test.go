@@ -490,8 +490,8 @@ func newFirstByteServer(t *testing.T) *firstByteServer {
 // TestDeclaredStreamFromFirstByte: a body whose declared size is over
 // the buffer limit reaches the daemon's handler after its first 64 KiB,
 // where a replayable prefix would hold it back until 4 MiB. The writer
-// declares the dims' raw size as its Content-Length; a body request
-// stays chunked with the size as the X-Sz-Content-Length hint.
+// declares the dims' raw size as its Content-Length, and a body request
+// its given size, with no X-Sz-Content-Length hint beside it.
 func TestDeclaredStreamFromFirstByte(t *testing.T) {
 	const size = 8 << 20 // over the default 4 MiB limit
 	t.Run("writer", func(t *testing.T) {
@@ -525,7 +525,7 @@ func TestDeclaredStreamFromFirstByte(t *testing.T) {
 			done <- err
 		}()
 		fs.send(t, pw, size, func() error { pw.Close(); return <-done })
-		fs.check(t, -1, "8388608", size)
+		fs.check(t, size, "", size)
 	})
 }
 

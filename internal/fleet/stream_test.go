@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/client"
 	"repro/internal/codec"
 	"repro/internal/grid"
 )
@@ -109,6 +110,56 @@ func TestRouterDeclaredStreamFromFirstByte(t *testing.T) {
 	}
 	if body := readAllClose(t, res.resp); res.resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", res.resp.StatusCode, body)
+	}
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	if sb.length != size || len(sb.encoding) != 0 || sb.got != size {
+		t.Fatalf("backend saw Content-Length %d, Transfer-Encoding %v and %d bytes; want %d, none and %d",
+			sb.length, sb.encoding, sb.got, size, size)
+	}
+}
+
+// TestClientReaderStreamsThroughRouter: a client.NewReader given the
+// size of a container over the router's limit declares that size as
+// its Content-Length, so the body streams through the router from its
+// first byte, as a writer's does: the backend's handler has its first
+// 64 KiB while the caller still holds the rest.
+func TestClientReaderStreamsThroughRouter(t *testing.T) {
+	sb := newStreamBackend(t)
+	_, ts := newRouter(t, Config{Backends: []string{sb.addr()}}) // 4 MiB limit
+	cl, err := client.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 8 << 20
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		zr, err := cl.NewReader(context.Background(), pr, size, "", codec.Params{})
+		if err == nil {
+			_, err = io.Copy(io.Discard, zr)
+			zr.Close()
+		}
+		done <- err
+	}()
+	chunk := bytes.Repeat([]byte("r"), firstBytes)
+	if _, err := pw.Write(chunk); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sb.first:
+	case <-time.After(5 * time.Second):
+		pw.CloseWithError(fmt.Errorf("test timed out"))
+		t.Fatal("the backend did not get the first 64 KiB of a sized 8 MiB container while the caller held the rest")
+	}
+	for sent := firstBytes; sent < size; sent += firstBytes {
+		if _, err := pw.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pw.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 	sb.mu.Lock()
 	defer sb.mu.Unlock()

@@ -53,7 +53,6 @@ func (wr *Wrapper) Wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		w.Header().Set(api.HeaderRequestID, t.RequestID)
 		ex := &exchange{ResponseWriter: w, t: t, head: r.Method == http.MethodHead}
 		ex.body.ReadCloser = r.Body
-		r.Body = &ex.body
 		defer wr.finish(ex)
 		// Identity derives from the API key alone: an inbound tenant
 		// header could claim another tenant's share.
@@ -64,7 +63,13 @@ func (wr *Wrapper) Wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		ex.id = id
-		h(ex, r.WithContext(context.WithValue(r.Context(), ctxKey{}, ex)))
+		// Only the handler's copy of the request reads through the
+		// counting body: net/http looks at its own request's body to
+		// close a connection whose body was left unread, lingering so the
+		// client still reads the answer, rather than reuse it.
+		r = r.WithContext(context.WithValue(r.Context(), ctxKey{}, ex))
+		r.Body = &ex.body
+		h(ex, r)
 	}
 }
 

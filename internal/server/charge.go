@@ -94,8 +94,8 @@ const (
 
 // compressCharge estimates the peak memory a compress request pins,
 // which is what the in-flight byte budget meters. The second return
-// reports whether the path streams (memory independent of body size) —
-// streaming requests are not metered per body byte.
+// reports whether the path streams (memory independent of body size),
+// which decides how far its body may run (see bodyLimit).
 //
 //   - gzip streams with O(window) memory: flat gzipCompressCharge.
 //   - blocked with an absolute bound streams slab-at-a-time: charge the

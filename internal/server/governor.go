@@ -13,7 +13,9 @@ package server
 // Both resources are acquired non-blocking at admission: when either is
 // exhausted the request is rejected immediately (429) instead of queuing,
 // so saturation degrades into fast rejections rather than a convoy of
-// half-served streams.
+// half-served streams. What a request is granted it holds unchanged
+// until release: its body may not run past what its charge covered
+// (see bodyLimit).
 //
 // Neither limit is a constant anymore. The byte budget and a worker
 // clamp are atomics the QoS control loop (internal/qos) rewrites at
@@ -207,37 +209,6 @@ func (g *governor) admit(tenant string, pri api.Priority, charge int64, wantWork
 	g.inflight.Add(charge)
 	g.requests.Add(1)
 	return &grant{g: g, acct: a, bytes: charge, workers: granted}, nil
-}
-
-// grow extends the grant's byte reservation mid-request (a stream that
-// exceeded its declared size). Non-blocking; on refusal the caller must
-// abort the request. Growth is held to the global budget but not the
-// fair share: the request was admitted under its share, and aborting
-// half-served streams on a share breach wastes more than it protects.
-func (gr *grant) grow(n int64) bool {
-	if n < 0 {
-		return false
-	}
-	g := gr.g
-	budget := g.budget.Load()
-	if budget > 0 {
-		for {
-			cur := g.inflight.Load()
-			if cur+n > budget {
-				return false
-			}
-			if g.inflight.CompareAndSwap(cur, cur+n) {
-				break
-			}
-		}
-	} else {
-		g.inflight.Add(n)
-	}
-	g.mu.Lock()
-	gr.acct.inflight += n
-	g.mu.Unlock()
-	gr.bytes += n
-	return true
 }
 
 // release returns everything the grant holds. Idempotent.

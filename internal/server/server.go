@@ -104,7 +104,8 @@ const (
 	defaultRequestBytes  = 1 << 30
 	// unknownLengthCharge is the admission charge for chunked uploads
 	// that declare no length at all (no Content-Length, no
-	// X-Sz-Content-Length hint) when the per-request cap is disabled.
+	// X-Sz-Content-Length hint) when the per-request cap is disabled,
+	// and so the most such a body may send on a buffered path.
 	unknownLengthCharge = 64 << 20
 	// streamCopyBuffer is the io.Copy buffer for streaming bodies.
 	streamCopyBuffer = 256 << 10
@@ -304,13 +305,11 @@ func admitStatus(err error) int {
 	}
 }
 
-// streamErrStatus maps a mid-body error to its response status:
-// governance errors keep their 413/429 semantics (429 is the retryable
-// one — a blanket 400 would stop clients from backing off), everything
-// else is the client's malformed input.
+// streamErrStatus maps a mid-body error to its response status: a body
+// past its limit is 413, anything else the client's malformed input.
 func streamErrStatus(err error) int {
-	if errors.Is(err, errBudget) || errors.Is(err, errTooLarge) {
-		return admitStatus(err)
+	if errors.Is(err, errTooLarge) {
+		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
 }
@@ -409,52 +408,47 @@ func (s *Server) admit(ctx context.Context, charge int64, wantWorkers int) (*gra
 	return gr, 0, nil
 }
 
-// meteredReader counts request-body bytes and enforces the per-request
-// cap. On buffered paths — where every body byte really pins memory —
-// it also extends the grant's byte reservation when a stream outgrows
-// its declared size (chunks of growQuantum scaled by the request's
-// memory multiplier), aborting the request if the budget refuses.
-// Streaming paths skip the growth metering: their memory is O(window)
-// no matter how many bytes flow through.
-type meteredReader struct {
-	src       io.Reader
-	gr        *grant
-	n         int64 // bytes read
-	meter     bool  // grow the reservation as bytes arrive (buffered paths)
-	allowance int64 // bytes covered by the current reservation
-	mult      int64 // memory charge per body byte (>= 1)
-	limit     int64 // per-request cap; <= 0 unlimited
+// bodyLimit is the most body bytes admission let a request send. A
+// streaming path pins the same window however long its body runs, so
+// it is held only to the per-request cap. A buffered path's charge
+// covers its body only as admitted: it is held to its declared length
+// or, with none, to the flat unknown-length charge, and never past the
+// charge itself (an sz14 decompress is charged by the element count its
+// header declares).
+func (s *Server) bodyLimit(declared, charge int64, streaming bool) int64 {
+	switch {
+	case streaming && s.cfg.MaxRequestBytes > 0:
+		return s.cfg.MaxRequestBytes
+	case streaming:
+		return math.MaxInt64
+	case declared >= 0:
+		return declared
+	}
+	return min(s.unknownCharge(), charge)
 }
 
-const growQuantum = 4 << 20
-
-func (m *meteredReader) Read(p []byte) (int, error) {
-	n, err := m.src.Read(p)
-	m.n += int64(n)
-	if m.limit > 0 && m.n > m.limit {
-		return n, errTooLarge
+// body wraps a request body in the one reader every intake uses, which
+// fails with errTooLarge once the body passes its bodyLimit.
+func (s *Server) body(src io.Reader, declared, charge int64, streaming bool) io.Reader {
+	c := &cappedReader{src: src, limit: s.bodyLimit(declared, charge, streaming)}
+	if !streaming && declared >= 0 {
+		c.what = "its declared length of "
 	}
-	for m.meter && m.n > m.allowance {
-		if !m.gr.grow(satMul(growQuantum, m.mult)) {
-			return n, fmt.Errorf("%w (stream exceeded its declared size)", errBudget)
-		}
-		m.allowance += growQuantum
+	return c
+}
+
+type cappedReader struct {
+	src      io.Reader
+	n, limit int64
+	what     string // names the limit in the error
+}
+
+func (c *cappedReader) Read(p []byte) (int, error) {
+	n, err := c.src.Read(p)
+	if c.n += int64(n); c.n > c.limit {
+		return n, fmt.Errorf("%w: the body passed %s%d bytes", errTooLarge, c.what, c.limit)
 	}
 	return n, err
-}
-
-// mult is the endpoint's memory-per-body-byte model (3x for buffered
-// f32 compress, 5x for buffered decompress, ...), passed explicitly so
-// a spoofed declared length of 0 cannot collapse growth metering to 1x.
-func newMeteredReader(src io.Reader, gr *grant, declared, charge, limit, mult int64, streaming bool) *meteredReader {
-	allowance := declared
-	if allowance < 0 {
-		allowance = charge // unknown-length: the flat charge covers this many bytes
-	}
-	if mult < 1 {
-		mult = 1
-	}
-	return &meteredReader{src: src, gr: gr, meter: !streaming, allowance: allowance, mult: mult, limit: limit}
 }
 
 // respWriter remembers whether the body has started (after which
@@ -536,9 +530,14 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	// Streaming codecs write response bytes while the request body is
 	// still arriving; without full duplex, Go's HTTP/1 server reacts to
 	// the first response flush by silently discarding 256 KiB of any
-	// still-unread chunked body — corrupting the input mid-stream.
+	// still-unread chunked body — corrupting the input mid-stream. A
+	// full-duplex handler must close the body itself: answering with it
+	// unread (a 413 past its limit) otherwise makes net/http panic on
+	// the connection's next request ("invalid concurrent Body.Read
+	// call").
 	http.NewResponseController(w).EnableFullDuplex()
-	body := newMeteredReader(r.Body, gr, declared, charge, s.cfg.MaxRequestBytes, 1+8/dtypeSize(p), streaming)
+	defer r.Body.Close()
+	body := s.body(r.Body, declared, charge, streaming)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(api.HeaderCodec, name)
 	out := &respWriter{ResponseWriter: w}
@@ -560,7 +559,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		if tee != nil {
 			tee.abort()
 		}
-		s.writeError(w, http.StatusBadRequest, err)
+		s.finishStream(w, out, err)
 		return
 	}
 	cbuf := scratch.Bytes(streamCopyBuffer)
@@ -595,10 +594,10 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDecompress decodes one container from either source: the
-// request body, metered against the upload cap and teed into the store
-// (its digest travels back as an ETag trailer), or with ?digest= a
-// reader over the mmap'd store entry (X-Sz-Store and Etag as headers,
-// no bytes in). Codec detection, the charge, admission and the decode
+// request body, held to its bodyLimit and teed into the store (its
+// digest travels back as an ETag trailer), or with ?digest= a reader
+// over the mmap'd store entry (X-Sz-Store and Etag as headers, no
+// bytes in). Codec detection, the charge, admission and the decode
 // are the same for both.
 func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	tr := obs.FromContext(r.Context())
@@ -676,9 +675,10 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	var tee *bestEffortPut
 	if ent == nil {
 		// See handleCompress: required so chunked request bodies survive
-		// the first response flush on HTTP/1.
+		// the first response flush on HTTP/1, and closed here.
 		http.NewResponseController(w).EnableFullDuplex()
-		in = newMeteredReader(br, gr, declared, charge, s.cfg.MaxRequestBytes, 5, streaming)
+		defer r.Body.Close()
+		in = s.body(br, declared, charge, streaming)
 		// Tee the container into the store as the decode consumes it:
 		// the body's digest becomes the response's ETag trailer, and the
 		// next read of this container can reference it with no upload.
@@ -693,13 +693,13 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	out := &respWriter{ResponseWriter: w}
 	zr, err := c.NewReader(in, p)
 	if err != nil {
-		// Buffered codecs consume the whole body inside NewReader, so
-		// governance errors (413/429) can surface here — keep their
-		// retry semantics instead of blanketing them as 400.
+		// Buffered codecs consume the whole body inside NewReader, so a
+		// body past its limit (413) can surface here as well as a stream
+		// that does not parse (400).
 		if tee != nil {
 			tee.abort()
 		}
-		s.writeError(w, streamErrStatus(err), err)
+		s.finishStream(w, out, err)
 		return
 	}
 	cbuf := scratch.Bytes(streamCopyBuffer)
@@ -731,14 +731,17 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 }
 
 // finishStream settles a streaming response's error: before the first
-// body byte it still yields a proper error response; mid-stream it can
-// only abort the connection, which the request wrapper records as a
+// body byte it still yields a proper error response, and closes the
+// connection after it, since the request's body may be left unread (a
+// client that reused the connection would find it reset); mid-stream it
+// can only abort the connection, which the request wrapper records as a
 // 500, so the client sees a truncated transfer instead of silently
 // corrupt data.
 func (s *Server) finishStream(w http.ResponseWriter, out *respWriter, err error) {
 	switch {
 	case err == nil:
 	case !out.wrote:
+		w.Header().Set("Connection", "close")
 		s.writeError(w, streamErrStatus(err), err)
 	default:
 		panic(http.ErrAbortHandler)
@@ -772,7 +775,7 @@ func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer gr.release()
-	body := newMeteredReader(r.Body, gr, declared, charge, s.cfg.MaxRequestBytes, 1, false)
+	body := s.body(r.Body, declared, charge, false)
 	stream, err := readAllScratch(body, declared)
 	defer scratch.PutBytes(stream)
 	if err != nil {
@@ -894,7 +897,7 @@ func readAllScratch(r io.Reader, declared int64) ([]byte, error) {
 
 // peekReader is a minimal buffered reader exposing Peek without bulk
 // read-ahead (a bufio.Reader would slurp 4 KiB+ past the magic, which
-// the metered reader must account, not the buffer).
+// the capped body reader must count, not the buffer).
 type peekReader struct {
 	src  io.Reader
 	head []byte

@@ -121,7 +121,7 @@ func (s *Server) openContainer(w http.ResponseWriter, r *http.Request, lo, hi in
 			s.writeError(w, status, err)
 			return nil, false
 		}
-		body := newMeteredReader(br, gr, declared, charge, s.cfg.MaxRequestBytes, 1, false)
+		body := s.body(br, declared, charge, false)
 		stream, err := readAllScratch(body, declared)
 		c.stream, c.gr = stream, gr
 		if err != nil {

@@ -254,7 +254,7 @@ func (s *Server) handleContainer(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		body := newMeteredReader(r.Body, gr, declared, storePutCharge, s.cfg.MaxRequestBytes, 1, true)
+		body := s.body(r.Body, declared, storePutCharge, true)
 		cbuf := scratch.Bytes(streamCopyBuffer)
 		sp := obs.FromContext(r.Context()).StartSpan("store_write")
 		_, err = io.CopyBuffer(put, body, cbuf)

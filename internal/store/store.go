@@ -23,9 +23,11 @@
 // what it writes and refuses to commit under the wrong digest), so Get
 // never re-hashes.
 //
-// Eviction is LRU by access time against a byte budget. Hits touch the
-// file's timestamps, so the recency order survives a restart; entries
-// pinned by in-flight readers are passed over.
+// Eviction is LRU by access time against a byte budget, and never takes
+// the most recent entry, so a Put always holds what it just committed.
+// Hits touch the file's timestamps, so the recency order survives a
+// restart. An entry pinned by in-flight readers is evicted like any
+// other: its file goes at once, its mapping at the last Release.
 package store
 
 import (
@@ -349,8 +351,9 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// removeLocked drops an unpinned entry, which holds no mapping, from
-// the index and disk.
+// removeLocked drops an entry from the index and disk. A pinned entry
+// keeps its mapping (or heap copy) for its readers until the last
+// Release drops it.
 func (s *Store) removeLocked(el *list.Element, e *entry) {
 	s.ll.Remove(el)
 	delete(s.items, e.digest)
@@ -359,20 +362,16 @@ func (s *Store) removeLocked(el *list.Element, e *entry) {
 }
 
 // evictLocked trims least-recently-used entries until the byte budget
-// holds. Entries pinned by in-flight readers cannot free memory now, so
-// they are passed over rather than blocked on.
+// holds, stopping before the list head: the entry a Put has just
+// committed stays, even when it alone is over the budget.
 func (s *Store) evictLocked() {
 	if s.maxBytes <= 0 {
 		return
 	}
-	for el := s.ll.Back(); el != nil && s.bytes > s.maxBytes; {
-		prev := el.Prev()
-		e := el.Value.(*entry)
-		if e.refs == 0 {
-			s.removeLocked(el, e)
-			s.evictions++
-		}
-		el = prev
+	for s.bytes > s.maxBytes && s.ll.Len() > 1 {
+		el := s.ll.Back()
+		s.removeLocked(el, el.Value.(*entry))
+		s.evictions++
 	}
 }
 

@@ -262,18 +262,18 @@ func TestEvictionLRU(t *testing.T) {
 	}
 }
 
-// TestEvictionSkipsPinned: an entry being served concurrently cannot be
-// unmapped out from under the reader; eviction passes over it and its
-// resources go at the final Release, after which the next eviction
-// takes it.
-func TestEvictionSkipsPinned(t *testing.T) {
+// TestEvictionTakesPinnedEntry: a Put that overflows the budget while
+// the LRU tail is pinned evicts that tail, not the entry it has just
+// committed. The tail's file goes at once, but its reader keeps the
+// bytes until the last Release drops them.
+func TestEvictionTakesPinnedEntry(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := bytes.Repeat([]byte("x"), 25)
-	d, err := s.Put(big)
+	old := bytes.Repeat([]byte("x"), 25)
+	d, err := s.Put(old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,28 +281,64 @@ func TestEvictionSkipsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second put overflows the budget while the first entry is pinned.
-	if _, err := s.Put(bytes.Repeat([]byte("y"), 25)); err != nil {
+	pinned := h.e
+	fresh := bytes.Repeat([]byte("y"), 25)
+	d2, err := s.Put(fresh)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The pinned bytes must still be readable even though the entry was
-	// the eviction's first choice.
-	if !bytes.Equal(h.Bytes(), big) {
-		t.Fatal("pinned entry unreadable after over-budget put")
+	h2, err := s.Get(d2)
+	if err != nil {
+		t.Fatalf("the entry a Put just committed is gone: %v", err)
 	}
-	h.Release()
-	if n := heldEntries(s); n != 0 {
-		t.Fatalf("%d entries still hold their bytes after the last Release", n)
+	if !bytes.Equal(h2.Bytes(), fresh) {
+		t.Fatal("the new entry reads back wrong")
 	}
-	// Unpinned, the stalest entry is the next put's victim.
-	if _, err := s.Put(bytes.Repeat([]byte("z"), 25)); err != nil {
-		t.Fatal(err)
+	h2.Release()
+	if !bytes.Equal(h.Bytes(), old) {
+		t.Fatal("pinned entry unreadable after its eviction")
 	}
 	if s.Contains(d) {
-		t.Fatal("released entry survived the next over-budget put")
+		t.Fatal("the pinned LRU tail survived an over-budget put")
 	}
 	if _, err := os.Stat(filepath.Join(dir, d)); !os.IsNotExist(err) {
 		t.Fatalf("evicted entry's file still on disk: %v", err)
+	}
+	if st := s.Stats(); st.Evictions != 1 || st.Entries != 1 {
+		t.Fatalf("stats %+v, want 1 eviction and 1 entry", st)
+	}
+	h.Release()
+	if pinned.data != nil {
+		t.Fatal("the evicted entry still holds its bytes after the last Release")
+	}
+}
+
+// TestPutOverBudgetHeld: a single Put larger than the whole budget is
+// still held after it returns, until the next Put evicts it.
+func TestPutOverBudgetHeld(t *testing.T) {
+	s, err := Open(t.TempDir(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("z"), 25)
+	d, err := s.Put(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Get(d)
+	if err != nil {
+		t.Fatalf("an over-budget Put was evicted as it committed: %v", err)
+	}
+	if !bytes.Equal(h.Bytes(), big) {
+		t.Fatal("the over-budget entry reads back wrong")
+	}
+	h.Release()
+	d2, err := s.Put([]byte("small"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Contains(d) || !s.Contains(d2) {
+		t.Fatal("the next Put did not evict the over-budget entry")
 	}
 }
 
