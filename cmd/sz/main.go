@@ -104,7 +104,8 @@ decompress flags:
   -dims d0,d1   shape for non-self-describing codecs
   -slab i|lo-hi random-access decode of just that slab range of a blocked container
   -workers n    blocked containers: slab decodes in flight, served in order
-                (default NumCPU; each holds about 24 bytes per slab cell;
+                (default NumCPU; each holds its compressed slab and about
+                6 bytes per float32 slab cell, 10 per float64 cell;
                 local only: the daemon decodes one slab ahead)
   -digest d     read a container from the daemon's store by content address
                 (remote only, no input upload; "sz c -remote" prints the digest)

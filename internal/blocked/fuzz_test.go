@@ -30,6 +30,10 @@ func FuzzBlockedDecompress(f *testing.F) {
 		// v3 corpora: interleaved sub-streams and a shared codebook.
 		{Core: core.Params{Mode: core.BoundAbs, AbsBound: 1e-3, Streams: 4}, SlabRows: 5},
 		{Core: core.Params{Mode: core.BoundAbs, AbsBound: 1e-2, Streams: 2, OutputType: grid.Float32}, SlabRows: 6, SharedCodebook: true},
+		// A float32 container with 64-bit escapes: a's samples are not
+		// float32, and narrowing them moves them past the bound, so the
+		// streaming reader reconstructs its slabs in float64.
+		{Core: core.Params{Mode: core.BoundAbs, AbsBound: 1e-12, OutputType: grid.Float32}, SlabRows: 6},
 	} {
 		stream, _, err := Compress(a, p)
 		if err != nil {

@@ -41,19 +41,23 @@ func maxSlabStream(rawSlabBytes int) int {
 }
 
 // Writer is a streaming blocked-container writer. Raw little-endian
-// values of the configured output type arrive row-major through Write;
-// every SlabRows rows the caller's goroutine parses the filled slab and
-// starts its encode on a goroutine of its own, keeping at most Workers
-// encodes in flight, and writes the finished slab streams to the
-// destination in slab order. When the window is full, handing in slab
-// k+Workers first waits for slab k and writes it out, so a live
-// destination sees slab k once slab k+Workers has been handed in, or at
-// Close. Memory is bounded by O(workers x slab), never by the stream
-// length. A failed encode surfaces, in slab order, from the Write or
-// Close that reaches it. Close writes the remaining slabs and appends
-// the seekable footer (see the package format note); once it returns,
-// no encode is left running. An abandoned writer's encodes finish on
-// their own.
+// values of the configured output type arrive row-major through Write
+// into a slab buffer; every SlabRows rows the caller's goroutine hands
+// the filled buffer to an encode on a goroutine of its own, keeping at
+// most Workers encodes in flight, and writes the finished slab streams
+// to the destination in slab order. The encode runs the kernels on the
+// buffer's samples in place, as float32 for a float32 container, and
+// recycles it; the next Write draws a fresh one. A slab in flight holds
+// its raw samples, a reconstruction of the same width, 2-byte
+// quantization codes and its output stream. When the window is full,
+// handing in slab k+Workers first waits for slab k and writes it out, so
+// a live destination sees slab k once slab k+Workers has been handed in,
+// or at Close. Memory is bounded by O(workers x slab), never by the
+// stream length. A failed encode surfaces, in slab order, from the Write
+// or Close that reaches it. Close writes the remaining slabs and appends
+// the seekable footer (see the package format note); once it returns, no
+// encode is left running. An abandoned writer's encodes finish on their
+// own.
 type Writer struct {
 	dst  io.Writer
 	crc  hash.Hash32
@@ -83,19 +87,20 @@ type Writer struct {
 }
 
 // slabEncode is one slab's trip through the encode window: the caller's
-// goroutine fills in slab, an encode goroutine fills out, stats or err
-// and signals done once. A slot is reused only after its slab has been
-// taken off the window.
+// goroutine fills in raw or slab, an encode goroutine fills out, stats
+// or err and signals done once. A slot is reused only after its slab has
+// been taken off the window.
 type slabEncode struct {
-	slab *grid.Array
-	// pooled marks slab.Data as drawn from the scratch pool (the raw-byte
-	// Write path); the encode recycles it. Zero-copy views handed in by
-	// writeSlab must never be recycled.
-	pooled bool
-	out    []byte // scratch-pooled compressed slab stream
-	stats  *core.Stats
-	err    error
-	done   chan struct{}
+	// raw is the scratch-pooled buffer of the slab's raw samples (the
+	// Write path), which the encode recycles; otherwise slab is a
+	// zero-copy view handed in by writeSlab, never recycled.
+	raw   []byte
+	slab  *grid.Array
+	rows  int
+	out   []byte // scratch-pooled compressed slab stream
+	stats *core.Stats
+	err   error
+	done  chan struct{}
 }
 
 // NewWriter writes the container header to w and returns a streaming
@@ -377,26 +382,13 @@ func (w *Writer) Write(b []byte) (int, error) {
 	return n, nil
 }
 
-// dispatchBuf parses the accumulated slab bytes into an array and hands
-// it to the encode window, recycling the byte buffer. The slab's float64
-// backing comes from the scratch pool (every element is assigned here);
-// its encode recycles it.
+// dispatchBuf hands the filled slab buffer to the encode window, whose
+// encode reads the samples from it and recycles it; the next Write draws
+// a fresh one.
 func (w *Writer) dispatchBuf() error {
-	dims := append([]int(nil), w.dims...)
-	dims[0] = w.curSlabRows()
-	es := w.elemSize
-	data := scratch.Float64s(len(w.buf) / es)
-	if es == 4 {
-		for i := range data {
-			data[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(w.buf[i*4:])))
-		}
-	} else {
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(w.buf[i*8:]))
-		}
-	}
-	w.buf = w.buf[:0]
-	return w.dispatch(&grid.Array{Dims: dims, Data: data}, true)
+	raw := w.buf
+	w.buf = nil
+	return w.dispatch(raw, nil)
 }
 
 // writeSlab feeds a whole slab directly into the encode window, bypassing
@@ -418,40 +410,91 @@ func (w *Writer) writeSlab(slab *grid.Array) error {
 	if slab.Dims[0] != w.curSlabRows() {
 		return fmt.Errorf("blocked: slab has %d rows, want %d", slab.Dims[0], w.curSlabRows())
 	}
-	return w.dispatch(slab, false)
+	return w.dispatch(nil, slab)
 }
 
-// dispatch starts slab's encode in the window, first writing out the
-// oldest slab when the window is full.
-func (w *Writer) dispatch(slab *grid.Array, pooled bool) error {
+// dispatch starts the encode of the current slab, given as a raw buffer
+// or as an array view, in the window, first writing out the oldest slab
+// when the window is full.
+func (w *Writer) dispatch(raw []byte, slab *grid.Array) error {
 	if w.next-w.emitted == len(w.ring) {
 		if err := w.emit(); err != nil {
-			if pooled {
-				scratch.PutFloat64s(slab.Data)
-			}
+			scratch.PutBytes(raw)
 			return err
 		}
 	}
 	e := &w.ring[w.next%len(w.ring)]
-	e.slab, e.pooled = slab, pooled
+	e.raw, e.slab, e.rows = raw, slab, w.curSlabRows()
 	go w.encode(e)
 	w.next++
 	return nil
 }
 
-// encode runs on its own goroutine: it compresses e.slab into e.out,
-// recycles a pooled slab and signals e.done. It reads only Writer fields
+// encode runs on its own goroutine: it compresses the slab into e.out,
+// recycles a raw buffer and signals e.done. It reads only Writer fields
 // NewWriter set.
 func (w *Writer) encode(e *slabEncode) {
 	// Seed the output buffer at half the raw slab size — ample for
 	// typical compression factors, and append-growth (recycled too)
 	// covers incompressible slabs.
-	e.out, e.stats, e.err = core.CompressAppend(scratch.Bytes(w.slabRows * w.rowBytes / 2)[:0], e.slab, w.cp)
-	if e.pooled {
-		scratch.PutFloat64s(e.slab.Data)
+	out := scratch.Bytes(w.slabRows * w.rowBytes / 2)[:0]
+	switch {
+	case e.raw == nil:
+		e.out, e.stats, e.err = core.CompressAppend(out, e.slab, w.cp)
+	case w.elemSize == 4:
+		e.out, e.stats, e.err = compressRaw[float32](out, e.raw, w.slabDims(e.rows), w.cp)
+	default:
+		e.out, e.stats, e.err = compressRaw[float64](out, e.raw, w.slabDims(e.rows), w.cp)
 	}
-	e.slab = nil
+	scratch.PutBytes(e.raw)
+	e.raw, e.slab = nil, nil
 	e.done <- struct{}{}
+}
+
+// slabDims returns the dims of a slab of the given row count.
+func (w *Writer) slabDims(rows int) []int {
+	dims := append([]int(nil), w.dims...)
+	dims[0] = rows
+	return dims
+}
+
+// rawViews lets the writer and reader run the kernels on a slab's raw
+// bytes in place; tests turn it off to drive the copying path that a
+// big-endian host or an unaligned buffer takes.
+var rawViews = true
+
+// view returns raw's little-endian samples as a []F sharing its storage
+// (scratch.View), or false when the caller must convert them.
+func view[F grid.Sample](raw []byte) ([]F, bool) {
+	if !rawViews {
+		return nil, false
+	}
+	return scratch.View[F](raw)
+}
+
+// compressRaw compresses a slab given as raw little-endian samples,
+// viewed in place as []F, or else converted into a pooled copy.
+func compressRaw[F grid.Sample](dst, raw []byte, dims []int, p core.Params) ([]byte, *core.Stats, error) {
+	data, ok := view[F](raw)
+	if !ok {
+		cells := 1
+		for _, d := range dims {
+			cells *= d
+		}
+		data = scratch.Floats[F](cells)
+		defer scratch.PutFloats(data)
+		switch d := any(data).(type) {
+		case []float32:
+			for i := range d {
+				d[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
+			}
+		case []float64:
+			for i := range d {
+				d[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+			}
+		}
+	}
+	return core.CompressSamples(dst, data, dims, p)
 }
 
 // emit waits for the oldest slab in the window and writes its stream to
@@ -564,8 +607,13 @@ func (w *Writer) Stats() *Stats { return w.stats }
 // stream is self-delimiting) and starts a decode goroutine for each,
 // keeping at most Workers decodes in flight; Read serves their
 // reconstructions in slab order as raw little-endian bytes of the
-// container's element type. Peak memory is O(workers x slab), not
-// O(stream): the decode window plus the slab being served. Read keeps
+// container's element type. A decode reconstructs its slab straight into
+// the slab's raw output buffer, viewed as the container's element type.
+// Peak memory is O(workers x slab), not O(stream): the decode window
+// plus the slab being served. Each window slot keeps its output buffer
+// from slab to slab, swapping it for the one just served, so the window
+// holds Workers+1 of them however many Ps its decodes run on; the pools
+// see them again once the reader ends. Read keeps
 // the window full, so on a live source (a pipe fed as a simulation
 // runs) slab k is served only once slab k+workers, or the last slab if
 // that comes sooner, has arrived. A failure reading or decoding slab k
@@ -591,7 +639,7 @@ type Reader struct {
 	served  int   // slabs taken off the window by Read
 	readErr error // failure reading slab next; surfaces once the window drains
 
-	cur     []byte // scratch-pooled raw bytes of the slab being served
+	cur     []byte // raw bytes of the slab being served, a slot's buffer until then
 	curOff  int
 	lengths []int
 	hashed  int // bytes consumed and folded into the CRC so far
@@ -605,19 +653,21 @@ type Reader struct {
 // err ends the reader, so a failed slot is never reused.
 type slabDecode struct {
 	in   []byte // scratch-pooled compressed slab; the decoder recycles it
-	out  []byte // scratch-pooled raw output bytes
+	out  []byte // the slot's raw output buffer, scratch-pooled
 	err  error
 	done chan struct{}
 }
 
 // NewReader parses the container header from r and prepares streaming
 // decompression with p.Workers slab decodes in flight (0 = NumCPU); only
-// p.Workers is consulted. Each decode holds about 24 bytes per slab cell
-// (float64 reconstruction, quantization codes, output), so a window
-// costs memory in proportion to p.Workers, and on a live source the
-// consumer trails the producer by p.Workers slabs (see Reader). The
-// element type is read from the first slab's header without consuming
-// it, so DType is valid immediately.
+// p.Workers is consulted. Each decode holds its compressed slab, 2 bytes
+// of quantization codes per slab cell and the slab's raw output, which
+// the reconstruction is written into: about 6 bytes per float32 cell
+// beside the compressed stream (10 per float64 cell). So a window costs
+// memory in proportion to p.Workers, and on a live source the consumer
+// trails the producer by p.Workers slabs (see Reader). The element type
+// is read from the first slab's header without consuming it, so DType is
+// valid immediately.
 func NewReader(r io.Reader, p Params) (*Reader, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok || br.Size() < core.MaxHeaderLen {
@@ -735,8 +785,6 @@ func (r *Reader) Read(p []byte) (int, error) {
 		return 0, r.err
 	}
 	for r.curOff == len(r.cur) {
-		scratch.PutBytes(r.cur)
-		r.cur, r.curOff = nil, 0
 		if err := r.nextSlab(); err != nil {
 			r.err = err
 			r.drain()
@@ -749,8 +797,10 @@ func (r *Reader) Read(p []byte) (int, error) {
 }
 
 // nextSlab makes the oldest slab in the window current, topping the
-// window up around the wait. At the end of the body it returns the
-// deferred read failure, or verifies the footer and returns io.EOF.
+// window up around the wait, and hands the slab just served to its slot
+// as the buffer of the slot's next decode. At the end of the body it
+// returns the deferred read failure, or verifies the footer and returns
+// io.EOF.
 func (r *Reader) nextSlab() error {
 	r.fill()
 	if r.served == r.next {
@@ -768,7 +818,7 @@ func (r *Reader) nextSlab() error {
 	if d.err != nil {
 		return d.err
 	}
-	r.cur, d.out = d.out, nil
+	r.cur, d.out, r.curOff = d.out, r.cur, 0
 	r.fill()
 	return nil
 }
@@ -827,44 +877,73 @@ func (r *Reader) slabLen(i int) int {
 }
 
 // decode runs on its own goroutine: it decompresses slab i from d.in
-// (whose header readSlab checked), serializes it into d.out and signals
-// d.done. It reads only Reader fields NewReader set, and Close releases
-// the shared codebook only after every decode has signalled.
+// (whose header readSlab checked) into d.out, drawing the slot's buffer
+// on its first slab, and signals d.done. It reads only Reader fields
+// NewReader set, and Close releases the shared codebook only after every
+// decode has signalled.
 func (r *Reader) decode(d *slabDecode, i int) {
-	recon := scratch.Float64s(r.slabLen(i) * r.rowElems)
-	slab, _, err := core.DecompressIntoShared(d.in, recon, r.cb)
+	esz, cells := r.dtype.Size(), r.slabLen(i)*r.rowElems
+	if d.out == nil {
+		d.out = scratch.Bytes(r.slabRows * r.rowElems * esz)
+	}
+	d.out = d.out[:cells*esz]
+	var err error
+	if r.dtype == grid.Float32 {
+		err = decompressRaw[float32](d.out, d.in, cells, r.cb)
+	} else {
+		err = decompressRaw[float64](d.out, d.in, cells, r.cb)
+	}
 	scratch.PutBytes(d.in)
 	d.in = nil
 	if err != nil {
 		d.err = fmt.Errorf("blocked: slab %d: %w", i, err)
-	} else {
-		// Byte-identical to grid.Array.WriteRaw (same IEEE conversions
-		// in the same order), without the intermediate bytes.Buffer.
-		out := scratch.Bytes(len(slab.Data) * r.dtype.Size())
-		if r.dtype == grid.Float32 {
-			for k, v := range slab.Data {
-				binary.LittleEndian.PutUint32(out[k*4:], math.Float32bits(float32(v)))
-			}
-		} else {
-			for k, v := range slab.Data {
-				binary.LittleEndian.PutUint64(out[k*8:], math.Float64bits(v))
-			}
-		}
-		d.out = out
 	}
-	scratch.PutFloat64s(recon)
 	d.done <- struct{}{}
 }
 
-// drain waits for every decode still in the window and recycles its
-// output, so no decode goroutine outlives it.
+// decompressRaw reconstructs a slab stream into out as raw little-endian
+// samples: in place through a view, or else through a pooled []F whose
+// bytes it then writes out (byte-identical to grid.Array.WriteRaw of the
+// stream's float64 reconstruction: core.DecompressSamples narrows as
+// WriteRaw does). readSlab checked that the stream's dims fill out
+// exactly, so the reconstruction lands in the view.
+func decompressRaw[F grid.Sample](out, in []byte, cells int, cb *huffman.Codebook) error {
+	dst, ok := view[F](out)
+	if !ok {
+		dst = scratch.Floats[F](cells)
+		defer scratch.PutFloats(dst)
+	}
+	if _, _, err := core.DecompressSamples(in, dst, cb); err != nil {
+		return err
+	}
+	if !ok {
+		switch d := any(dst).(type) {
+		case []float32:
+			for k, v := range d {
+				binary.LittleEndian.PutUint32(out[k*4:], math.Float32bits(v))
+			}
+		case []float64:
+			for k, v := range d {
+				binary.LittleEndian.PutUint64(out[k*8:], math.Float64bits(v))
+			}
+		}
+	}
+	return nil
+}
+
+// drain waits for every decode still in the window, then recycles the
+// window's buffers, so no decode goroutine outlives it. The reader
+// serves nothing after it.
 func (r *Reader) drain() {
 	for ; r.served < r.next; r.served++ {
-		d := &r.ring[r.served%len(r.ring)]
-		<-d.done
-		scratch.PutBytes(d.out)
-		d.out = nil
+		<-r.ring[r.served%len(r.ring)].done
 	}
+	for i := range r.ring {
+		scratch.PutBytes(r.ring[i].out)
+		r.ring[i].out = nil
+	}
+	scratch.PutBytes(r.cur)
+	r.cur, r.curOff = nil, 0
 }
 
 // Close waits for the decodes in flight, then returns the reader's
@@ -878,8 +957,6 @@ func (r *Reader) Close() error {
 	}
 	r.closed = true
 	r.drain()
-	scratch.PutBytes(r.cur)
-	r.cur, r.curOff = nil, 0
 	if r.cb != nil {
 		r.cb.Release()
 		r.cb = nil

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -36,7 +38,8 @@ func rawBytes(t *testing.T, a *grid.Array, dt grid.DType) []byte {
 
 // TestWriterMatchesCompress: the streaming writer fed raw bytes in
 // awkward chunk sizes must produce byte-identical containers to the
-// one-shot Compress path.
+// one-shot Compress path, viewing the raw slab bytes in place or
+// converting them.
 func TestWriterMatchesCompress(t *testing.T) {
 	for _, dt := range []grid.DType{grid.Float32, grid.Float64} {
 		a := datagen.Hurricane(26, 21, 17, 4)
@@ -47,38 +50,43 @@ func TestWriterMatchesCompress(t *testing.T) {
 		}
 
 		raw := rawBytes(t, a, dt)
-		var got bytes.Buffer
-		w, err := NewWriter(&got, a.Dims, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Deliberately misaligned chunks (prime size) so slab and
-		// element boundaries never line up with Write calls.
-		for off := 0; off < len(raw); off += 1009 {
-			end := off + 1009
-			if end > len(raw) {
-				end = len(raw)
-			}
-			if _, err := w.Write(raw[off:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("dtype %v: streamed container (%d bytes) differs from one-shot (%d bytes)",
-				dt, got.Len(), len(want))
-		}
-		st := w.Stats()
-		if st == nil || st.Slabs != (26+6)/7 || st.N != a.Len() {
-			t.Fatalf("bad writer stats: %+v", st)
+		for _, views := range []bool{true, false} {
+			withViews(views, func() {
+				var got bytes.Buffer
+				w, err := NewWriter(&got, a.Dims, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Deliberately misaligned chunks (prime size) so slab and
+				// element boundaries never line up with Write calls.
+				for off := 0; off < len(raw); off += 1009 {
+					end := off + 1009
+					if end > len(raw) {
+						end = len(raw)
+					}
+					if _, err := w.Write(raw[off:end]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("dtype %v views=%v: streamed container (%d bytes) differs from one-shot (%d bytes)",
+						dt, views, got.Len(), len(want))
+				}
+				st := w.Stats()
+				if st == nil || st.Slabs != (26+6)/7 || st.N != a.Len() {
+					t.Fatalf("bad writer stats: %+v", st)
+				}
+			})
 		}
 	}
 }
 
 // TestReaderMatchesDecompress: streaming reconstruction must be
-// bit-identical to the in-memory parallel path.
+// bit-identical to the in-memory parallel path, whether the reader
+// reconstructs in its raw output buffers or converts into them.
 func TestReaderMatchesDecompress(t *testing.T) {
 	for _, dt := range []grid.DType{grid.Float32, grid.Float64} {
 		a := datagen.ATM(45, 64, 9)
@@ -91,27 +99,236 @@ func TestReaderMatchesDecompress(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		r, err := NewReader(bytes.NewReader(stream), Params{})
-		if err != nil {
-			t.Fatal(err)
+		for _, views := range []bool{true, false} {
+			withViews(views, func() {
+				r, err := NewReader(bytes.NewReader(stream), Params{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.DType() != dt {
+					t.Fatalf("reader dtype %v, want %v", r.DType(), dt)
+				}
+				if r.NumSlabs() != (45+7)/8 || r.SlabRows() != 8 {
+					t.Fatalf("reader geometry: %d slabs x %d rows", r.NumSlabs(), r.SlabRows())
+				}
+				got, err := io.ReadAll(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, rawBytes(t, want, dt)) {
+					t.Fatalf("dtype %v views=%v: streamed reconstruction differs from Decompress", dt, views)
+				}
+				gd := r.Dims()
+				if len(gd) != 2 || gd[0] != 45 || gd[1] != 64 {
+					t.Fatalf("reader dims %v", gd)
+				}
+			})
 		}
-		if r.DType() != dt {
-			t.Fatalf("reader dtype %v, want %v", r.DType(), dt)
+	}
+}
+
+// f32Field returns n float32 samples as raw bits: a smooth field, with
+// every kind of value a float32 source can hold sprinkled through it
+// when specials is set.
+func f32Field(n int, specials bool) []uint32 {
+	specialBits := []uint32{
+		0x7fc00000, 0xffc00123, 0x7fc0beef, // quiet NaNs, with payloads
+		0x7f800001, 0xffa00000, 0x7fbfffff, // signalling NaNs, with payloads
+		0x7f800000, 0xff800000, // ±Inf
+		0x00000001, 0x807fffff, 0x00400000, // subnormals
+		0x80000000, // −0
+	}
+	bits := make([]uint32, n)
+	for i := range bits {
+		bits[i] = math.Float32bits(float32(math.Sin(float64(i)*0.05) * 10))
+		if specials && i%7 == 3 {
+			bits[i] = specialBits[(i/7)%len(specialBits)]
 		}
-		if r.NumSlabs() != (45+7)/8 || r.SlabRows() != 8 {
-			t.Fatalf("reader geometry: %d slabs x %d rows", r.NumSlabs(), r.SlabRows())
+	}
+	return bits
+}
+
+// rawPathCase is a float32 field as the writer receives it (raw) and as
+// the grid.Array API holds it (a, each sample widened).
+type rawPathCase struct {
+	name     string
+	dims     []int
+	slabRows int
+	core     core.Params
+	raw      []byte
+	a        *grid.Array
+}
+
+func newRawPathCase(name string, dims []int, slabRows int, cp core.Params, bits []uint32) rawPathCase {
+	a := grid.New(dims...)
+	raw := make([]byte, 4*len(bits))
+	for i, b := range bits {
+		binary.LittleEndian.PutUint32(raw[4*i:], b)
+		a.Data[i] = float64(math.Float32frombits(b))
+	}
+	cp.Mode, cp.OutputType = core.BoundAbs, grid.Float32
+	return rawPathCase{name, dims, slabRows, cp, raw, a}
+}
+
+// rawPathCases is the adversarial table the writer's and reader's raw
+// float32 path is held to: non-finite, subnormal and signed-zero
+// samples, a field in which every point escapes, ragged last slabs, the
+// 1D, 2D and 3D kernels at Layers 1 and 2, and m = 2 and m = 16.
+func rawPathCases() []rawPathCase {
+	noise := make([]uint32, 13*11*9)
+	rng := rand.New(rand.NewSource(26))
+	for i := range noise {
+		noise[i] = math.Float32bits(rng.Float32())
+	}
+	// m = 16: the second sample sits 32767 intervals above the first, so
+	// it takes the largest code, 65535.
+	const eb16 = 1.0 / 1024
+	top := f32Field(1001, false)
+	top[0], top[1] = 0, math.Float32bits(32767*2*eb16)
+	var cases []rawPathCase
+	for _, l := range []int{1, 2} {
+		cp := core.Params{AbsBound: 1e-3, Layers: l}
+		cases = append(cases,
+			newRawPathCase(fmt.Sprintf("1D-L%d", l), []int{1001}, 250, cp, f32Field(1001, true)),
+			newRawPathCase(fmt.Sprintf("2D-L%d", l), []int{37, 29}, 8, cp, f32Field(37*29, true)),
+			newRawPathCase(fmt.Sprintf("3D-L%d", l), []int{13, 11, 9}, 4, cp, f32Field(13*11*9, true)))
+	}
+	return append(cases,
+		newRawPathCase("all-escape", []int{13, 11, 9}, 4, core.Params{AbsBound: 1e-9}, noise),
+		newRawPathCase("m=2", []int{13, 11, 9}, 4, core.Params{AbsBound: 1e-3, IntervalBits: 2}, f32Field(13*11*9, true)),
+		newRawPathCase("m=16", []int{1001}, 250, core.Params{AbsBound: eb16, IntervalBits: 16}, top))
+}
+
+// withViews runs f with the writer and reader viewing raw slab bytes in
+// place (views true) or converting them, as on a big-endian host.
+func withViews(views bool, f func()) {
+	defer func(old bool) { rawViews = old }(rawViews)
+	rawViews = views
+	f()
+}
+
+// TestRawPathMatchesArrayPath: the writer, which runs the kernels on a
+// float32 slab's raw bytes, writes Compress's container for the widened
+// field, and the reader, which reconstructs a float32 slab in its raw
+// output buffer, serves the narrowing of Decompress's reconstruction,
+// both byte for byte, with 1 and 4 sub-streams, on the adversarial
+// table, viewing the bytes in place or converting them.
+func TestRawPathMatchesArrayPath(t *testing.T) {
+	for _, tc := range rawPathCases() {
+		if tc.name == "m=16" {
+			_, st, err := core.Compress(tc.a, tc.core)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Histogram[1<<16-1] == 0 {
+				t.Fatal("m=16: code 65535 unused")
+			}
 		}
-		got, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatal(err)
+		for _, streams := range []int{1, 4} {
+			p := Params{Core: tc.core, SlabRows: tc.slabRows, Workers: 3}
+			p.Core.Streams = streams
+			want, _, err := Compress(tc.a, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := Decompress(want, Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRaw := rawBytes(t, dec, grid.Float32)
+			for _, views := range []bool{true, false} {
+				name := fmt.Sprintf("%s/streams=%d/views=%v", tc.name, streams, views)
+				withViews(views, func() {
+					var got bytes.Buffer
+					w, err := NewWriter(&got, tc.dims, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for off := 0; off < len(tc.raw); off += 1009 {
+						if _, err := w.Write(tc.raw[off:min(off+1009, len(tc.raw))]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := w.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got.Bytes(), want) {
+						t.Errorf("%s: writer's container differs from Compress's", name)
+					}
+					for _, workers := range []int{1, 3} {
+						r, err := NewReader(bytes.NewReader(want), Params{Workers: workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						gotRaw, err := io.ReadAll(r)
+						r.Close()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(gotRaw, wantRaw) {
+							t.Errorf("%s/workers=%d: reader's output differs from Decompress's", name, workers)
+						}
+					}
+				})
+			}
 		}
-		if !bytes.Equal(got, rawBytes(t, want, dt)) {
-			t.Fatalf("dtype %v: streamed reconstruction differs from Decompress", dt)
+	}
+}
+
+// TestReaderFloat64LabelledFloat32: a float64 field labelled float32
+// (through the grid.Array API) whose escapes narrowing would move past
+// the bound is stored with 64-bit escapes; the reader reconstructs its
+// slabs in float64 and narrows, serving Decompress's output byte for
+// byte, where a float32 reconstruction would predict the coded points
+// from narrowed escapes.
+func TestReaderFloat64LabelledFloat32(t *testing.T) {
+	// Even rows hold values near 1 that narrowing moves by more than the
+	// bound, so they escape with 64 bits; odd rows hold one float32
+	// value, coded against predictions that sum those escapes' exact
+	// values.
+	a := grid.New(45, 64)
+	for i := range a.Data {
+		if (i/64)%2 == 0 {
+			a.Data[i] = 1 + float64(i%64%7)*1e-8
+		} else {
+			a.Data[i] = float64(float32(1e-3))
 		}
-		gd := r.Dims()
-		if len(gd) != 2 || gd[0] != 45 || gd[1] != 64 {
-			t.Fatalf("reader dims %v", gd)
+	}
+	p := absParams(8, grid.Float32)
+	p.Core.AbsBound = 1e-9
+	stream, _, err := Compress(a, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := Decompress(stream, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := 0
+	for _, v := range dec.Data {
+		if float64(float32(v)) != v {
+			wide++
 		}
+	}
+	if wide == 0 {
+		t.Fatal("no reconstruction needs float64")
+	}
+	want := rawBytes(t, dec, grid.Float32)
+	for _, views := range []bool{true, false} {
+		withViews(views, func() {
+			r, err := NewReader(bytes.NewReader(stream), Params{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(r)
+			r.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("views=%v: reader's output differs from Decompress's", views)
+			}
+		})
 	}
 }
 
@@ -230,9 +447,16 @@ func TestReaderIsIncremental(t *testing.T) {
 // keep live heap O(workers x slab), far below the array size, while the
 // in-memory path would hold the whole reconstruction. The window is
 // pinned at two decodes rather than left at NumCPU, so the bound holds
-// on any host: a decode in flight holds about three slabs' worth of raw
-// bytes (reconstruction, quantization codes, output), and the raw/4
-// limit is eight slabs.
+// on any host: the reader holds three slab output buffers (one per
+// window slot and the slab being served), which the reconstructions are
+// written into, and each decode its quantization codes (a quarter slab
+// here) and compressed slab, against a raw/4 limit of eight slabs. At
+// NumCPU workers the window alone outgrows the limit on an 8-core host.
+// The slots keep their buffers from slab to slab, so the bound also
+// holds at any GOMAXPROCS: pooled, a buffer recycled on one P and asked
+// for on another is allocated again. CI runs the test at 4 and 8 Ps,
+// where it read up to 3.8 MB while each decode drew its output and a
+// float64 reconstruction from the pools.
 func TestReaderMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -252,7 +476,11 @@ func TestReaderMemoryBounded(t *testing.T) {
 	}
 	a = nil // only the compressed container stays live
 
-	runtime.GC()
+	// sync.Pool keeps what Compress recycled across one collection, so
+	// the baseline waits for three.
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
 	var base runtime.MemStats
 	runtime.ReadMemStats(&base)
 
@@ -285,6 +513,7 @@ func TestReaderMemoryBounded(t *testing.T) {
 		t.Fatalf("read %d raw bytes, want %d", read, rawBytesTotal)
 	}
 	limit := uint64(rawBytesTotal / 4)
+	t.Logf("peak %d live bytes against %d at GOMAXPROCS %d", peak, limit, runtime.GOMAXPROCS(0))
 	if peak > limit {
 		t.Fatalf("streaming decompression held %d live bytes, want < %d (raw size %d)",
 			peak, limit, rawBytesTotal)

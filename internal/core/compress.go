@@ -35,10 +35,23 @@ func CompressAppend(dst []byte, a *grid.Array, p Params) ([]byte, *Stats, error)
 	return compress(dst, a, p, true)
 }
 
+// CompressSamples is CompressAppend over the row-major samples of an
+// array with the given dims, held as float32 or float64: the kernels run
+// on data as it is (see kernels.go), with no widened copy. Float32
+// samples need p.OutputType grid.Float32, and then write the same bytes
+// as their float64 widening does. data is only read.
+func CompressSamples[F grid.Sample](dst []byte, data []F, dims []int, p Params) ([]byte, *Stats, error) {
+	return compressSamples(dst, data, dims, p, true)
+}
+
 // compress is the implementation behind Compress; kernels=false forces the
 // generic reference scan (used by the equivalence tests and benchmarks).
 func compress(dst []byte, a *grid.Array, p Params, kernels bool) ([]byte, *Stats, error) {
-	s, err := analyze(a, p, kernels)
+	return compressSamples(dst, a.Data, a.Dims, p, kernels)
+}
+
+func compressSamples[F grid.Sample](dst []byte, data []F, dims []int, p Params, kernels bool) ([]byte, *Stats, error) {
+	s, err := analyze(data, dims, p, kernels)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -57,7 +70,7 @@ type Scan struct {
 	eb          float64
 	n           int
 	numOutliers int
-	codes       []int
+	codes       []uint16
 	hist        []uint64
 	outW        *bitstream.Writer
 }
@@ -66,18 +79,28 @@ type Scan struct {
 // products (quantization codes, code histogram, outlier side stream)
 // without entropy-encoding them. Follow with EncodeAppend, then Release.
 func Analyze(a *grid.Array, p Params) (*Scan, error) {
-	return analyze(a, p, true)
+	return analyze(a.Data, a.Dims, p, true)
 }
 
-func analyze(a *grid.Array, p Params, kernels bool) (*Scan, error) {
+func analyze[F grid.Sample](data []F, dims []int, p Params, kernels bool) (*Scan, error) {
 	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if sampleType[F]() == grid.Float32 && p.OutputType != grid.Float32 {
+		return nil, fmt.Errorf("core: float32 samples need OutputType %v, not %v", grid.Float32, p.OutputType)
+	}
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	if len(dims) < 1 || len(dims) > grid.MaxDims || n != len(data) {
+		return nil, fmt.Errorf("core: %d samples do not fill dims %v", len(data), dims)
+	}
 	var valueRange float64
 	if p.Mode != BoundAbs {
 		// Only the relative modes consult the value range.
-		_, _, valueRange = a.Range()
+		_, _, valueRange = grid.RangeOf(data)
 	}
 	eb, err := p.EffectiveBound(valueRange)
 	if err != nil {
@@ -87,35 +110,34 @@ func analyze(a *grid.Array, p Params, kernels bool) (*Scan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, err := predictor.New(a.Dims, p.Layers)
+	pred, err := predictor.New(dims, p.Layers)
 	if err != nil {
 		return nil, err
 	}
 
-	n := a.Len()
-	codes := scratch.Ints(n)     // every entry assigned by the scan
-	recon := scratch.Float64s(n) // every entry assigned by the scan
+	codes := scratch.Uint16s(n)   // every entry assigned by the scan
+	recon := scratch.Floats[F](n) // every entry assigned by the scan
 	hist := scratch.Uint64sZeroed(q.NumCodes())
 	// marks flags each 64-code block holding an escape, so writeOutliers
 	// visits only those; the scan's escape path sets it.
 	var markArr escapeMarks
 	marks, pooled := markArr.get(n)
 	defer scratch.PutUint64s(pooled)
-	scan := &compressState{
+	scan := &compressState[F]{
 		qparams: newQParams(q, p.OutputType),
-		data:    a.Data,
+		data:    data,
 		recon:   recon,
 		codes:   codes,
 		hist:    hist,
 		enc:     binrep.NewEncoder(nil, eb),
 		marks:   marks,
 	}
-	scan.scan(a.Dims, p.Layers, pred, kernels)
+	scan.scan(dims, p.Layers, pred, kernels)
 	// The reconstruction is dead once the scan finishes (only the codes
 	// and outliers reach the stream), so it recycles before the outlier
 	// bits are written rather than living as long as the Scan — two-pass
 	// encodes hold one Scan per slab concurrently.
-	scratch.PutFloat64s(recon)
+	scratch.PutFloats(recon)
 	scan.recon = nil
 
 	// Outlier values are serialized after the Huffman-coded symbols, so
@@ -128,7 +150,7 @@ func analyze(a *grid.Array, p Params, kernels bool) (*Scan, error) {
 	scan.writeOutliers(outW)
 	return &Scan{
 		p:           p,
-		dims:        a.Dims,
+		dims:        dims,
 		eb:          eb,
 		n:           n,
 		numOutliers: numOutliers,
@@ -146,7 +168,7 @@ func (s *Scan) Hist() []uint64 { return s.hist }
 // Release hands the Scan's working memory back to the scratch pools.
 // The Scan must not be used afterwards.
 func (s *Scan) Release() {
-	scratch.PutInts(s.codes)
+	scratch.PutUint16s(s.codes)
 	scratch.PutUint64s(s.hist)
 	scratch.PutBytes(s.outW.Bytes())
 	*s = Scan{}

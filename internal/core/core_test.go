@@ -484,7 +484,7 @@ func TestAlphabetBoundVersion1(t *testing.T) {
 	defer s.Release()
 	// frame codes under a codebook built from freqs, with the scan's
 	// outliers, as a Version-1 stream.
-	frame := func(freqs []uint64, codes []int) []byte {
+	frame := func(freqs []uint64, codes []uint16) []byte {
 		cb, err := huffman.New(freqs)
 		if err != nil {
 			t.Fatal(err)
@@ -506,14 +506,14 @@ func TestAlphabetBoundVersion1(t *testing.T) {
 	}
 	numCodes := 1 << s.p.IntervalBits
 	wide := append(append([]uint64(nil), s.hist...), 1) // symbol 2^m gets a code
-	used := append([]int(nil), s.codes...)
+	used := append([]uint16(nil), s.codes...)
 	for i, c := range used {
 		if c != quant.UnpredictableCode {
-			used[i] = numCodes
+			used[i] = uint16(numCodes)
 			break
 		}
 	}
-	for name, codes := range map[string][]int{"unused": s.codes, "used": used} {
+	for name, codes := range map[string][]uint16{"unused": s.codes, "used": used} {
 		if _, _, err := Decompress(frame(wide, codes)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s symbol %d: err = %v, want ErrCorrupt", name, numCodes, err)
 		}

@@ -52,13 +52,38 @@ func DecompressIntoShared(stream []byte, data []float64, cb *huffman.Codebook) (
 	return decompress(stream, true, data, cb)
 }
 
+// DecompressSamples is DecompressIntoShared reconstructing into samples
+// held as float32 or float64: into dst when it holds at least the
+// stream's element count (the result is then dst's prefix), else into a
+// fresh slice. A float32 dst runs the scan on it directly when the stream
+// is float32 and every outlier is float32-exact, and holds exactly the
+// narrowing of what DecompressIntoShared reconstructs either way: a
+// float64 stream, or a 64-bit escape that narrowing would change (a
+// float64 field labelled float32), is reconstructed in float64 and then
+// narrowed.
+func DecompressSamples[F grid.Sample](stream []byte, dst []F, cb *huffman.Codebook) ([]F, *Header, error) {
+	return decompressSamples(stream, true, dst, cb)
+}
+
 // ErrNeedsCodebook is returned when a shared-codebook stream is decoded
 // without the container-level codebook it depends on.
 var ErrNeedsCodebook = errors.New("core: stream requires its container's shared codebook (use DecompressIntoShared)")
 
+// errInexact is readOutliers' report that an outlier does not fit the
+// reconstruction's sample type.
+var errInexact = errors.New("core: outlier not exact in the sample type")
+
 // decompress is the implementation behind Decompress; kernels=false forces
 // the generic reference scan.
 func decompress(stream []byte, kernels bool, data []float64, ext *huffman.Codebook) (*grid.Array, *Header, error) {
+	out, h, err := decompressSamples(stream, kernels, data, ext)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &grid.Array{Dims: append([]int(nil), h.Dims...), Data: out}, h, nil
+}
+
+func decompressSamples[F grid.Sample](stream []byte, kernels bool, dst []F, ext *huffman.Codebook) ([]F, *Header, error) {
 	h, off, err := parseHeader(stream)
 	if err != nil {
 		return nil, nil, err
@@ -110,8 +135,8 @@ func decompress(stream []byte, kernels bool, data []float64, ext *huffman.Codebo
 		return nil, nil, fmt.Errorf("%w: code %d out of range [0,%d)", ErrCorrupt, m, q.NumCodes())
 	}
 	n := h.N()
-	codes := scratch.Ints(n) // the decode assigns every entry
-	defer scratch.PutInts(codes)
+	codes := scratch.Uint16s(n) // the decode assigns every entry
+	defer scratch.PutUint16s(codes)
 	// marks flags each 64-code block holding an escape, so readOutliers
 	// visits only those; the decode sets it.
 	var markArr escapeMarks
@@ -153,32 +178,52 @@ func decompress(stream []byte, kernels bool, data []float64, ext *huffman.Codebo
 		return nil, nil, fmt.Errorf("%w: codes: %v", ErrCorrupt, err)
 	}
 
-	var out *grid.Array
-	if len(data) >= n {
+	if len(dst) >= n {
 		// The scan assigns every element of the prefix, so the caller's
 		// buffer contents do not matter.
-		out = &grid.Array{Dims: append([]int(nil), h.Dims...), Data: data[:n]}
+		dst = dst[:n]
 	} else {
-		out = grid.New(h.Dims...)
+		dst = make([]F, n)
 	}
-	if err := readOutliers(r, codes, marks, out.Data, h.DType, h.NumOutliers); err != nil {
+	qp := newQParams(q, h.DType)
+	outliers := r.Pos()
+	// A float32 dst holds the reconstruction only of a float32 stream
+	// whose outliers narrowing keeps (readOutliers says errInexact of any
+	// other); otherwise the scan runs in float64 and dst gets its
+	// narrowing.
+	err = errInexact
+	if h.DType == grid.Float32 || sampleType[F]() == grid.Float64 {
+		err = readOutliers(r, codes, marks, dst, h.DType, h.NumOutliers)
+	}
+	if err == errInexact {
+		r.SetPos(outliers)
+		wide := scratch.Floats[float64](n)
+		defer scratch.PutFloats(wide)
+		if err := readOutliers(r, codes, marks, wide, h.DType, h.NumOutliers); err != nil {
+			return nil, nil, err
+		}
+		scan := &decompressState[float64]{qparams: qp, recon: wide, codes: codes}
+		scan.scan(h.Dims, h.Layers, pred, kernels)
+		for i, v := range wide {
+			dst[i] = F(v)
+		}
+		return dst, h, nil
+	}
+	if err != nil {
 		return nil, nil, err
 	}
-	scan := &decompressState{
-		qparams: newQParams(q, h.DType),
-		recon:   out.Data,
-		codes:   codes,
-	}
+	scan := &decompressState[F]{qparams: qp, recon: dst, codes: codes}
 	scan.scan(h.Dims, h.Layers, pred, kernels)
-	return out, h, nil
+	return dst, h, nil
 }
 
 // readOutliers decodes every escape's value from r, in code order, into
 // recon ahead of the reconstruction scan, which leaves escapes alone. It
 // visits only the 64-code blocks the Huffman decode marked as holding an
 // escape (huffman.MarkBlock), and stops at the first outlier that fails
-// to decode.
-func readOutliers(r *bitstream.Reader, codes []int, marks []uint64, recon []float64, t grid.DType, want int) error {
+// to decode, or with errInexact at the first that F cannot hold exactly
+// (only a 64-bit escape, in a float32 recon).
+func readOutliers[F grid.Sample](r *bitstream.Reader, codes []uint16, marks []uint64, recon []F, t grid.DType, want int) error {
 	dec := binrep.NewDecoder(r)
 	got := 0
 	err := forEachMarkedBlock(marks, len(codes), func(lo, hi int) error {
@@ -190,7 +235,11 @@ func readOutliers(r *bitstream.Reader, codes []int, marks []uint64, recon []floa
 			if err != nil {
 				return fmt.Errorf("%w: outlier %d: %v", ErrCorrupt, got, err)
 			}
-			recon[idx] = v
+			f := F(v)
+			if math.Float64bits(float64(f)) != math.Float64bits(v) {
+				return errInexact
+			}
+			recon[idx] = f
 			got++
 		}
 		return nil

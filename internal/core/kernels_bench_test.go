@@ -14,6 +14,8 @@ import (
 // on the same geometry, for both compression and decompression. The
 // "generic" variants force the reference path, so the ratio is the kernel
 // speedup in isolation (Huffman coding and stream assembly included).
+// "kernel" runs the float64 shape on the widened samples, "kernel32" the
+// float32 shape on the samples themselves (every case is float32 data).
 func BenchmarkCoreKernels(b *testing.B) {
 	type benchCase struct {
 		name string
@@ -63,6 +65,25 @@ func BenchmarkCoreKernels(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// The float32 shape, as the blocked writer and reader run it on
+		// a float32 field's raw slab bytes.
+		data32, out32 := a.Float32s(), make([]float32, a.Len())
+		b.Run(fmt.Sprintf("compress/%s/kernel32", tc.name), func(b *testing.B) {
+			b.SetBytes(int64(a.Len() * 4))
+			for i := 0; i < b.N; i++ {
+				if _, _, err := CompressSamples(nil, data32, a.Dims, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("decompress/%s/kernel32", tc.name), func(b *testing.B) {
+			b.SetBytes(int64(a.Len() * 4))
+			for i := 0; i < b.N; i++ {
+				if _, _, err := DecompressSamples(stream, out32, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		for _, variant := range []struct {
 			name    string
 			kernels bool

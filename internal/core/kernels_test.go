@@ -116,6 +116,113 @@ func checkEquivalence(t *testing.T, a *grid.Array, p Params, dims []int, layers 
 				dims, layers, i, math.Abs(x-fastOut.Data[i]), fastH.AbsBound)
 		}
 	}
+	if p.OutputType == grid.Float32 {
+		checkFloat32Shape(t, a, p, fast, fastOut)
+	}
+}
+
+// checkFloat32Shape runs the float32 shape of the kernels and of the
+// generic scan on a's narrowing, which for a float32 source holds the
+// same values: both must write stream, the float64 shape's bytes, and
+// reconstruct, bit for bit, the narrowing of out, its reconstruction.
+func checkFloat32Shape(t *testing.T, a *grid.Array, p Params, stream []byte, out *grid.Array) {
+	t.Helper()
+	data, want := a.Float32s(), out.Float32s()
+	for _, kernels := range []bool{true, false} {
+		got, _, err := compressSamples(nil, data, a.Dims, p, kernels)
+		if err != nil {
+			t.Fatalf("dims=%v kernels=%v: float32 compress: %v", a.Dims, kernels, err)
+		}
+		if !bytes.Equal(got, stream) {
+			t.Fatalf("dims=%v kernels=%v: float32 shape's stream differs from float64's", a.Dims, kernels)
+		}
+		rec, _, err := decompressSamples(stream, kernels, []float32(nil), nil)
+		if err != nil {
+			t.Fatalf("dims=%v kernels=%v: float32 decompress: %v", a.Dims, kernels, err)
+		}
+		for i := range want {
+			if math.Float32bits(rec[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("dims=%v kernels=%v: point %d reconstructs as %x in float32, %x narrowed",
+					a.Dims, kernels, i, math.Float32bits(rec[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+}
+
+// labelledFloat32 is a float64 field to label float32 under a bound of
+// 1e-9: its even rows hold values near 1 that narrowing moves by more
+// than the bound, which escape with 64 bits, and its odd rows one
+// float32 value, coded against predictions that sum those escapes'
+// exact values.
+func labelledFloat32(dims []int) *grid.Array {
+	a := grid.New(dims...)
+	w := dims[len(dims)-1]
+	for i := range a.Data {
+		if (i/w)%2 == 0 {
+			a.Data[i] = 1 + float64(i%w%7)*1e-8
+		} else {
+			a.Data[i] = float64(float32(1e-3))
+		}
+	}
+	return a
+}
+
+// TestSampleShapeFallback: float32 samples of a stream the float32 shape
+// cannot reconstruct in place — a float64 field labelled float32, whose
+// 64-bit escapes narrowing would change, and a float64 stream — hold
+// the narrowing of the float64 reconstruction. A float32 field whose
+// only 64-bit escapes are ±Inf, which narrowing keeps, decodes in place
+// to the same values. CompressSamples refuses float32 samples under a
+// float64 output type.
+func TestSampleShapeFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	dims := []int{5, 9, 11}
+	inf := randArray(rng, dims, true)
+	inf.Data[7], inf.Data[100] = math.Inf(1), math.Inf(-1)
+	for _, tc := range []struct {
+		name string
+		a    *grid.Array
+		p    Params
+	}{
+		{"float64 labelled float32", labelledFloat32(dims), Params{Mode: BoundAbs, AbsBound: 1e-9, OutputType: grid.Float32}},
+		{"float64 stream", randArray(rng, dims, false), Params{Mode: BoundAbs, AbsBound: 1e-3}},
+		{"float32 with ±Inf", inf, Params{Mode: BoundAbs, AbsBound: 1e-3, OutputType: grid.Float32}},
+	} {
+		stream, st, err := Compress(tc.a, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Histogram[0] == 0 || st.Histogram[0] == uint64(tc.a.Len()) {
+			t.Fatalf("%s: %d of %d points escape", tc.name, st.Histogram[0], tc.a.Len())
+		}
+		out, _, err := Decompress(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := out.Float32s()
+		for _, kernels := range []bool{true, false} {
+			dst := make([]float32, len(want))
+			rec, _, err := decompressSamples(stream, kernels, dst, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if &rec[0] != &dst[0] {
+				t.Fatalf("%s: reconstruction not in the caller's buffer", tc.name)
+			}
+			for i := range want {
+				if math.Float32bits(rec[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s kernels=%v: point %d reconstructs as %x, %x narrowed",
+						tc.name, kernels, i, math.Float32bits(rec[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+	if _, _, err := CompressSamples(nil, inf.Float32s(), dims, Params{Mode: BoundAbs, AbsBound: 1e-3}); err == nil {
+		t.Fatal("float32 samples compressed under a float64 output type")
+	}
+	if _, _, err := CompressSamples(nil, inf.Float32s(), []int{5, 9, 10}, Params{Mode: BoundAbs, AbsBound: 1e-3, OutputType: grid.Float32}); err == nil {
+		t.Fatal("samples that do not fill their dims compressed")
+	}
 }
 
 // TestKernelEquivalenceNonFinite covers NaN/Inf inputs, which must take the
@@ -246,12 +353,12 @@ func TestKernelRoundsTiesAway(t *testing.T) {
 		for _, dtype := range []grid.DType{grid.Float64, grid.Float32} {
 			p := Params{Mode: BoundAbs, AbsBound: eb, OutputType: dtype}
 			for _, kernels := range []bool{true, false} {
-				s, err := analyze(a, p, kernels)
+				s, err := analyze(a.Data, a.Dims, p, kernels)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for idx, c := range s.codes {
-					if c != want[idx] {
+					if int(c) != want[idx] {
 						t.Fatalf("dims %v %v kernels=%v: code %d at %d, want %d",
 							dims, dtype, kernels, c, idx, want[idx])
 					}
@@ -340,18 +447,18 @@ func TestPointMatchesQuantizer(t *testing.T) {
 		}
 
 		// Fused path; escapes are reconstructed, never written.
-		s := &compressState{
+		s := &compressState[float64]{
 			qparams: newQParams(q, dtype),
 			data:    []float64{x},
 			recon:   make([]float64, 1),
-			codes:   make([]int, 1),
+			codes:   make([]uint16, 1),
 			hist:    make([]uint64, q.NumCodes()),
 			enc:     binrep.NewEncoder(nil, eb),
 			marks:   make([]uint64, 1),
 		}
 		s.point(0, pv)
 
-		if s.codes[0] != wantCode {
+		if int(s.codes[0]) != wantCode {
 			t.Fatalf("x=%g pv=%g eb=%g m=%d %v: code %d, want %d",
 				x, pv, eb, m, dtype, s.codes[0], wantCode)
 		}
@@ -397,11 +504,11 @@ func TestKernelSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &compressState{
+		s := &compressState[float64]{
 			qparams: newQParams(q, p.OutputType),
 			data:    a.Data,
 			recon:   make([]float64, a.Len()),
-			codes:   make([]int, a.Len()),
+			codes:   make([]uint16, a.Len()),
 			hist:    make([]uint64, q.NumCodes()),
 			enc:     binrep.NewEncoder(nil, eb),
 			marks:   make([]uint64, huffman.MarkWords(a.Len())),

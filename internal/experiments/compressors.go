@@ -88,24 +88,61 @@ func runCodec(label, codecName string, a *grid.Array, p codec.Params) RunResult 
 	return res
 }
 
-// timedRuns is how many times the speed experiments (Table VI, Fig. 10)
-// run a cell. The outputs are identical, and one cold run of a few
-// milliseconds spreads widely, so a cell keeps its fastest times.
-const timedRuns = 3
+// timedLoop is how long the speed experiments (Table VI, Fig. 10) time
+// each side of a cell. A run is a few milliseconds, and the host's phase
+// noise outlasts a few runs, so the fastest of three spread widely from
+// one table to the next; a cell's compresses, and then its decompresses,
+// instead repeat until they add up to this, and report the time per run.
+const timedLoop = 100 * time.Millisecond
 
-// runCompressorTimed is runCompressor keeping the fastest compress and
-// decompress of timedRuns runs.
+// runCompressorTimed is runCompressor reporting the compress and
+// decompress time per run of a timedLoop-long loop of each, after a
+// first run whose outputs it returns. Every run writes the same bytes.
 func runCompressorTimed(name string, a *grid.Array, absBound float64, dt grid.DType) RunResult {
-	best := runCompressor(name, a, absBound, dt)
-	for i := 1; i < timedRuns && !best.Failed; i++ {
-		rr := runCompressor(name, a, absBound, dt)
-		if rr.Failed {
-			return rr
-		}
-		best.CompSeconds = min(best.CompSeconds, rr.CompSeconds)
-		best.DecompSeconds = min(best.DecompSeconds, rr.DecompSeconds)
+	res := runCompressor(name, a, absBound, dt)
+	if res.Failed {
+		return res
 	}
-	return best
+	c, err := codec.Lookup(codecNames[name])
+	if err != nil {
+		res.Err, res.Failed = err, true
+		return res
+	}
+	p := codec.Params{Mode: core.BoundAbs, AbsBound: absBound, DType: dt, Dims: a.Dims}
+	var stream []byte
+	res.CompSeconds, err = timeLoop(func() (err error) {
+		stream, err = c.Encode(a, p)
+		return err
+	})
+	if err == nil && len(stream) != res.CompressedBytes {
+		err = fmt.Errorf("experiments: %s wrote %d bytes, then %d", name, res.CompressedBytes, len(stream))
+	}
+	if err == nil {
+		res.DecompSeconds, err = timeLoop(func() error {
+			_, err := c.Decode(stream, p)
+			return err
+		})
+	}
+	if err != nil {
+		res.Err, res.Failed = err, true
+	}
+	return res
+}
+
+// timeLoop runs f until its runs add up to timedLoop and returns the
+// seconds per run.
+func timeLoop(f func() error) (float64, error) {
+	var total time.Duration
+	runs := 0
+	for total < timedLoop {
+		t0 := time.Now()
+		if err := f(); err != nil {
+			return 0, err
+		}
+		total += time.Since(t0)
+		runs++
+	}
+	return total.Seconds() / float64(runs), nil
 }
 
 // runCompressor executes one compressor on a with the given absolute error

@@ -111,8 +111,8 @@ type Fig10Result struct {
 }
 
 // Fig10 evaluates the I/O model using a measured compression factor and
-// single-worker rate (the fastest of timedRuns runs) on ATM-like data at
-// eb_rel = 1e-4.
+// single-worker rate (the mean of a timedLoop-long loop of runs) on
+// ATM-like data at eb_rel = 1e-4.
 func Fig10(cfg Config) (*Fig10Result, error) {
 	cfg = cfg.withDefaults()
 	set, err := cfg.setByName("ATM")

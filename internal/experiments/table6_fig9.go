@@ -18,8 +18,8 @@ type Table6Result struct {
 	Speeds map[string]map[string][][2]float64
 }
 
-// Table6 measures single-goroutine throughput, each cell the fastest
-// of timedRuns runs.
+// Table6 measures single-goroutine throughput, each cell the mean of a
+// timedLoop-long loop of runs.
 func Table6(cfg Config) (*Table6Result, error) {
 	cfg = cfg.withDefaults()
 	res := &Table6Result{

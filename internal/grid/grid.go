@@ -22,12 +22,19 @@ import (
 // MaxDims is the maximum number of dimensions supported by the compressors.
 const MaxDims = 4
 
+// Sample is the element type a field's samples are held in. The core
+// kernels take it as a type parameter, so a float32 field can be
+// compressed and reconstructed in its own width (Go compiles the two
+// shapes separately, as the original SZ duplicates its code per type);
+// arithmetic stays float64 in both.
+type Sample interface{ float32 | float64 }
+
 // Array is a dense row-major d-dimensional array of float64 values.
 //
-// The compressors internally operate on float64; float32 inputs are widened
-// on load and narrowed on store (see Float32s / FromFloat32s). This mirrors
-// the original SZ code paths, which are duplicated per type, while keeping
-// a single well-tested Go implementation.
+// The compressors' Array APIs operate on float64; float32 inputs are
+// widened on load and narrowed on store (see Float32s / FromFloat32s).
+// The streaming blocked writer and reader instead run the kernels on a
+// float32 field's own samples (Sample).
 type Array struct {
 	// Dims holds the extent of each dimension, slowest-varying first.
 	// For a 2D M×N data set, Dims = [M, N].
@@ -152,11 +159,15 @@ func (a *Array) Clone() *Array {
 // Range returns the minimum, maximum, and value range (max−min) of the data.
 // NaN values are ignored; if all values are NaN or the array is empty in
 // effect, it returns (0, 0, 0).
-func (a *Array) Range() (min, max, rng float64) {
+func (a *Array) Range() (min, max, rng float64) { return RangeOf(a.Data) }
+
+// RangeOf is Array.Range over samples of either width.
+func RangeOf[F Sample](data []F) (min, max, rng float64) {
 	// Seeding with ±Inf lets the loop run without a first-element branch:
 	// NaN fails both comparisons and is skipped implicitly.
 	min, max = math.Inf(1), math.Inf(-1)
-	for _, v := range a.Data {
+	for _, s := range data {
+		v := float64(s)
 		if v < min {
 			min = v
 		}

@@ -66,22 +66,22 @@ func decodeCodebooks() []struct {
 // drawSymbols returns n symbols: three in four by freqs, the rest uniform
 // over the coded symbols, so long codes and symbol 0 turn up in short
 // streams too.
-func drawSymbols(rng *rand.Rand, freqs []uint64, n int) []int {
+func drawSymbols(rng *rand.Rand, freqs []uint64, n int) []uint16 {
 	cum := make([]uint64, len(freqs))
 	var total uint64
 	for s, f := range freqs {
 		total += f
 		cum[s] = total
 	}
-	syms := make([]int, n)
+	syms := make([]uint16, n)
 	for i := range syms {
 		if rng.Intn(4) == 0 {
-			for syms[i] = rng.Intn(len(freqs)); freqs[syms[i]] == 0; syms[i] = rng.Intn(len(freqs)) {
+			for syms[i] = uint16(rng.Intn(len(freqs))); freqs[syms[i]] == 0; syms[i] = uint16(rng.Intn(len(freqs))) {
 			}
 			continue
 		}
 		v := uint64(rng.Int63n(int64(total)))
-		syms[i] = sort.Search(len(cum), func(s int) bool { return cum[s] > v })
+		syms[i] = uint16(sort.Search(len(cum), func(s int) bool { return cum[s] > v }))
 	}
 	return syms
 }
@@ -89,7 +89,7 @@ func drawSymbols(rng *rand.Rand, freqs []uint64, n int) []int {
 // encodeStreams EncodeN-encodes syms into k sub-streams and lays them end
 // to end, byte-aligned, as core's VersionMulti payload does; it returns
 // the payload and each sub-stream's length in bytes.
-func encodeStreams(t testing.TB, cb *Codebook, syms []int, k int) ([]byte, []int) {
+func encodeStreams(t testing.TB, cb *Codebook, syms []uint16, k int) ([]byte, []int) {
 	t.Helper()
 	ws := make([]*bitstream.Writer, k)
 	for j := range ws {
@@ -121,8 +121,8 @@ func readers(payload []byte, lens []int) []*bitstream.Reader {
 // decodePerSymbol is the reference decode: DecodeSymbol over each
 // StreamBounds partition. It returns the symbols and where each
 // sub-stream's reader stopped.
-func decodePerSymbol(cb *Codebook, payload []byte, lens []int, n int) ([]int, []uint64, error) {
-	out := make([]int, n)
+func decodePerSymbol(cb *Codebook, payload []byte, lens []int, n int) ([]uint16, []uint64, error) {
+	out := make([]uint16, n)
 	rs := readers(payload, lens)
 	pos := make([]uint64, len(rs))
 	for j, r := range rs {
@@ -132,7 +132,7 @@ func decodePerSymbol(cb *Codebook, payload []byte, lens []int, n int) ([]int, []
 			if err != nil {
 				return nil, nil, fmt.Errorf("stream %d symbol %d: %w", j, i, err)
 			}
-			out[i] = s
+			out[i] = uint16(s)
 		}
 		pos[j] = r.Pos()
 	}
@@ -140,7 +140,7 @@ func decodePerSymbol(cb *Codebook, payload []byte, lens []int, n int) ([]int, []
 }
 
 // zeroMarks is the bitmap a naive scan for symbol 0 gives.
-func zeroMarks(syms []int) []uint64 {
+func zeroMarks(syms []uint16) []uint64 {
 	marks := make([]uint64, MarkWords(len(syms)))
 	for i, s := range syms {
 		if s == 0 {
@@ -161,10 +161,10 @@ func zeroMarks(syms []int) []uint64 {
 // wrong symbol: a stream's last steps come after its successor's first.
 func diffDecodeN(cb *Codebook, payload []byte, lens []int, n int) error {
 	ref, refPos, refErr := decodePerSymbol(cb, payload, lens, n)
-	const guard = 8
-	buf := make([]int, guard+n+guard)
+	const guard, unwritten = 8, 0xffff
+	buf := make([]uint16, guard+n+guard)
 	for i := range buf {
-		buf[i] = -1
+		buf[i] = unwritten
 	}
 	out := buf[guard : guard+n]
 	const sentinel = 0xdeadbeefcafef00d
@@ -176,7 +176,7 @@ func diffDecodeN(cb *Codebook, payload []byte, lens []int, n int) error {
 	rs := readers(payload, lens)
 	err := cb.DecodeNInto(rs, out, marks)
 	for i := 0; i < guard; i++ {
-		if buf[i] != -1 || buf[guard+n+i] != -1 {
+		if buf[i] != unwritten || buf[guard+n+i] != unwritten {
 			return fmt.Errorf("write outside the output")
 		}
 	}
@@ -279,7 +279,7 @@ func deserialized(t testing.TB, cb *Codebook) *Codebook {
 // hurricaneCodes returns the quantization codes of a 10×64×64 Hurricane
 // slab under an absolute bound of 1e-3 with m = 8 and the 3D Lorenzo
 // predictor, scanned as core's generic path scans a float64 source.
-func hurricaneCodes(t testing.TB) []int {
+func hurricaneCodes(t testing.TB) []uint16 {
 	a := datagen.Hurricane(10, 64, 64, 1000004)
 	q, err := quant.New(1e-3, 8)
 	if err != nil {
@@ -290,14 +290,14 @@ func hurricaneCodes(t testing.TB) []int {
 		t.Fatal(err)
 	}
 	recon := make([]float64, a.Len())
-	codes := make([]int, a.Len())
+	codes := make([]uint16, a.Len())
 	coord := make([]int, 3)
 	for idx, x := range a.Data {
 		code, rv, ok := q.Quantize(x, pred.Predict(recon, idx, coord))
 		if !ok {
 			rv = x
 		}
-		codes[idx], recon[idx] = code, rv
+		codes[idx], recon[idx] = uint16(code), rv
 		for d := 2; d >= 0; d-- {
 			if coord[d]++; coord[d] < a.Dims[d] {
 				break

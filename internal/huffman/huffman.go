@@ -421,12 +421,12 @@ func (cb *Codebook) EncodedBits(freqs []uint64) uint64 {
 // writer in large chunks; the emitted bits are identical to writing each
 // code individually (MSB-first concatenation is associative), but the
 // per-symbol writer call disappears from the hot path.
-func (cb *Codebook) Encode(w *bitstream.Writer, symbols []int) error {
+func (cb *Codebook) Encode(w *bitstream.Writer, symbols []uint16) error {
 	if cb.maxLen > 32 {
 		// Rare deep codebooks fall back to the simple loop so the
 		// accumulator never has to split a single code.
 		for _, s := range symbols {
-			if err := cb.EncodeSymbol(w, s); err != nil {
+			if err := cb.EncodeSymbol(w, int(s)); err != nil {
 				return err
 			}
 		}
@@ -436,7 +436,7 @@ func (cb *Codebook) Encode(w *bitstream.Writer, symbols []int) error {
 	var acc uint64
 	var nacc uint
 	for _, s := range symbols {
-		if s < 0 || s >= cb.numSymbols {
+		if int(s) >= cb.numSymbols {
 			return fmt.Errorf("huffman: symbol %d out of range [0,%d)", s, cb.numSymbols)
 		}
 		l := uint(lengths[s])
@@ -475,8 +475,8 @@ func (cb *Codebook) DecodeSymbol(r *bitstream.Reader) (int, error) {
 }
 
 // Decode reads exactly count symbols from r.
-func (cb *Codebook) Decode(r *bitstream.Reader, count int) ([]int, error) {
-	out := make([]int, count)
+func (cb *Codebook) Decode(r *bitstream.Reader, count int) ([]uint16, error) {
+	out := make([]uint16, count)
 	if err := cb.DecodeInto(r, out, nil); err != nil {
 		return nil, err
 	}
@@ -486,7 +486,7 @@ func (cb *Codebook) Decode(r *bitstream.Reader, count int) ([]int, error) {
 // DecodeInto fills out with len(out) decoded symbols and, when marks is
 // not nil, marks the blocks of out that hold symbol 0 (see DecodeNInto).
 // It is DecodeNInto over one stream.
-func (cb *Codebook) DecodeInto(r *bitstream.Reader, out []int, marks []uint64) error {
+func (cb *Codebook) DecodeInto(r *bitstream.Reader, out []uint16, marks []uint64) error {
 	rs := [1]*bitstream.Reader{r}
 	return cb.DecodeNInto(rs[:], out, marks)
 }
@@ -603,10 +603,10 @@ func Deserialize(r *bitstream.Reader) (*Codebook, error) {
 }
 
 // CountFrequencies histograms a symbol stream over alphabet [0, numSymbols).
-func CountFrequencies(symbols []int, numSymbols int) ([]uint64, error) {
+func CountFrequencies[S int | uint16](symbols []S, numSymbols int) ([]uint64, error) {
 	freqs := make([]uint64, numSymbols)
 	for _, s := range symbols {
-		if s < 0 || s >= numSymbols {
+		if s < 0 || int(s) >= numSymbols {
 			return nil, fmt.Errorf("huffman: symbol %d out of range [0,%d)", s, numSymbols)
 		}
 		freqs[s]++

@@ -9,7 +9,7 @@ import (
 	"repro/internal/bitstream"
 )
 
-func roundTrip(t *testing.T, symbols []int, numSymbols int) {
+func roundTrip(t *testing.T, symbols []uint16, numSymbols int) {
 	t.Helper()
 	freqs, err := CountFrequencies(symbols, numSymbols)
 	if err != nil {
@@ -45,15 +45,15 @@ func roundTrip(t *testing.T, symbols []int, numSymbols int) {
 }
 
 func TestRoundTripSmall(t *testing.T) {
-	roundTrip(t, []int{0, 1, 2, 1, 0, 1, 1, 1, 3}, 4)
+	roundTrip(t, []uint16{0, 1, 2, 1, 0, 1, 1, 1, 3}, 4)
 }
 
 func TestSingleSymbolAlphabet(t *testing.T) {
-	roundTrip(t, []int{0, 0, 0, 0, 0}, 1)
+	roundTrip(t, []uint16{0, 0, 0, 0, 0}, 1)
 }
 
 func TestSingleUsedSymbolInLargeAlphabet(t *testing.T) {
-	syms := make([]int, 100)
+	syms := make([]uint16, 100)
 	for i := range syms {
 		syms[i] = 42
 	}
@@ -61,14 +61,14 @@ func TestSingleUsedSymbolInLargeAlphabet(t *testing.T) {
 }
 
 func TestTwoSymbols(t *testing.T) {
-	roundTrip(t, []int{0, 1, 0, 1, 1}, 2)
+	roundTrip(t, []uint16{0, 1, 0, 1, 1}, 2)
 }
 
 func TestLargeAlphabet65535(t *testing.T) {
 	// The paper's key requirement: alphabets beyond 256 symbols.
 	rng := rand.New(rand.NewSource(5))
 	n := 65535
-	syms := make([]int, 20000)
+	syms := make([]uint16, 20000)
 	for i := range syms {
 		// Geometric-ish: most mass near the center code, like quantization output.
 		v := n/2 + int(rng.NormFloat64()*50)
@@ -78,15 +78,15 @@ func TestLargeAlphabet65535(t *testing.T) {
 		if v >= n {
 			v = n - 1
 		}
-		syms[i] = v
+		syms[i] = uint16(v)
 	}
 	roundTrip(t, syms, n)
 }
 
 func TestUniformAlphabet(t *testing.T) {
-	syms := make([]int, 4096)
+	syms := make([]uint16, 4096)
 	for i := range syms {
-		syms[i] = i % 256
+		syms[i] = uint16(i % 256)
 	}
 	roundTrip(t, syms, 256)
 }
@@ -95,12 +95,12 @@ func TestSkewedDistributionCompresses(t *testing.T) {
 	// ~95% of mass on one symbol: entropy ≈ 0.4 bits/sym. Huffman should get
 	// close to 1 bit/sym (its floor for a dominant symbol + escape).
 	rng := rand.New(rand.NewSource(11))
-	syms := make([]int, 50000)
+	syms := make([]uint16, 50000)
 	for i := range syms {
 		if rng.Float64() < 0.95 {
 			syms[i] = 128
 		} else {
-			syms[i] = rng.Intn(255)
+			syms[i] = uint16(rng.Intn(255))
 		}
 	}
 	freqs, _ := CountFrequencies(syms, 255)
@@ -118,9 +118,9 @@ func TestSkewedDistributionCompresses(t *testing.T) {
 func TestOptimalityVsFixedWidth(t *testing.T) {
 	// Huffman must never be worse than ceil(log2(n)) + 1 per symbol overall.
 	rng := rand.New(rand.NewSource(3))
-	syms := make([]int, 10000)
+	syms := make([]uint16, 10000)
 	for i := range syms {
-		syms[i] = rng.Intn(100)
+		syms[i] = uint16(rng.Intn(100))
 	}
 	freqs, _ := CountFrequencies(syms, 100)
 	cb, err := New(freqs)
@@ -183,10 +183,10 @@ func TestErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := bitstream.NewWriter(0)
-	if err := cb.Encode(w, []int{1}); err == nil {
+	if err := cb.Encode(w, []uint16{1}); err == nil {
 		t.Fatal("encoding a zero-frequency symbol should fail")
 	}
-	if err := cb.Encode(w, []int{7}); err == nil {
+	if err := cb.Encode(w, []uint16{7}); err == nil {
 		t.Fatal("encoding an out-of-range symbol should fail")
 	}
 }
@@ -197,7 +197,7 @@ func TestDecodeTruncatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := bitstream.NewWriter(0)
-	if err := cb.Encode(w, []int{0, 1, 2, 3}); err != nil {
+	if err := cb.Encode(w, []uint16{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	// Ask for more symbols than were written.
@@ -246,7 +246,7 @@ func TestRoundTripQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		numSymbols := []int{2, 3, 15, 63, 255, 511, 2048}[int(alphaSel)%7]
 		n := rng.Intn(2000) + 1
-		syms := make([]int, n)
+		syms := make([]uint16, n)
 		for i := range syms {
 			// Mix of gaussian-centered and uniform symbols.
 			if rng.Float64() < 0.8 {
@@ -257,9 +257,9 @@ func TestRoundTripQuick(t *testing.T) {
 				if v >= numSymbols {
 					v = numSymbols - 1
 				}
-				syms[i] = v
+				syms[i] = uint16(v)
 			} else {
-				syms[i] = rng.Intn(numSymbols)
+				syms[i] = uint16(rng.Intn(numSymbols))
 			}
 		}
 		freqs, err := CountFrequencies(syms, numSymbols)
@@ -299,7 +299,7 @@ func TestRoundTripQuick(t *testing.T) {
 func BenchmarkEncode(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := 1 << 18
-	syms := make([]int, n)
+	syms := make([]uint16, n)
 	for i := range syms {
 		v := 128 + int(rng.NormFloat64()*10)
 		if v < 0 {
@@ -308,7 +308,7 @@ func BenchmarkEncode(b *testing.B) {
 		if v > 255 {
 			v = 255
 		}
-		syms[i] = v
+		syms[i] = uint16(v)
 	}
 	freqs, _ := CountFrequencies(syms, 256)
 	cb, _ := New(freqs)
@@ -325,9 +325,9 @@ func BenchmarkEncode(b *testing.B) {
 // benchSymbols draws n symbols from the 256-symbol distribution the
 // encode and decode benchmarks share: most mass near symbol 128, like
 // quantization codes.
-func benchSymbols(n int) []int {
+func benchSymbols(n int) []uint16 {
 	rng := rand.New(rand.NewSource(1))
-	syms := make([]int, n)
+	syms := make([]uint16, n)
 	for i := range syms {
 		v := 128 + int(rng.NormFloat64()*10)
 		if v < 0 {
@@ -336,7 +336,7 @@ func benchSymbols(n int) []int {
 		if v > 255 {
 			v = 255
 		}
-		syms[i] = v
+		syms[i] = uint16(v)
 	}
 	return syms
 }
@@ -344,7 +344,7 @@ func benchSymbols(n int) []int {
 // benchDecodeSetup encodes syms into k sub-streams laid end to end
 // (encodeStreams) and returns them with the codebook a decoder rebuilds,
 // which carries the packed table every production decoder uses.
-func benchDecodeSetup(b *testing.B, syms []int, k int) ([]byte, []int, *Codebook) {
+func benchDecodeSetup(b *testing.B, syms []uint16, k int) ([]byte, []int, *Codebook) {
 	freqs, err := CountFrequencies(syms, 256)
 	if err != nil {
 		b.Fatal(err)
@@ -360,7 +360,7 @@ func benchDecodeSetup(b *testing.B, syms []int, k int) ([]byte, []int, *Codebook
 func BenchmarkDecode(b *testing.B) {
 	syms := benchSymbols(1 << 18)
 	payload, _, cb := benchDecodeSetup(b, syms, 1)
-	out := make([]int, len(syms))
+	out := make([]uint16, len(syms))
 	marks := make([]uint64, MarkWords(len(syms)))
 	b.SetBytes(int64(len(syms)))
 	b.ResetTimer()
@@ -377,7 +377,7 @@ func BenchmarkDecodeN(b *testing.B) {
 	const k = 4
 	syms := benchSymbols(625000)
 	payload, lens, cb := benchDecodeSetup(b, syms, k)
-	out := make([]int, len(syms))
+	out := make([]uint16, len(syms))
 	marks := make([]uint64, MarkWords(len(syms)))
 	b.SetBytes(int64(len(syms)))
 	b.ResetTimer()
@@ -405,7 +405,7 @@ func TestFibonacciFrequenciesDeepTree(t *testing.T) {
 		t.Fatalf("Fibonacci tree depth %d unexpectedly shallow", cb.MaxCodeLen())
 	}
 	// Round-trip a stream touching the deepest codes.
-	syms := []int{0, 1, 2, 39, 38, 0, 39}
+	syms := []uint16{0, 1, 2, 39, 38, 0, 39}
 	w := bitstream.NewWriter(0)
 	cb.Serialize(w)
 	if err := cb.Encode(w, syms); err != nil {
@@ -435,12 +435,12 @@ func TestEncodeDecodeSymbolAgreeWithSlices(t *testing.T) {
 	}
 	w1 := bitstream.NewWriter(0)
 	w2 := bitstream.NewWriter(0)
-	syms := []int{3, 0, 2, 4, 1, 3, 3}
+	syms := []uint16{3, 0, 2, 4, 1, 3, 3}
 	if err := cb.Encode(w1, syms); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range syms {
-		if err := cb.EncodeSymbol(w2, s); err != nil {
+		if err := cb.EncodeSymbol(w2, int(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -451,7 +451,7 @@ func TestEncodeDecodeSymbolAgreeWithSlices(t *testing.T) {
 	r := bitstream.NewReaderBits(b1, w1.Len())
 	for i, want := range syms {
 		got, err := cb.DecodeSymbol(r)
-		if err != nil || got != want {
+		if err != nil || got != int(want) {
 			t.Fatalf("DecodeSymbol %d: got %d err %v", i, got, err)
 		}
 	}

@@ -49,7 +49,7 @@ func StreamBounds(n, k, j int) (lo, hi int) {
 // Huffman-encodes each partition into its own writer. len(ws) must be in
 // [1, MaxStreams]. The emitted bits of stream j are exactly what Encode
 // would produce for the partition StreamBounds(len(symbols), len(ws), j).
-func (cb *Codebook) EncodeN(ws []*bitstream.Writer, symbols []int) error {
+func (cb *Codebook) EncodeN(ws []*bitstream.Writer, symbols []uint16) error {
 	k := len(ws)
 	if k < 1 || k > MaxStreams {
 		return fmt.Errorf("huffman: stream count %d out of range [1,%d]", k, MaxStreams)
@@ -98,7 +98,7 @@ func Mark(marks []uint64, i int) {
 // stream with none left finishes one symbol at a time through its
 // reader (decodeOne) and drops out of the rotation. Codebooks without a
 // table decode every symbol that way.
-func (cb *Codebook) DecodeNInto(rs []*bitstream.Reader, out []int, marks []uint64) error {
+func (cb *Codebook) DecodeNInto(rs []*bitstream.Reader, out []uint16, marks []uint64) error {
 	k := len(rs)
 	if k < 1 || k > MaxStreams {
 		return fmt.Errorf("huffman: stream count %d out of range [1,%d]", k, MaxStreams)
@@ -156,7 +156,7 @@ func (cb *Codebook) DecodeNInto(rs []*bitstream.Reader, out []int, marks []uint6
 						return fmt.Errorf("huffman: stream %d/%d symbol %d: %w: no code matches after %d bits",
 							id[j], k, o, ErrCorrupt, cb.maxLen)
 					}
-					out[o] = s
+					out[o] = uint16(s)
 					if s == 0 {
 						markBlock(marks, o)
 					}
@@ -168,9 +168,9 @@ func (cb *Codebook) DecodeNInto(rs []*bitstream.Reader, out []int, marks []uint6
 					// entry's count are rewritten by the stream's next
 					// codes.
 					d := out[o : o+3]
-					d[0] = int(e >> entrySymShift & 0xffff)
-					d[1] = int(e >> (entrySymShift + 16) & 0xffff)
-					d[2] = int(e >> (entrySymShift + 32))
+					d[0] = uint16(e >> entrySymShift)
+					d[1] = uint16(e >> (entrySymShift + 16))
+					d[2] = uint16(e >> (entrySymShift + 32))
 					c := int(e >> entryCountShift & 3)
 					if e&entryZero != 0 {
 						markZeros(marks, d[:c], o)
@@ -202,7 +202,7 @@ func (cb *Codebook) DecodeNInto(rs []*bitstream.Reader, out []int, marks []uint6
 				if err != nil {
 					return fmt.Errorf("huffman: stream %d/%d symbol %d: %w", id[j], k, o, err)
 				}
-				out[o] = s
+				out[o] = uint16(s)
 				if s == 0 {
 					markBlock(marks, o)
 				}
@@ -216,7 +216,7 @@ func (cb *Codebook) DecodeNInto(rs []*bitstream.Reader, out []int, marks []uint6
 
 // markZeros marks the block of every symbol 0 in syms, which start at
 // output index base.
-func markZeros(marks []uint64, syms []int, base int) {
+func markZeros(marks []uint64, syms []uint16, base int) {
 	for i, s := range syms {
 		if s == 0 {
 			markBlock(marks, base+i)

@@ -97,7 +97,7 @@ func TestDecodeTableSmallAlphabetRoundTrip(t *testing.T) {
 	cbBig.Release()
 
 	// Now a 3-symbol codebook drawn from those pools.
-	symbols := []int{0, 1, 2, 1, 0, 0, 2, 1, 1, 0}
+	symbols := []uint16{0, 1, 2, 1, 0, 0, 2, 1, 1, 0}
 	freqs, err := CountFrequencies(symbols, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -138,13 +138,13 @@ func TestReleaseReuseByteIdentical(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = uint64((i*2654435761 + 17) % 97)
 	}
-	symbols := make([]int, 0, 1000)
+	symbols := make([]uint16, 0, 1000)
 	for i := 0; i < 1000; i++ {
 		s := (i * 31) % len(freqs)
 		if freqs[s] == 0 {
 			s = 17
 		}
-		symbols = append(symbols, s)
+		symbols = append(symbols, uint16(s))
 	}
 	ref := func() []byte {
 		cb, err := New(freqs)

@@ -32,6 +32,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+
+	"repro/internal/grid"
 )
 
 // MaxLayers bounds the supported layer count. Beyond 8 layers the binomial
@@ -165,6 +167,12 @@ func (p *Predictor) IsInterior(coord []int) bool {
 // and flat index, reading neighbours from data. data must contain the
 // (already reconstructed) values of all preceding points in scan order.
 func (p *Predictor) Predict(data []float64, idx int, coord []int) float64 {
+	return Predict(p, data, idx, coord)
+}
+
+// Predict is p.Predict over samples of either width: each neighbour is
+// widened on load, so the sum is float64 and in the same order for both.
+func Predict[F grid.Sample](p *Predictor, data []F, idx int, coord []int) float64 {
 	stencil := p.interior
 	if !p.IsInterior(coord) {
 		stencil = p.borderStencil(coord)
@@ -174,23 +182,20 @@ func (p *Predictor) Predict(data []float64, idx int, coord []int) float64 {
 	}
 	var f float64
 	for i := range stencil {
-		f += stencil[i].Coef * data[idx+stencil[i].Delta]
+		f += stencil[i].Coef * float64(data[idx+stencil[i].Delta])
 	}
 	return f
 }
 
 // borderStencil returns the reduced stencil for a border point, memoized by
-// the effective per-dimension layer vector.
+// the effective per-dimension layer vector. A memoized stencil costs no
+// allocation: the key is built on the stack and converted only to index
+// the map.
 func (p *Predictor) borderStencil(coord []int) []Term {
-	layers := make([]int, len(coord))
 	allZero := true
 	var key [MaxLayers * 4]byte // up to 4 dims, layer fits a byte
 	for j, c := range coord {
-		l := p.n
-		if c < l {
-			l = c
-		}
-		layers[j] = l
+		l := min(p.n, c)
 		if l > 0 {
 			allZero = false
 		}
@@ -199,13 +204,17 @@ func (p *Predictor) borderStencil(coord []int) []Term {
 	if allZero {
 		return nil
 	}
-	k := string(key[:len(coord)])
 	p.borderMu.RLock()
-	s, ok := p.borderCache[k]
+	s, ok := p.borderCache[string(key[:len(coord)])]
 	p.borderMu.RUnlock()
 	if ok {
 		return s
 	}
+	layers := make([]int, len(coord))
+	for j := range layers {
+		layers[j] = int(key[j])
+	}
+	k := string(key[:len(coord)])
 	s = buildStencil(layers, p.strides)
 	p.borderMu.Lock()
 	if prev, ok := p.borderCache[k]; ok {

@@ -329,6 +329,10 @@ func TestBorderStencilMemoization(t *testing.T) {
 	if len(p.borderCache) == 0 {
 		t.Fatal("border cache unused")
 	}
+	// A memoized stencil costs a border prediction no allocation.
+	if n := testing.AllocsPerRun(100, func() { p.Predict(data, idx, coord) }); n != 0 {
+		t.Fatalf("memoized border prediction allocates %v times", n)
+	}
 }
 
 func TestCoefficientSumIsOne(t *testing.T) {

@@ -2,9 +2,10 @@
 // the working slices the hot compression path churns through.
 //
 // The SZ-1.4 pipeline is memory-bandwidth-bound: per slab, the core
-// compressor needs a quantization-code array, a reconstruction array, a
-// histogram, Huffman build arenas, and bitstream buffers — tens of
-// megabytes that all die the moment the slab's stream bytes are emitted.
+// compressor needs a quantization-code array (2 B per cell: codes are
+// below 2^16), a reconstruction array in the samples' own width, a
+// histogram, Huffman build arenas, and bitstream buffers — megabytes
+// that all die the moment the slab's stream bytes are emitted.
 // Allocating them fresh per operation makes the garbage collector, not
 // arithmetic, the throughput ceiling once many slabs are in flight (the
 // blocked worker pool, the szd daemon). This package recycles them.
@@ -23,6 +24,12 @@
 // must either overwrite every element they read (the compression scans
 // do — every point is reconstructed) or request the zeroed variant
 // (histograms, Huffman decode tables).
+//
+// View reinterprets a pooled byte buffer of raw little-endian samples as
+// the samples themselves, so the blocked writer and reader run the
+// kernels on a slab's raw bytes with no widened copy beside them. The
+// view shares the buffer's storage: recycle the buffer, not the view,
+// and only once the view is dead.
 package scratch
 
 import (
@@ -145,6 +152,8 @@ var (
 	float64Pool = NewPool[float64]()
 	uint64Pool  = NewPool[uint64]()
 	uint32Pool  = NewPool[uint32]()
+	uint16Pool  = NewPool[uint16]()
+	float32Pool = NewPool[float32]()
 )
 
 // Bytes returns a recycled []byte of length n with arbitrary contents.
@@ -173,12 +182,28 @@ func IntsZeroed(n int) []int {
 // PutInts recycles an int slice.
 func PutInts(s []int) { intPool.Put(s) }
 
-// Float64s returns a recycled []float64 of length n with arbitrary
-// contents.
-func Float64s(n int) []float64 { return float64Pool.Get(n) }
+// Floats returns a recycled []F of length n with arbitrary contents,
+// from the float32 or the float64 pool as F's width says.
+func Floats[F float32 | float64](n int) []F { return floatPool[F]().Get(n) }
 
-// PutFloat64s recycles a float64 slice.
-func PutFloat64s(s []float64) { float64Pool.Put(s) }
+// PutFloats recycles a slice Floats returned.
+func PutFloats[F float32 | float64](s []F) { floatPool[F]().Put(s) }
+
+// floatPool returns the shared pool for []F. Boxing a pool pointer does
+// not allocate.
+func floatPool[F float32 | float64]() *Pool[F] {
+	if p, ok := any(float32Pool).(*Pool[F]); ok {
+		return p
+	}
+	return any(float64Pool).(*Pool[F])
+}
+
+// Uint16s returns a recycled []uint16 of length n with arbitrary
+// contents: the quantization-code arrays.
+func Uint16s(n int) []uint16 { return uint16Pool.Get(n) }
+
+// PutUint16s recycles a uint16 slice.
+func PutUint16s(s []uint16) { uint16Pool.Put(s) }
 
 // Uint64s returns a recycled []uint64 of length n with arbitrary
 // contents.
@@ -200,3 +225,23 @@ func Uint32s(n int) []uint32 { return uint32Pool.Get(n) }
 
 // PutUint32s recycles a uint32 slice.
 func PutUint32s(s []uint32) { uint32Pool.Put(s) }
+
+// littleEndian reports whether the host stores a word's low byte first.
+var littleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// View returns b's leading len(b)/size(F) raw little-endian samples as a
+// []F sharing b's storage, when the host is little-endian and b is
+// aligned for F; otherwise it returns false and the caller converts the
+// bytes. Writes through the view are writes to b.
+func View[F float32 | float64](b []byte) ([]F, bool) {
+	var zero F
+	size := unsafe.Sizeof(zero)
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if !littleEndian || p == nil || uintptr(p)%unsafe.Alignof(zero) != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*F)(p), uintptr(len(b))/size), true
+}

@@ -1,6 +1,8 @@
 package scratch
 
 import (
+	"encoding/binary"
+	"math"
 	"sync"
 	"testing"
 )
@@ -115,13 +117,13 @@ func TestConcurrent(t *testing.T) {
 					}
 				}
 				PutBytes(b)
-				f := Float64s(n)
+				f := Floats[float64](n)
 				f[0], f[n-1] = 1, 2
 				if f[0] != 1 || f[n-1] != 2 {
 					t.Errorf("float64 buffer corrupted")
 					return
 				}
-				PutFloat64s(f)
+				PutFloats(f)
 			}
 		}(byte(g))
 	}
@@ -159,4 +161,36 @@ func statsFor(size int) ClassStats {
 		}
 	}
 	return ClassStats{Size: size}
+}
+
+// TestView: a view reads and writes a buffer's raw little-endian samples
+// in place, and a buffer misaligned for the sample type gets none.
+func TestView(t *testing.T) {
+	if !littleEndian {
+		t.Skip("views need a little-endian host")
+	}
+	b := Bytes(64)
+	defer PutBytes(b)
+	for i := 0; i < 16; i++ {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(float32(i)+0.5))
+	}
+	v, ok := View[float32](b)
+	if !ok || len(v) != 16 {
+		t.Fatalf("float32 view: %d samples, ok %v", len(v), ok)
+	}
+	for i, x := range v {
+		if x != float32(i)+0.5 {
+			t.Fatalf("sample %d reads %v", i, x)
+		}
+	}
+	v[3] = -1
+	if got := binary.LittleEndian.Uint32(b[12:]); got != math.Float32bits(-1) {
+		t.Fatalf("write through the view left %#x", got)
+	}
+	if w, ok := View[float64](b[:60]); !ok || len(w) != 7 {
+		t.Fatalf("float64 view of 60 bytes: %d samples, ok %v", len(w), ok)
+	}
+	if _, ok := View[float32](b[1:]); ok {
+		t.Fatal("misaligned buffer viewed")
+	}
 }

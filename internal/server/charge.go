@@ -6,27 +6,34 @@ package server
 // profiles (TestAdmissionChargeCalibration re-measures and fails if the
 // estimates drift outside 2x of reality).
 //
-// Measured 2026-10-17 on linux/amd64 (2 CPUs) with the scratch-pooled
+// Measured 2026-10-20 on linux/amd64 (2 CPUs) with the scratch-pooled
 // hot path, each op on one P
 // (`go test -run TestAdmissionChargeCalibration -v ./internal/server`),
-// a 32x192x192 Hurricane-shaped float32 field, 8-row slabs:
+// a 32x192x192 Hurricane-shaped field, 8-row slabs, float32 unless
+// stated:
 //
-//	compress  sz14     measured 11.7x the raw body   (charged 11x = 1+40/4)
+//	compress  sz14     measured 9.0x the raw body    (charged 9x = 1+34/4)
 //	compress  gzip     measured 0.78 MiB             (charged 1 MiB)
-//	compress  blocked  measured 29.0-29.5 B/cell of workers+2 slabs (charged 32)
+//	compress  blocked  measured 10.3 B/cell of workers+2 slabs
+//	                   (charged 14 = 2x4 samples and reconstruction
+//	                   + 2 codes + 4 stream)
+//	          blocked, float64: measured 19.2-20.6 B/cell (charged 22)
 //	          blocked, every point escaping (float32 noise, abs 1e-9):
-//	                   measured 36.5-40.0 B/cell (charged 32)
-//	decompress sz14    measured 27.9 B/element       (charged 24+esz)
+//	                   measured 20.5-22.3 B/cell (charged 14)
+//	decompress sz14    measured 17.3 B/element       (charged 18+esz)
 //	decompress gzip    measured 0.10 MiB             (charged 0.19 MiB)
 //	shared codebook    2^8 symbols:  39.2 KB (charged 44.3 KB)
 //	                   2^16 symbols: 887.9 KB (charged 892.9 KB)
-//	decompress blocked 1 worker:  10.7 MB, one slab decode's working set
-//	                              (charged 28.3 MB = 2 slabs x 48 B/cell;
+//	decompress blocked 1 worker:  5.5 MB, one slab decode's working set
+//	                              (charged 24.8 MB = 2 slabs x 42 B/cell;
 //	                              what szd runs)
-//	                   2 workers: 12.9 or 21.4 MB, as the decodes happen
-//	                              to overlap on the one P (charged 42.5 MB
-//	                              = 3 slabs, against 32.2 MB for three
-//	                              10.7 MB working sets at once)
+//	                   2 workers: 7.7 MB (charged 37.2 MB = 3 slabs,
+//	                              against 16.5 MB for three 5.5 MB
+//	                              working sets at once)
+//
+// Before codes were uint16 and the blocked writer and reader ran the
+// kernels on the raw slab bytes (2026-10-17), the blocked compress read
+// 29.0-29.5 B/cell and a one-worker blocked decompress 10.7 MB.
 import (
 	"runtime"
 
@@ -46,20 +53,14 @@ const (
 
 	// bufferedCompressOverheadPerElem is what a buffered compress pins
 	// per element beyond the raw body: the widened float64 array (8),
-	// the quantization-code array (8), the reconstruction array (8),
+	// the quantization-code array (2), the reconstruction array (8),
 	// and the bitstream/output buffering tail (measured ~16 together).
-	bufferedCompressOverheadPerElem = 40
-
-	// blockedSlabOverheadPerCell is what each in-flight slab of the
-	// streaming blocked writer pins per cell beyond the raw parse
-	// buffer: the float64 slab (8), codes (8), reconstruction (8), and
-	// payload/stream buffering (~4).
-	blockedSlabOverheadPerCell = 28
+	bufferedCompressOverheadPerElem = 34
 
 	// bufferedDecompressOverheadPerElem is what an sz14 decompress pins
-	// per reconstructed element: the code array (8), the output array
+	// per reconstructed element: the code array (2), the output array
 	// (8), and raw-output serialization buffering (~8 + element size).
-	bufferedDecompressOverheadPerElem = 24
+	bufferedDecompressOverheadPerElem = 18
 
 	// bufferedDecompressFallbackMult stands in for buffered codecs whose
 	// headers do not reveal the element count (fpzip, zfp, sz11,
@@ -71,12 +72,14 @@ const (
 	// *adversarial* per-cell bound for one slab in its decode window.
 	// While a slab decodes it holds its compressed stream, which the
 	// reader tolerates up to maxSlabStream = 4x raw (32 B/cell for f64)
-	// before calling a container hostile, plus the float64
-	// reconstruction (8) and the quantization codes (8); the compressed
-	// stream and codes are released before the raw output (<= 8) is
-	// written. Deliberately above the well-formed peak, so it is
-	// asserted one-sided in the calibration test.
-	blockedDecompressBytesPerCell = 48
+	// before calling a container hostile, the raw output its
+	// reconstruction is written into (<= 8) and the quantization codes
+	// (2). The element type is in the slab headers, not the container's,
+	// so the bound is float64's; a float32 slab whose 64-bit escapes send
+	// it through a float64 reconstruction holds 16 + 8 + 4 + 2.
+	// Deliberately above the well-formed peak, so it is asserted
+	// one-sided in the calibration test.
+	blockedDecompressBytesPerCell = 42
 
 	// A v3 shared codebook is held for the life of a decode: its packed
 	// decode table (2^12 entries, 32 KiB, at most), the per-length
@@ -124,7 +127,7 @@ func (s *Server) compressCharge(name string, declared int64, p codec.Params) (in
 			}
 			slabRows := int64(blocked.SlabRowsFor(p.Dims[0], p.SlabRows))
 			workers := int64(wantWorkers(name, p))
-			est := satMul(satMul(workers+2, satMul(slabRows, rowCells)), esz+blockedSlabOverheadPerCell)
+			est := satMul(satMul(workers+2, satMul(slabRows, rowCells)), blockedSlabBytesPerCell(esz))
 			if est < 1<<20 {
 				est = 1 << 20
 			}
@@ -143,6 +146,15 @@ func (s *Server) compressCharge(name string, declared int64, p codec.Params) (in
 		return declared, false
 	}
 	return satMul(declared, 1+bufferedCompressOverheadPerElem/esz), false
+}
+
+// blockedSlabBytesPerCell is what each in-flight slab of the streaming
+// blocked writer pins per cell of a field of element size esz: its raw
+// samples, which the kernels read in place (esz), a reconstruction of
+// the same width (esz), the quantization codes (2) and payload/stream
+// buffering (~4).
+func blockedSlabBytesPerCell(esz int64) int64 {
+	return 2*esz + 2 + 4
 }
 
 // wantWorkers is the blocked container's slab parallelism (p.Workers,

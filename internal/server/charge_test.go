@@ -158,6 +158,17 @@ func TestAdmissionChargeCalibration(t *testing.T) {
 	charge, _ := s.compressCharge("blocked", int64(noiseBuf.Len()), escP)
 	check("compress", "blocked/all-escape", charge, measureCompress("blocked", escP, noiseBuf.Bytes()))
 
+	// The blocked writer on a float64 field, whose slabs hold their
+	// samples and reconstruction at 8 bytes a cell.
+	var raw64 bytes.Buffer
+	if err := a.WriteRaw(&raw64, grid.Float64); err != nil {
+		t.Fatal(err)
+	}
+	p64 := compressParams["blocked"]
+	p64.DType = grid.Float64
+	charge, _ = s.compressCharge("blocked", int64(raw64.Len()), p64)
+	check("compress", "blocked/float64", charge, measureCompress("blocked", p64, raw64.Bytes()))
+
 	for _, name := range []string{"sz14", "gzip"} {
 		stream := encode(name, compressParams[name])
 		c, err := codec.Lookup(name)

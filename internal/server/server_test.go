@@ -708,10 +708,10 @@ func TestBlockedDecompressChargeFromHeader(t *testing.T) {
 	two := codec.Params{Workers: 2}
 	big, _ := s.decompressCharge("blocked", int64(len(oneSlab)), oneSlab, two)
 	small, _ := s.decompressCharge("blocked", int64(len(manySlabs)), manySlabs, two)
-	// 64x32x32 cells x 48 B/cell = 3 MiB for the single slab; three
+	// 64x32x32 cells x 42 B/cell = 2.6 MiB for the single slab; three
 	// 4-row slabs (two decoding, one being served) stay under the 1 MiB
 	// floor.
-	if want := int64(64 * 32 * 32 * 48); big != want {
+	if want := int64(64 * 32 * 32 * 42); big != want {
 		t.Errorf("single-slab charge %d, want %d (slab geometry from header)", big, want)
 	}
 	if small != 1<<20 {
@@ -719,7 +719,7 @@ func TestBlockedDecompressChargeFromHeader(t *testing.T) {
 	}
 	// The decode window: workers+1 of the 16 slabs are charged, never
 	// more than the container holds.
-	slab := int64(4 * 32 * 32 * 48)
+	slab := int64(4 * 32 * 32 * 42)
 	for _, tc := range []struct{ workers, slabs int64 }{{8, 9}, {100, 16}} {
 		c, _ := s.decompressCharge("blocked", int64(len(manySlabs)), manySlabs, codec.Params{Workers: int(tc.workers)})
 		if c != tc.slabs*slab {
